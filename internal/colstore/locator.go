@@ -18,7 +18,7 @@ const DefaultLocatorFrags = 4
 // map to (fragment, offset) by binary search over the fragment grid, and at
 // most `cap` decoded fragments are held in a small MRU list. It is the
 // non-pinning counterpart of FragReader for positional operators
-// (Fetch1Join/FetchNJoin, the merged delta scan): disk-backed columns
+// (Fetch1Join/FetchNJoin): disk-backed columns
 // decode one chunk at a time through the ColumnBM buffer pool instead of
 // materializing the whole column, so fetch joins against tables larger
 // than RAM run within one-decoded-chunk-per-column (plus the LRU cap).
@@ -204,7 +204,7 @@ func gatherCodesVia[T any, C uint8 | uint16](l *FragLocator, dst []T, dict []T, 
 }
 
 // Value returns the boxed logical value at a row id, decoding enum codes
-// (value-at-a-time path: the merged delta scan and delta-aware fetches).
+// (value-at-a-time path: delta-aware fetches).
 func (l *FragLocator) Value(id int) (any, error) {
 	e, err := l.entryFor(id)
 	if err != nil {
@@ -224,14 +224,4 @@ func (l *FragLocator) Value(id int) (any, error) {
 		return c.Dict.decoded(code), nil
 	}
 	return vector.FromAny(c.Typ, e.data).Value(id - e.base), nil
-}
-
-// PhysValue returns the boxed physical value at a row id (the code for
-// enum columns).
-func (l *FragLocator) PhysValue(id int) (any, error) {
-	e, err := l.entryFor(id)
-	if err != nil {
-		return nil, err
-	}
-	return vector.FromAny(l.col.vecType(), e.data).Value(id - e.base), nil
 }

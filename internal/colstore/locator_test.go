@@ -1,7 +1,6 @@
 package colstore
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -123,14 +122,6 @@ func TestLocatorGatherSelAndEnum(t *testing.T) {
 		if dst.Strings()[i] != want {
 			t.Fatalf("enum gather sel %d: %q, want %q", i, dst.Strings()[i], want)
 		}
-	}
-	// PhysValue surfaces the raw code.
-	pv, err := l.PhysValue(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(pv) != "1" {
-		t.Fatalf("PhysValue(1) = %v, want code 1", pv)
 	}
 }
 

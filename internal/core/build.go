@@ -44,12 +44,6 @@ func Build(db *Database, plan algebra.Node, opts ExecOptions) (Operator, error) 
 }
 
 func buildRoot(db *Database, plan algebra.Node, opts ExecOptions) (Operator, error) {
-	if opts.parallelism() > 1 {
-		// Absorb pending insert deltas into base fragments so scans
-		// partition (row ids are preserved; see delta.Store.Checkpoint).
-		// Runs before view capture, so the query sees the absorbed state.
-		checkpointPending(db, plan)
-	}
 	// Capture the plan's tables (and their dictionary mapping tables) in
 	// one snapshot acquisition — the query's consistency point. The
 	// code-domain rewrite below resolves columns through these views.
@@ -58,10 +52,9 @@ func buildRoot(db *Database, plan algebra.Node, opts ExecOptions) (Operator, err
 	}
 	if !opts.NoCodeDomain {
 		// Run group-by and join keys over dictionary-backed string columns
-		// in the code domain, rehydrating via Fetch1Join at emit. The
-		// rewrite happens after checkpointPending so freshly absorbed
-		// deltas no longer block it. Unchanged plans return the original
-		// node, so only rewritten plans pay the re-validation walk.
+		// in the code domain, rehydrating via Fetch1Join at emit. Unchanged
+		// plans return the original node, so only rewritten plans pay the
+		// re-validation walk.
 		if rewritten := rewriteCodeDomain(db, plan, &opts); rewritten != plan {
 			if _, err := rewritten.Out(db); err != nil {
 				return nil, fmt.Errorf("core: code-domain rewrite produced an invalid plan: %w", err)
@@ -94,26 +87,6 @@ func planTables(plan algebra.Node, dst []string) []string {
 		dst = planTables(ch, dst)
 	}
 	return dst
-}
-
-// checkpointPending checkpoints the insert delta of every table scanned by
-// the plan. Tables whose checkpoint is declined (dictionary overflow) or
-// fails (e.g. the chunk directory of a disk-attached table is not
-// writable) keep their deltas and compile to the serial merged scan — the
-// implicit checkpoint is a performance optimization and must never turn a
-// readable database unqueryable; the durable-write contract belongs to the
-// explicit Checkpoint call, which does surface errors. Tables with no
-// pending inserts are never checkpointed here, so a parallel query over a
-// read-only attached directory performs no writes at all.
-func checkpointPending(db *Database, plan algebra.Node) {
-	if sc, ok := plan.(*algebra.Scan); ok {
-		if ds, err := db.Delta(sc.Table); err == nil && ds.NumDeltaRows() > 0 {
-			_, _ = db.Checkpoint(sc.Table)
-		}
-	}
-	for _, ch := range plan.Children() {
-		checkpointPending(db, ch)
-	}
 }
 
 func build(db *Database, plan algebra.Node, opts ExecOptions) (Operator, error) {

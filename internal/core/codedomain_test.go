@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"x100/internal/algebra"
@@ -389,17 +390,20 @@ func TestCodeDomainWithDeletions(t *testing.T) {
 	}
 }
 
-// TestCodeDomainWithInsertDelta checks the merged-delta fallback: with
-// pending inserts the scan-select evaluates decode-first over the merged
-// stream, and the group-key rewrite declines (values may be outside the
-// compiled dictionaries) — results must stay correct either way.
+// TestCodeDomainWithInsertDelta checks the code domain survives pending
+// inserts: base batches still run the translated code steps, only the
+// insert-tail rows evaluate decode-first (they may carry values no
+// dictionary holds), the group-key rewrite declines, and a "<col>#" scan
+// whose tail holds a value outside the merged dictionary fails with an
+// explicit error — results must match decode-first execution throughout.
 func TestCodeDomainWithInsertDelta(t *testing.T) {
 	db, _, _ := codeDomainDiskDB(t)
 	ds, err := db.Delta("events")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 50; i++ {
+	const tail = 50
+	for i := 0; i < tail; i++ {
 		m := "SHIP"
 		if i%5 == 0 {
 			m = "TELEPORT" // value absent from every dictionary
@@ -410,9 +414,27 @@ func TestCodeDomainWithInsertDelta(t *testing.T) {
 	}
 	plan := algebra.NewSelect(algebra.NewScan("events", "mode", "v"),
 		expr.EQE(expr.C("mode"), expr.Str("TELEPORT")))
-	code, decode := runBoth(t, db, plan, 1)
-	assertSameRows(t, "delta scan", code, decode)
-	if code.NumRows() != 10 {
-		t.Fatalf("delta rows found: %d, want 10", code.NumRows())
+	for _, par := range []int{1, 4} {
+		code, decode := runBoth(t, db, plan, par)
+		assertSameRows(t, fmt.Sprintf("delta scan p=%d", par), code, decode)
+		if code.NumRows() != 10 {
+			t.Fatalf("p=%d: delta rows found: %d, want 10", par, code.NumRows())
+		}
+	}
+	tr := trace.New()
+	opts := DefaultOptions()
+	opts.Tracer = tr
+	if _, err := Run(db, plan, opts); err != nil {
+		t.Fatal(err)
+	}
+	if tr.CounterValue("select_code_domain") == 0 {
+		t.Error("base batches left the code domain while inserts are pending")
+	}
+	if got := tr.CounterValue("select_decode_first"); got != tail {
+		t.Errorf("select_decode_first = %d, want exactly the %d tail rows", got, tail)
+	}
+	_, err = Run(db, algebra.NewScan("events", "mode#"), DefaultOptions())
+	if err == nil || !strings.Contains(err.Error(), "not in the attached merged dictionary") {
+		t.Fatalf(`"mode#" scan over a TELEPORT insert: err = %v, want the merged-dictionary error`, err)
 	}
 }

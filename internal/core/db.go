@@ -539,13 +539,14 @@ func (db *Database) compactTable(table string, ds *delta.Store, att *diskAttachm
 	for _, row := range tail {
 		recs = append(recs, columnbm.WALRecord{Kind: columnbm.WALInsert, Row: row})
 	}
-	newDel := make(map[int32]struct{})
+	// remap is monotonic, so the remapped deletion list stays ascending.
+	var newDel []int32
 	for _, id := range ds.NewDeletesSince(snap) {
 		nid, ok := remap(id)
 		if !ok {
 			return fmt.Errorf("core: compact %s: post-snapshot delete of unknown row %d", table, id)
 		}
-		newDel[nid] = struct{}{}
+		newDel = append(newDel, nid)
 		recs = append(recs, columnbm.WALRecord{Kind: columnbm.WALDelete, RowID: nid})
 	}
 	if att.wal != nil {

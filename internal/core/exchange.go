@@ -38,11 +38,16 @@ const defaultMorselRows = 16384
 // claims start on the chunk grid, so two workers never split one chunk
 // (each compressed chunk is decoded by exactly one worker; only the scan
 // range's pruned edges can begin or end mid-chunk).
+//
+// The table's insert tail [tailLo,tailHi), when non-empty, is one extra
+// morsel handed out after the base range.
 type morselSource struct {
-	lo, hi int
-	base   int // first grid position, <= lo
-	morsel int
-	next   atomic.Int64
+	lo, hi         int
+	base           int // first grid position, <= lo
+	morsel         int
+	next           atomic.Int64
+	tailLo, tailHi int
+	tailTaken      atomic.Bool
 }
 
 func newMorselSource(lo, hi, align int, opts ExecOptions) *morselSource {
@@ -62,16 +67,21 @@ func newMorselSource(lo, hi, align int, opts ExecOptions) *morselSource {
 // reset rewinds the dispenser so a re-Opened plan scans the full range
 // again. The coordinating operator (exchange, parallel aggregation) calls
 // it at Open, before any worker goroutine starts claiming.
-func (m *morselSource) reset() { m.next.Store(int64(m.base)) }
+func (m *morselSource) reset() {
+	m.next.Store(int64(m.base))
+	m.tailTaken.Store(false)
+}
 
 // claim returns the next unclaimed morsel [lo,hi), or ok=false when the
-// range is exhausted.
+// range and the tail are exhausted.
 func (m *morselSource) claim() (int, int, bool) {
-	lo := int(m.next.Add(int64(m.morsel))) - m.morsel
-	if lo >= m.hi {
-		return 0, 0, false
+	if lo := int(m.next.Add(int64(m.morsel))) - m.morsel; lo < m.hi {
+		return max(lo, m.lo), min(lo+m.morsel, m.hi), true
 	}
-	return max(lo, m.lo), min(lo+m.morsel, m.hi), true
+	if m.tailLo < m.tailHi && !m.tailTaken.Swap(true) {
+		return m.tailLo, m.tailHi, true
+	}
+	return 0, 0, false
 }
 
 // exchMsg is one hand-off from a worker to the consumer.
@@ -409,34 +419,25 @@ func (op *parallelAggrOp) run() error {
 // partitionable reports whether the subtree rooted at plan can be compiled
 // into per-worker partition pipelines over a shared morsel source: a chain
 // of Select/Project/Fetch1Join/FetchNJoin and hash-join probe sides rooted
-// at a Scan. Pending insert deltas are checkpointed into base fragments
-// before parallel compilation (see Build), and deletion lists are applied
-// as selection vectors inside the partitioned scan, so only the rare
-// un-checkpointable table (enum dictionary outgrew its code width) still
-// falls back to the serial merged scan.
-func partitionable(opts ExecOptions, plan algebra.Node) bool {
+// at a Scan. Every scan partitions, pending deltas or not: deletion lists
+// become per-batch selection vectors and the insert tail is one more
+// morsel of the shared source.
+func partitionable(plan algebra.Node) bool {
 	switch n := plan.(type) {
 	case *algebra.Scan:
-		// Resolved through the query's captured view, so the decision is
-		// consistent with what the partitioned scan will actually read even
-		// when writers append concurrently.
-		v, err := opts.snaps.view(n.Table)
-		if err != nil {
-			return false
-		}
-		return v.delta.NumDeltaRows() == 0
+		return true
 	case *algebra.Select:
-		return partitionable(opts, n.Input)
+		return partitionable(n.Input)
 	case *algebra.Project:
-		return partitionable(opts, n.Input)
+		return partitionable(n.Input)
 	case *algebra.Join:
 		// Equi-joins only: the probe side partitions, the build side is
 		// materialized once and probed concurrently.
-		return len(n.On) > 0 && partitionable(opts, n.Left)
+		return len(n.On) > 0 && partitionable(n.Left)
 	case *algebra.Fetch1Join:
-		return partitionable(opts, n.Input)
+		return partitionable(n.Input)
 	case *algebra.FetchNJoin:
-		return partitionable(opts, n.Input)
+		return partitionable(n.Input)
 	default:
 		return false
 	}
@@ -510,7 +511,7 @@ func (c *parCtx) buildPartition(plan algebra.Node, opts ExecOptions) (Operator, 
 		}
 		jb := c.joins[n]
 		if jb == nil {
-			if nw := opts.parallelism(); nw > 1 && partitionable(opts, n.Right) {
+			if nw := opts.parallelism(); nw > 1 && partitionable(n.Right) {
 				// Partitioned parallel build: per-worker pipelines drain
 				// morsels into private builders, hash and insert in
 				// parallel (joinBuild.drainParallel/index). The build still
@@ -579,6 +580,7 @@ func (c *parCtx) partScan(n *algebra.Scan, pred expr.Expr, opts ExecOptions) (*s
 		// Align morsels to the ColumnBM chunk grid of disk-backed tables so
 		// workers never split (and thus never redundantly decompress) a chunk.
 		src = newMorselSource(op.lo, op.hi, op.view.chunkRows, opts)
+		src.tailLo, src.tailHi = op.baseN, op.tailHi
 		c.scans[n] = src
 	}
 	op.source = src
@@ -677,7 +679,7 @@ func newParallelAggr(db *Database, n *algebra.Aggr, opts ExecOptions) (Operator,
 func buildParallel(db *Database, plan algebra.Node, opts ExecOptions) (Operator, error) {
 	switch n := plan.(type) {
 	case *algebra.Aggr:
-		if partitionable(opts, n.Input) {
+		if partitionable(n.Input) {
 			op, ok, err := newParallelAggr(db, n, opts)
 			if err != nil {
 				return nil, err
@@ -692,18 +694,10 @@ func buildParallel(db *Database, plan algebra.Node, opts ExecOptions) (Operator,
 		}
 		return newAggrOp(in, n, opts)
 	case *algebra.Scan:
-		if partitionable(opts, n) {
-			return newExchangeOp(db, n, opts)
-		}
-		return build(db, plan, opts)
+		return newExchangeOp(db, n, opts)
 	case *algebra.Select:
-		if partitionable(opts, n) {
+		if partitionable(n) {
 			return newExchangeOp(db, n, opts)
-		}
-		if _, ok := n.Input.(*algebra.Scan); ok {
-			// Delta-bearing scan below: serial path keeps the
-			// summary-bounds special case.
-			return build(db, plan, opts)
 		}
 		in, err := buildParallel(db, n.Input, opts)
 		if err != nil {
@@ -711,7 +705,7 @@ func buildParallel(db *Database, plan algebra.Node, opts ExecOptions) (Operator,
 		}
 		return newSelectOp(in, n.Pred, opts)
 	case *algebra.Project:
-		if partitionable(opts, n) {
+		if partitionable(n) {
 			return newExchangeOp(db, n, opts)
 		}
 		in, err := buildParallel(db, n.Input, opts)
@@ -720,7 +714,7 @@ func buildParallel(db *Database, plan algebra.Node, opts ExecOptions) (Operator,
 		}
 		return newProjectOp(in, n.Exprs, opts)
 	case *algebra.Join:
-		if partitionable(opts, n) {
+		if partitionable(n) {
 			return newExchangeOp(db, n, opts)
 		}
 		if len(n.On) == 0 {
@@ -736,7 +730,7 @@ func buildParallel(db *Database, plan algebra.Node, opts ExecOptions) (Operator,
 		}
 		return newHashJoinOp(l, r, n, opts)
 	case *algebra.Fetch1Join:
-		if partitionable(opts, n) {
+		if partitionable(n) {
 			return newExchangeOp(db, n, opts)
 		}
 		in, err := buildParallel(db, n.Input, opts)
@@ -745,7 +739,7 @@ func buildParallel(db *Database, plan algebra.Node, opts ExecOptions) (Operator,
 		}
 		return newFetch1JoinOp(db, in, n, opts)
 	case *algebra.FetchNJoin:
-		if partitionable(opts, n) {
+		if partitionable(n) {
 			return newExchangeOp(db, n, opts)
 		}
 		in, err := buildParallel(db, n.Input, opts)
@@ -754,7 +748,7 @@ func buildParallel(db *Database, plan algebra.Node, opts ExecOptions) (Operator,
 		}
 		return newFetchNJoinOp(db, in, n, opts)
 	case *algebra.Order:
-		if opts.parallelism() > 1 && partitionable(opts, n.Input) {
+		if opts.parallelism() > 1 && partitionable(n.Input) {
 			return newParallelOrderOp(db, n.Input, n.Keys, 0, opts)
 		}
 		in, err := buildParallel(db, n.Input, opts)
@@ -763,7 +757,7 @@ func buildParallel(db *Database, plan algebra.Node, opts ExecOptions) (Operator,
 		}
 		return newOrderOp(in, n.Keys, 0, opts)
 	case *algebra.TopN:
-		if opts.parallelism() > 1 && partitionable(opts, n.Input) {
+		if opts.parallelism() > 1 && partitionable(n.Input) {
 			return newParallelOrderOp(db, n.Input, n.Keys, n.N, opts)
 		}
 		in, err := buildParallel(db, n.Input, opts)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"x100/internal/algebra"
@@ -261,7 +262,8 @@ type fetchNJoinOp struct {
 	input    Operator
 	node     *algebra.FetchNJoin
 	view     *tableView
-	del      *delta.Snapshot // non-nil when the fetch target has deletions
+	del      []int32 // the fetch target's ascending deletion list
+	delPos   int     // first deletion >= curFetch within the current range
 	ranges   *rangeLookup
 	opts     ExecOptions
 	schema   vector.Schema
@@ -308,9 +310,7 @@ func newFetchNJoinOp(db *Database, input Operator, node *algebra.FetchNJoin, opt
 		input: input, node: node, view: v,
 		ranges: &rangeLookup{starts: ri.Starts}, opts: opts, rangeCol: rc,
 	}
-	if v.delta.NumDeleted() > 0 {
-		op.del = v.delta
-	}
+	op.del = v.delta.SortedDeleted()
 	op.schema = in.Clone()
 	for i, cname := range node.Cols {
 		c := v.col(cname)
@@ -376,9 +376,11 @@ func (op *fetchNJoinOp) Next() (*vector.Batch, error) {
 		if op.curFetch < 0 {
 			id := b.Vecs[op.rangeCol].Int32s()[pos]
 			op.curFetch, op.curHi = op.ranges.rng(id)
+			op.delPos, _ = slices.BinarySearch(op.del, op.curFetch)
 		}
 		for op.curFetch < op.curHi && len(op.leftIdx) < bs {
-			if op.del != nil && op.del.IsDeleted(op.curFetch) {
+			if op.delPos < len(op.del) && op.del[op.delPos] == op.curFetch {
+				op.delPos++
 				op.curFetch++
 				continue
 			}

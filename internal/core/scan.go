@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"x100/internal/colstore"
@@ -24,6 +25,7 @@ const DictSuffix = "#dict"
 type scanCol struct {
 	name    string
 	col     *colstore.Column
+	ti      int // index of col in the table view (its delta column)
 	isRowID bool
 	rawCode bool
 	// dictRead marks a logical read served through the code domain: enum
@@ -35,9 +37,6 @@ type scanCol struct {
 	// reader streams the column's base fragments, materializing at most
 	// one (decompressed ColumnBM chunk or in-memory slice) at a time.
 	reader *colstore.FragReader
-	// loc resolves single row ids on the merged delta path without pinning
-	// (built lazily: most scans never need it).
-	loc *colstore.FragLocator
 	// decode buffer for dictionary columns read logically.
 	buf *vector.Vector
 }
@@ -65,6 +64,13 @@ func (sc *scanCol) domainDict() *colstore.Dict {
 	return sc.col.Dict // float enums
 }
 
+// scanOp reads a table as the paper's update scheme lays it out (Section
+// 4.3, Figure 8): the immutable base range [lo,hi) through FragReaders, then
+// the insert tail [baseN,tailHi) as ordinary vectors from the delta
+// snapshot, both minus the sorted deletion list, which each batch turns
+// into a selection vector. Every batch lies wholly in the base or wholly in
+// the tail, so base batches keep the compressed-scan machinery (code-domain
+// steps, late materialization, summary bounds) whatever the delta holds.
 type scanOp struct {
 	db *Database
 	// view is the query's frozen view of the table (column set, base row
@@ -77,6 +83,10 @@ type scanOp struct {
 	schema vector.Schema
 	opts   ExecOptions
 	lo, hi int // base-fragment row bounds (summary-index pruning)
+	// baseN and tailHi delimit the insert tail's row ids; deleted is the
+	// snapshot's ascending deletion list over base and tail ids.
+	baseN, tailHi int
+	deleted       []int32
 
 	// source, when non-nil, makes this a partitioned scan: instead of
 	// walking [lo,hi) sequentially the operator claims row-range morsels
@@ -86,7 +96,6 @@ type scanOp struct {
 	morselHi int
 
 	pos      int
-	deltaPos int
 	rowIDBuf []int32
 	selBuf   []int32
 	batch    *vector.Batch
@@ -102,7 +111,8 @@ func newScanOp(db *Database, table string, cols []string, opts ExecOptions) (*sc
 			cols = append(cols, c.Name)
 		}
 	}
-	op := &scanOp{db: db, view: v, dsnap: v.delta, opts: opts, lo: 0, hi: v.n}
+	op := &scanOp{db: db, view: v, dsnap: v.delta, opts: opts, lo: 0, hi: v.n,
+		baseN: v.n, tailHi: v.n + v.delta.NumDeltaRows(), deleted: v.delta.SortedDeleted()}
 	for _, name := range cols {
 		sc := scanCol{name: name}
 		switch {
@@ -111,10 +121,11 @@ func newScanOp(db *Database, table string, cols []string, opts ExecOptions) (*sc
 			sc.typ = vector.Int32
 		case strings.HasSuffix(name, CodeSuffix):
 			base := strings.TrimSuffix(name, CodeSuffix)
-			c := v.col(base)
-			if c == nil {
+			sc.ti = v.colIndex(base)
+			if sc.ti < 0 {
 				return nil, fmt.Errorf("core: table %s has no column %q", table, base)
 			}
+			c := v.cols[sc.ti]
 			sc.col = c
 			sc.rawCode = true
 			switch {
@@ -128,10 +139,11 @@ func newScanOp(db *Database, table string, cols []string, opts ExecOptions) (*sc
 				sc.typ = phys
 			}
 		default:
-			c := v.col(name)
-			if c == nil {
+			sc.ti = v.colIndex(name)
+			if sc.ti < 0 {
 				return nil, fmt.Errorf("core: table %s has no column %q", table, name)
 			}
+			c := v.cols[sc.ti]
 			sc.col = c
 			sc.typ = c.Typ
 			if c.IsEnum() {
@@ -155,11 +167,10 @@ func (s *scanOp) Open() error {
 		// Partitioned scan: rows come from claimed morsels, not [lo,hi).
 		s.pos = 0
 	}
-	s.deltaPos = 0
 	// Buffers are sized to the actual batch length: with vector sizes far
 	// beyond the table size (Figure 10's right edge) a batch is at most the
-	// table itself.
-	n := min(s.opts.batchSize(), max(s.hi-s.lo, 1))
+	// base range or the insert tail.
+	n := min(s.opts.batchSize(), max(s.hi-s.lo, s.tailHi-s.baseN, 1))
 	s.rowIDBuf = make([]int32, n)
 	s.selBuf = make([]int32, 0, n)
 	for i := range s.cols {
@@ -190,14 +201,15 @@ func (s *scanOp) Close() error {
 	return nil
 }
 
-// claimRange returns the next batch row range [lo, hi), clamped so that no
-// batch spans a fragment boundary: each column's reader then holds exactly
-// one materialized fragment per batch. ok=false means the scan (or its
-// morsel source) is exhausted.
+// claimRange returns the next batch row range [lo, hi): base batches are
+// clamped so that none spans a fragment boundary (each column's reader then
+// holds exactly one materialized fragment per batch), and the insert tail
+// follows the base range. ok=false means the scan (or its morsel source) is
+// exhausted.
 func (s *scanOp) claimRange() (int, int, bool) {
 	limit := s.hi
 	if s.source != nil {
-		if s.pos >= s.morselHi {
+		for s.pos >= s.morselHi {
 			// A morsel claim is the natural scheduling quantum: offer the
 			// worker's admission slot to the oldest waiter so concurrent
 			// queries rotate over the shared pool. Yield only fails when
@@ -212,16 +224,20 @@ func (s *scanOp) claimRange() (int, int, bool) {
 			s.pos, s.morselHi = mlo, mhi
 		}
 		limit = s.morselHi
+	} else if s.pos >= s.hi {
+		s.pos, limit = max(s.pos, s.baseN), s.tailHi
 	}
 	if s.pos >= limit {
 		return 0, 0, false
 	}
 	lo := s.pos
 	hi := min(lo+s.opts.batchSize(), limit)
-	for i := range s.cols {
-		if c := s.cols[i].col; c != nil {
-			if _, fe := c.FragSpan(lo); fe < hi {
-				hi = fe
+	if lo < s.baseN {
+		for i := range s.cols {
+			if c := s.cols[i].col; c != nil {
+				if _, fe := c.FragSpan(lo); fe < hi {
+					hi = fe
+				}
 			}
 		}
 	}
@@ -229,14 +245,35 @@ func (s *scanOp) claimRange() (int, int, bool) {
 	return lo, hi, true
 }
 
-// deletionSel fills the scan's selection buffer with the positions of
-// [lo,hi) not on the deletion list.
-func (s *scanOp) deletionSel(lo, hi int) []int32 {
-	sel := s.selBuf[:0]
-	for j := 0; j < hi-lo; j++ {
-		if !s.dsnap.IsDeleted(int32(lo + j)) {
-			sel = append(sel, int32(j))
+// nextRange claims the next batch range that has a live row and returns it
+// with its deletion selection (batch-relative, nil = every row live).
+func (s *scanOp) nextRange() (lo, hi int, sel []int32, ok bool) {
+	for {
+		if lo, hi, ok = s.claimRange(); !ok {
+			return 0, 0, nil, false
 		}
+		if sel = s.deletionSel(lo, hi); sel == nil || len(sel) > 0 {
+			return lo, hi, sel, true
+		}
+	}
+}
+
+// deletionSel walks the sorted deletion list from the batch's first id and
+// returns the live positions of [lo,hi) — nil when no row of the range is
+// deleted, empty when all are.
+func (s *scanOp) deletionSel(lo, hi int) []int32 {
+	del := s.deleted
+	i, _ := slices.BinarySearch(del, int32(lo))
+	if i == len(del) || int(del[i]) >= hi {
+		return nil
+	}
+	sel := s.selBuf[:0]
+	for j := lo; j < hi; j++ {
+		if i < len(del) && int(del[i]) == j {
+			i++
+			continue
+		}
+		sel = append(sel, int32(j-lo))
 	}
 	s.selBuf = sel
 	return sel
@@ -244,82 +281,56 @@ func (s *scanOp) deletionSel(lo, hi int) []int32 {
 
 // fillCol materializes column i of the current batch over [lo,hi). sel
 // (batch-relative positions, nil = all) is the selection known so far:
-// dictionary-backed columns decode only the selected rows.
+// dictionary-backed base columns decode only the selected rows.
 func (s *scanOp) fillCol(i, lo, hi int, sel []int32) error {
 	sc := &s.cols[i]
-	k := hi - lo
+	var v *vector.Vector
+	var err error
 	switch {
 	case sc.isRowID:
-		ids := s.rowIDBuf[:k]
+		ids := s.rowIDBuf[:hi-lo]
 		for j := range ids {
 			ids[j] = int32(lo + j)
 		}
-		s.batch.Vecs[i] = vector.FromInt32s(ids)
+		v = vector.FromInt32s(ids)
+	case lo >= s.baseN:
+		v = s.dsnap.DeltaVector(sc.ti, lo-s.baseN, hi-s.baseN)
+		if sc.rawCode {
+			v, err = sc.tailCodes(v)
+		}
 	case sc.dictRead:
-		v, err := s.decodeDict(sc, lo, hi, sel)
-		if err != nil {
-			return err
-		}
-		s.batch.Vecs[i] = v
+		v, err = s.decodeDict(sc, lo, hi, sel)
 	case sc.rawCode:
-		v, err := sc.reader.Vector(lo, hi)
-		if err != nil {
-			return err
-		}
-		v.Typ = sc.typ
-		s.batch.Vecs[i] = v
+		v, err = sc.reader.Vector(lo, hi)
 	default:
-		v, err := sc.reader.VectorSel(lo, hi, sel)
-		if err != nil {
-			return err
-		}
-		v.Typ = sc.typ
-		s.batch.Vecs[i] = v
+		v, err = sc.reader.VectorSel(lo, hi, sel)
 	}
+	if err != nil {
+		return err
+	}
+	v.Typ = sc.typ
+	s.batch.Vecs[i] = v
 	return nil
 }
 
 func (s *scanOp) Next() (*vector.Batch, error) {
-	// Insert deltas require the value-at-a-time merged scan; a bare
-	// deletion list is handled below on the vectorized path with a
-	// selection vector, so deletions neither break partitioned scans nor
-	// force the slow path. The choice is made on the captured snapshot,
-	// so it cannot flip mid-query when a checkpoint absorbs the delta.
-	if s.dsnap.NumDeltaRows() > 0 {
-		return s.nextMerged()
+	// Batch boundary: the cancellation/budget check of this pipeline.
+	if err := s.opts.life.check(); err != nil {
+		return nil, err
 	}
-	hasDel := s.dsnap.NumDeleted() > 0
-	for {
-		// Batch boundary: the cancellation/budget check of this pipeline.
-		if err := s.opts.life.check(); err != nil {
+	lo, hi, sel, ok := s.nextRange()
+	if !ok {
+		return nil, nil
+	}
+	b := s.batch
+	b.N = hi - lo
+	for i := range s.cols {
+		if err := s.fillCol(i, lo, hi, sel); err != nil {
 			return nil, err
 		}
-		lo, hi, ok := s.claimRange()
-		if !ok {
-			return nil, nil
-		}
-		k := hi - lo
-		b := s.batch
-		b.N = k
-		b.Sel = nil
-		var sel []int32
-		if hasDel {
-			sel = s.deletionSel(lo, hi)
-			if len(sel) == 0 {
-				continue // fully deleted batch: pull the next range
-			}
-			if len(sel) == k {
-				sel = nil
-			}
-		}
-		for i := range s.cols {
-			if err := s.fillCol(i, lo, hi, sel); err != nil {
-				return nil, err
-			}
-		}
-		b.Sel = sel
-		return b, nil
 	}
+	b.Sel = sel
+	return b, nil
 }
 
 // decodeDict gathers dictionary values through the code vector — the
@@ -371,126 +382,43 @@ func (s *scanOp) decodeDict(sc *scanCol, lo, hi int, sel []int32) (*vector.Vecto
 	return out, nil
 }
 
-// nextMerged is the delta-aware scan path: base rows minus the deletion
-// list, then insert-delta rows minus deletions. It is value-at-a-time; the
-// paper keeps deltas small (a small percentile of the table) before
-// reorganizing, so this path never dominates. Base values resolve through
-// per-column FragLocators, so even this path never pins disk columns.
-func (s *scanOp) nextMerged() (*vector.Batch, error) {
-	if err := s.opts.life.check(); err != nil {
-		return nil, err
-	}
-	bs := s.opts.batchSize()
-	baseN := s.view.n
-	type srcRow struct{ id int32 }
-	rows := make([]srcRow, 0, bs)
-	for len(rows) < bs && s.pos < s.hi {
-		id := int32(s.pos)
-		s.pos++
-		if !s.dsnap.IsDeleted(id) {
-			rows = append(rows, srcRow{id: id})
-		}
-	}
-	for len(rows) < bs && s.deltaPos < s.dsnap.NumDeltaRows() {
-		id := int32(baseN + s.deltaPos)
-		s.deltaPos++
-		if !s.dsnap.IsDeleted(id) {
-			rows = append(rows, srcRow{id: id})
-		}
-	}
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	b := &vector.Batch{Schema: s.schema, Vecs: make([]*vector.Vector, len(s.cols)), N: len(rows)}
-	for ci := range s.cols {
-		sc := &s.cols[ci]
-		if sc.col != nil && sc.loc == nil {
-			sc.loc = sc.col.Locator(0)
-		}
-		v := vector.New(sc.typ, len(rows))
-		for j, r := range rows {
-			switch {
-			case sc.isRowID:
-				v.Int32s()[j] = r.id
-			case int(r.id) < baseN:
-				var val any
-				var err error
-				switch {
-				case sc.rawCode && !sc.col.IsEnum():
-					// Merged-dict column: the physical value is the string;
-					// translate it through the shared code domain (base rows
-					// are covered by the attach-time merged dictionary).
-					val, err = sc.loc.Value(int(r.id))
-					if err == nil {
-						val, err = sc.lookupCode(val.(string))
-					}
-				case sc.rawCode:
-					val, err = sc.loc.PhysValue(int(r.id))
-				default:
-					val, err = sc.loc.Value(int(r.id))
-				}
-				if err != nil {
-					return nil, err
-				}
-				v.Set(j, val)
-			default:
-				val, err := s.deltaValue(sc, int(r.id)-baseN)
-				if err != nil {
-					return nil, err
-				}
-				v.Set(j, val)
+// tailCodes encodes an insert-tail vector of a "<col>#" column into the
+// column's code domain, once per vector. Enum dictionaries are append-only
+// and grow with the delta (the existing insert contract); the attach-time
+// merged dictionary of a dict-compressed disk column is a shared immutable
+// snapshot — growing it would desynchronize compiled predicate translations
+// and the registered "<col>#dict" mapping table — so an unseen value is an
+// explicit error (checkpoint or reorganize first, then re-attach).
+func (sc *scanCol) tailCodes(vals *vector.Vector) (*vector.Vector, error) {
+	n := vals.Len()
+	out := vector.New(sc.typ, n)
+	d := sc.domainDict()
+	for j := 0; j < n; j++ {
+		var code int
+		switch {
+		case d.Typ == vector.Float64:
+			code = d.CodeF64(vals.Float64s()[j])
+		case sc.col.IsEnum():
+			code = d.Code(vals.Strings()[j])
+		default:
+			c, ok := d.Lookup(vals.Strings()[j])
+			if !ok {
+				return nil, fmt.Errorf("core: column %s: value %q is not in the attached merged dictionary (checkpoint/reorganize and re-attach before scanning %s%s)",
+					sc.col.Name, vals.Strings()[j], sc.col.Name, CodeSuffix)
 			}
+			code = c
 		}
-		b.Vecs[ci] = v
-	}
-	return b, nil
-}
-
-func (s *scanOp) deltaValue(sc *scanCol, j int) (any, error) {
-	ti := 0
-	for i, c := range s.view.cols {
-		if c == sc.col {
-			ti = i
-			break
+		if code >= 1<<(8*sc.typ.Width()) {
+			return nil, fmt.Errorf("core: column %s: dictionary outgrew its %v codes (reorganize before scanning %s%s)",
+				sc.col.Name, sc.typ, sc.col.Name, CodeSuffix)
+		}
+		if sc.typ == vector.UInt8 {
+			out.UInt8s()[j] = uint8(code)
+		} else {
+			out.UInt16s()[j] = uint16(code)
 		}
 	}
-	val := s.dsnap.DeltaValue(ti, j)
-	if !sc.rawCode {
-		return val, nil
-	}
-	// Encode the uncompressed delta value into the dictionary code space.
-	// Enum dictionaries are append-only and grow with the delta (the
-	// existing insert contract); the attach-time merged dictionary of a
-	// dict-compressed disk column is a shared immutable snapshot — growing
-	// it would desynchronize compiled predicate translations and the
-	// registered "<col>#dict" mapping table — so an unseen value is an
-	// explicit error (checkpoint or reorganize first, then re-attach).
-	if d := sc.col.Dict; d != nil {
-		if d.Typ == vector.Float64 {
-			return sc.encodeCode(d.CodeF64(val.(float64))), nil
-		}
-		return sc.encodeCode(d.Code(val.(string))), nil
-	}
-	return sc.lookupCode(val.(string))
-}
-
-// lookupCode translates a string through a merged-dict column's shared
-// dictionary without inserting.
-func (sc *scanCol) lookupCode(s string) (any, error) {
-	code, ok := sc.domainDict().Lookup(s)
-	if !ok {
-		return nil, fmt.Errorf("core: column %s: value %q is not in the attached merged dictionary (checkpoint/reorganize and re-attach before scanning %s%s)",
-			sc.col.Name, s, sc.col.Name, CodeSuffix)
-	}
-	return sc.encodeCode(code), nil
-}
-
-// encodeCode casts a dictionary code to the column's code vector type.
-func (sc *scanCol) encodeCode(code int) any {
-	if sc.typ == vector.UInt8 {
-		return uint8(code)
-	}
-	return uint16(code)
+	return out, nil
 }
 
 // arrayOp generates all coordinates of an N-dimensional array in

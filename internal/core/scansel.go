@@ -28,9 +28,9 @@ import (
 //     materializes the rows that survived it ("decompress only what you
 //     use") via FragReader.VectorSel and selective dictionary gathers.
 //
-// The delta-bearing merged scan path keeps the decode-first evaluation: it
-// materializes logical values anyway, and delta rows may carry dictionary
-// values the compiled translation has never seen.
+// Both apply to base batches only. Insert-tail batches are uncompressed
+// logical values that may carry dictionary values the compiled translation
+// has never seen, so the whole predicate evaluates decode-first over them.
 type scanSelectOp struct {
 	scan *scanOp
 	opts ExecOptions
@@ -40,7 +40,7 @@ type scanSelectOp struct {
 	// scan's schema; strCols lists the scan columns it reads.
 	strPred *expr.Pred
 	strCols []int
-	// fullPred is the whole predicate, used on the merged delta path.
+	// fullPred is the whole predicate, used on insert-tail batches.
 	fullPred *expr.Pred
 
 	filled []bool
@@ -506,82 +506,28 @@ func (s *scanSelectOp) fill(ci, lo, hi int, sel []int32) error {
 }
 
 func (s *scanSelectOp) Next() (*vector.Batch, error) {
-	if s.scan.dsnap.NumDeltaRows() > 0 {
-		// Merged delta path: logical values are materialized anyway, so the
-		// whole predicate evaluates decode-first.
-		for {
-			b, err := s.scan.nextMerged()
-			if err != nil || b == nil {
-				return nil, err
-			}
-			t0 := time.Now()
-			sel := s.fullPred.Select(b)
-			s.opts.Tracer.RecordCounter("select_decode_first", int64(b.Rows()))
-			s.opts.Tracer.RecordOperator("Select", len(sel), time.Since(t0))
-			if len(sel) == 0 {
-				continue
-			}
-			b.Sel = sel
-			return b, nil
-		}
-	}
-	hasDel := s.scan.dsnap.NumDeleted() > 0
 	for {
-		lo, hi, ok := s.scan.claimRange()
+		lo, hi, sel, ok := s.scan.nextRange()
 		if !ok {
 			return nil, nil
 		}
 		t0 := time.Now()
-		k := hi - lo
 		b := s.scan.batch
-		b.N = k
+		b.N = hi - lo
 		b.Sel = nil
-		for i := range s.filled {
-			s.filled[i] = false
+		clear(s.filled)
+		var err error
+		if lo >= s.scan.baseN {
+			sel, err = s.selectTail(lo, hi, sel)
+		} else {
+			sel, err = s.selectBase(lo, hi, sel)
 		}
-		var sel []int32
-		dead := false
-		if hasDel {
-			sel = s.scan.deletionSel(lo, hi)
-			if len(sel) == 0 {
-				continue
-			}
-			if len(sel) == k {
-				sel = nil
-			}
+		if err != nil {
+			return nil, err
 		}
-		for _, st := range s.codeSteps {
-			out, err := st.apply(s, lo, hi, sel)
-			if err != nil {
-				return nil, err
-			}
-			sel = out
-			if len(sel) == 0 {
-				dead = true
-				break
-			}
-		}
-		if dead {
+		if len(sel) == 0 {
 			s.opts.Tracer.RecordOperator("Select", 0, time.Since(t0))
 			continue
-		}
-		if s.strPred != nil {
-			for _, ci := range s.strCols {
-				if err := s.fill(ci, lo, hi, sel); err != nil {
-					return nil, err
-				}
-			}
-			nin := k
-			if sel != nil {
-				nin = len(sel)
-			}
-			b.Sel = sel
-			sel = s.strPred.Select(b)
-			s.opts.Tracer.RecordCounter("select_decode_first", int64(nin))
-			if len(sel) == 0 {
-				s.opts.Tracer.RecordOperator("Select", 0, time.Since(t0))
-				continue
-			}
 		}
 		// Materialize the remaining columns only for surviving rows.
 		for i := range s.scan.cols {
@@ -593,4 +539,48 @@ func (s *scanSelectOp) Next() (*vector.Batch, error) {
 		s.opts.Tracer.RecordOperator("Select", b.Rows(), time.Since(t0))
 		return b, nil
 	}
+}
+
+// selectBase runs the code-domain steps, then the untranslated conjuncts
+// decode-first, over a base batch, returning the surviving selection.
+func (s *scanSelectOp) selectBase(lo, hi int, sel []int32) ([]int32, error) {
+	for _, st := range s.codeSteps {
+		out, err := st.apply(s, lo, hi, sel)
+		if err != nil || len(out) == 0 {
+			return out, err
+		}
+		sel = out
+	}
+	if s.strPred == nil {
+		return sel, nil
+	}
+	for _, ci := range s.strCols {
+		if err := s.fill(ci, lo, hi, sel); err != nil {
+			return nil, err
+		}
+	}
+	return s.decodeFirst(s.strPred, hi-lo, sel), nil
+}
+
+// selectTail evaluates the whole predicate decode-first over an insert-tail
+// batch.
+func (s *scanSelectOp) selectTail(lo, hi int, sel []int32) ([]int32, error) {
+	for i := range s.scan.cols {
+		if err := s.fill(i, lo, hi, sel); err != nil {
+			return nil, err
+		}
+	}
+	return s.decodeFirst(s.fullPred, hi-lo, sel), nil
+}
+
+// decodeFirst applies p to the materialized batch under sel.
+func (s *scanSelectOp) decodeFirst(p *expr.Pred, k int, sel []int32) []int32 {
+	nin := k
+	if sel != nil {
+		nin = len(sel)
+	}
+	b := s.scan.batch
+	b.Sel = sel
+	s.opts.Tracer.RecordCounter("select_decode_first", int64(nin))
+	return p.Select(b)
 }

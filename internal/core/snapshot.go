@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"x100/internal/colstore"
@@ -45,12 +46,15 @@ type tableView struct {
 
 // col returns the captured column by name, nil when absent.
 func (v *tableView) col(name string) *colstore.Column {
-	for _, c := range v.cols {
-		if c.Name == name {
-			return c
-		}
+	if i := v.colIndex(name); i >= 0 {
+		return v.cols[i]
 	}
 	return nil
+}
+
+// colIndex returns the position of a captured column, -1 when absent.
+func (v *tableView) colIndex(name string) int {
+	return slices.IndexFunc(v.cols, func(c *colstore.Column) bool { return c.Name == name })
 }
 
 // rangeIndexAny mirrors Database.RangeIndexAny against the captured maps.

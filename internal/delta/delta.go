@@ -12,10 +12,10 @@
 //
 // Checkpoint absorbs the insert delta into a new in-memory base fragment
 // appended to every column, preserving all row ids (deletions stay on the
-// deletion list). It is cheaper than Reorganize — no base rewrite — and is
-// what the parallel scan path uses to avoid the value-at-a-time merged
-// scan. Reorganize remains the full rewrite that also drops deleted rows
-// and re-encodes enum columns.
+// deletion list). It is cheaper than Reorganize — no base rewrite — and
+// bounds the insert tail every scan appends to the base range. Reorganize
+// remains the full rewrite that also drops deleted rows and re-encodes enum
+// columns.
 //
 // The store is internally synchronized so that checkpoints and compaction
 // can run concurrently with writers and scans: Snapshot captures an
@@ -27,7 +27,7 @@ package delta
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"x100/internal/colstore"
@@ -46,8 +46,8 @@ type Store struct {
 	// pre-checkpoint snapshot never race with a base cutover mutating the
 	// table.
 	baseN int
-	// deleted row ids (over base + delta space), kept as a set.
-	deleted map[int32]struct{}
+	// deleted row ids (over base + delta space), ascending and unique.
+	deleted []int32
 	// insert delta: one untyped column buffer per table column.
 	ins []deltaCol
 	// number of rows appended to the delta.
@@ -71,7 +71,7 @@ type deltaCol struct {
 
 // NewStore creates an empty delta store over a base table.
 func NewStore(t *colstore.Table) *Store {
-	s := &Store{table: t, baseN: t.N, deleted: make(map[int32]struct{})}
+	s := &Store{table: t, baseN: t.N}
 	for _, c := range t.Cols {
 		s.ins = append(s.ins, deltaCol{name: c.Name, typ: c.Typ, physical: c.Typ.Physical()})
 	}
@@ -120,7 +120,9 @@ func (s *Store) deleteLocked(rowID int32) error {
 	if int(rowID) < 0 || int(rowID) >= s.baseN+s.nIns {
 		return fmt.Errorf("delta: row id %d out of range [0,%d)", rowID, s.baseN+s.nIns)
 	}
-	s.deleted[rowID] = struct{}{}
+	if i, found := slices.BinarySearch(s.deleted, rowID); !found {
+		s.deleted = slices.Insert(s.deleted, i, rowID)
+	}
 	return nil
 }
 
@@ -128,7 +130,7 @@ func (s *Store) deleteLocked(rowID int32) error {
 func (s *Store) IsDeleted(rowID int32) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.deleted[rowID]
+	_, ok := slices.BinarySearch(s.deleted, rowID)
 	return ok
 }
 
@@ -354,21 +356,23 @@ func (s *Store) NewDeletesSince(snap *Snapshot) []int32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]int32, 0)
-	for id := range s.deleted {
-		if _, old := snap.deleted[id]; !old {
+	for _, id := range s.deleted {
+		if !snap.IsDeleted(id) {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-func liveIDs(total int, deleted map[int32]struct{}, n int) []int32 {
-	out := make([]int32, 0, n)
+// liveIDs lists [0,total) minus the ascending deletion list.
+func liveIDs(total int, deleted []int32) []int32 {
+	out := make([]int32, 0, total-len(deleted))
 	for id := int32(0); id < int32(total); id++ {
-		if _, dead := deleted[id]; !dead {
-			out = append(out, id)
+		if len(deleted) > 0 && deleted[0] == id {
+			deleted = deleted[1:]
+			continue
 		}
+		out = append(out, id)
 	}
 	return out
 }
@@ -379,7 +383,7 @@ func liveIDs(total int, deleted map[int32]struct{}, n int) []int32 {
 func (s *Store) LiveRowIDs() []int32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return liveIDs(s.baseN+s.nIns, s.deleted, s.baseN+s.nIns-len(s.deleted))
+	return liveIDs(s.baseN+s.nIns, s.deleted)
 }
 
 // DeltaFraction returns the fraction of the table held in deltas (inserts +
@@ -468,8 +472,9 @@ func partsFrom(cols []*colstore.Column, ins []deltaCol, nIns int) (parts []any, 
 // parts either to Table.AppendFragment (in-memory) or to the ColumnBM
 // write-back (disk), then call ClearInserts once the rows are durably part
 // of the base. done=false is returned without changes when a dictionary has
-// outgrown its column's code width — callers fall back to the merged scan
-// or a full Reorganize. With no pending inserts it returns (nil, true, nil).
+// outgrown its column's code width — the delta then stays pending (scans
+// read it as the insert tail) until a full Reorganize re-encodes it. With
+// no pending inserts it returns (nil, true, nil).
 func (s *Store) Parts() (parts []any, done bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -535,23 +540,23 @@ func (s *Store) RestoreDeleted(ids []int32) {
 	defer s.mu.Unlock()
 	for _, id := range ids {
 		if int(id) >= 0 && int(id) < s.baseN+s.nIns {
-			s.deleted[id] = struct{}{}
+			s.deleted = append(s.deleted, id)
 		}
 	}
+	slices.Sort(s.deleted)
+	s.deleted = slices.Compact(s.deleted)
 }
 
 // Rebase swings the store onto a rewritten base at a compaction cutover:
-// newBaseN is the compacted base row count, deleted is the deletion set
-// already remapped into the new id space (nil for none), and tail holds the
-// boxed rows inserted after the compaction snapshot, re-appended in order
-// so they receive the ids the caller's remap assigned them.
-func (s *Store) Rebase(newBaseN int, deleted map[int32]struct{}, tail [][]any) error {
+// newBaseN is the compacted base row count, deleted is the ascending
+// deletion list already remapped into the new id space (nil for none), and
+// tail holds the boxed rows inserted after the compaction snapshot,
+// re-appended in order so they receive the ids the caller's remap assigned
+// them.
+func (s *Store) Rebase(newBaseN int, deleted []int32, tail [][]any) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.baseN = newBaseN
-	if deleted == nil {
-		deleted = make(map[int32]struct{})
-	}
 	s.deleted = deleted
 	for i := range s.ins {
 		s.ins[i] = deltaCol{name: s.ins[i].name, typ: s.ins[i].typ, physical: s.ins[i].physical}
@@ -566,7 +571,8 @@ func (s *Store) Rebase(newBaseN int, deleted map[int32]struct{}, tail [][]any) e
 }
 
 // Snapshot is an immutable view of a delta store at one instant: the base
-// row count, the insert-delta prefix, and a copy of the deletion set.
+// row count, the insert-delta prefix, and the deletion set captured once as
+// an ascending list (scans walk it per batch; point lookups binary-search).
 // Because delta buffers are append-only and ClearInsertsN copies surviving
 // tails into fresh buffers, the captured slice headers stay valid no matter
 // what the live store does afterwards. Scans pin one per table so a query
@@ -574,7 +580,7 @@ func (s *Store) Rebase(newBaseN int, deleted map[int32]struct{}, tail [][]any) e
 type Snapshot struct {
 	baseN   int
 	nIns    int
-	deleted map[int32]struct{}
+	deleted []int32 // ascending
 	cols    []deltaCol
 }
 
@@ -582,16 +588,12 @@ type Snapshot struct {
 func (s *Store) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	del := make(map[int32]struct{}, len(s.deleted))
-	for id := range s.deleted {
-		del[id] = struct{}{}
-	}
 	cols := make([]deltaCol, len(s.ins))
 	copy(cols, s.ins)
 	for i := range cols {
 		clampCol(&cols[i], s.nIns)
 	}
-	return &Snapshot{baseN: s.baseN, nIns: s.nIns, deleted: del, cols: cols}
+	return &Snapshot{baseN: s.baseN, nIns: s.nIns, deleted: slices.Clone(s.deleted), cols: cols}
 }
 
 // clampCol caps the populated slice at n with a full slice expression so an
@@ -629,7 +631,7 @@ func (sn *Snapshot) NumRows() int { return sn.baseN + sn.nIns - len(sn.deleted) 
 
 // IsDeleted reports whether a row id is deleted in the snapshot.
 func (sn *Snapshot) IsDeleted(rowID int32) bool {
-	_, ok := sn.deleted[rowID]
+	_, ok := slices.BinarySearch(sn.deleted, rowID)
 	return ok
 }
 
@@ -648,11 +650,12 @@ func (sn *Snapshot) DeltaRow(j int) []any { return rowOf(sn.cols, j) }
 
 // LiveRowIDs returns the snapshot's visible row ids in ascending order.
 func (sn *Snapshot) LiveRowIDs() []int32 {
-	return liveIDs(sn.baseN+sn.nIns, sn.deleted, sn.NumRows())
+	return liveIDs(sn.baseN+sn.nIns, sn.deleted)
 }
 
 // SortedDeleted returns the snapshot's deletion list in ascending order.
-func (sn *Snapshot) SortedDeleted() []int32 { return sortedSet(sn.deleted) }
+// The slice is the snapshot's own copy: callers must not modify it.
+func (sn *Snapshot) SortedDeleted() []int32 { return sn.deleted }
 
 // Parts encodes the snapshot's insert delta against the given column set
 // (the columns the fragments will be appended to — enum inserts encode
@@ -672,7 +675,7 @@ func (s *Store) Reorganize() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.table
-	live := liveIDs(s.baseN+s.nIns, s.deleted, s.baseN+s.nIns-len(s.deleted))
+	live := liveIDs(s.baseN+s.nIns, s.deleted)
 	cols, err := rebuildCols(t.Cols, s.ins, live, s.baseN)
 	if err != nil {
 		return fmt.Errorf("delta: reorganize %s: %w", t.Name, err)
@@ -683,7 +686,7 @@ func (s *Store) Reorganize() error {
 	// chunk alignment no longer applies.
 	t.ChunkRows = 0
 	s.baseN = len(live)
-	s.deleted = make(map[int32]struct{})
+	s.deleted = nil
 	for i := range s.ins {
 		s.ins[i] = deltaCol{name: s.ins[i].name, typ: s.ins[i].typ, physical: s.ins[i].physical}
 	}
@@ -847,23 +850,6 @@ func rebuildPlain(col *colstore.Column, dc *deltaCol, live []int32, baseN int) (
 		return out, nil
 	}
 	return nil, fmt.Errorf("delta: unsupported physical type %v", dc.physical)
-}
-
-func sortedSet(set map[int32]struct{}) []int32 {
-	out := make([]int32, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// SortedDeleted returns the deletion list in ascending order (for scans
-// that subtract it positionally and for deterministic tests).
-func (s *Store) SortedDeleted() []int32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return sortedSet(s.deleted)
 }
 
 // Checkpoint appends the insert delta as one new in-memory base fragment

@@ -5,10 +5,16 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync/atomic"
 	"testing"
 
+	"x100/internal/algebra"
+	"x100/internal/colstore"
 	"x100/internal/columnbm"
 	"x100/internal/core"
+	"x100/internal/mil"
+	"x100/internal/vector"
 )
 
 // mutTables are the tables the update/recovery differential mutates.
@@ -78,13 +84,15 @@ func (tw twinDBs) each(t *testing.T, fn func(db *core.Database) error) {
 // TestUpdateRecoveryDifferential is the durable-update lockdown: a
 // randomized insert/delete/checkpoint/query interleaving runs identically
 // against a disk-attached database and its in-memory twin; mid-stream
-// queries must agree at parallelism 1 and 2 (the parallel runs also
-// exercise the implicit checkpoint-before-partitioned-scan, which on the
-// disk side writes back to the directory). The directory is then
-// re-attached cold — a process restart — and all 22 TPC-H queries must
-// return results identical to the in-memory twin at parallelism 1, 2 and
-// 8: every checkpointed insert and deletion survived, nothing else did
-// (there is nothing else: the interleaving ends with a checkpoint).
+// queries must agree at parallelism 1, 2 and 8 while inserts and deletions
+// are pending (partitioned scans read the insert tail as one more morsel),
+// and no query may write: the manifests' gen and chunk_counts stay put, the
+// store's write stages never fire and the deltas stay pending. The
+// directory is then re-attached cold — a process restart — and all 22
+// TPC-H queries must return results identical to the in-memory twin at
+// parallelism 1, 2 and 8: every checkpointed insert and deletion survived,
+// nothing else did (there is nothing else: the interleaving ends with a
+// checkpoint).
 func TestUpdateRecoveryDifferential(t *testing.T) {
 	mem, err := Generate(Config{SF: 0.01})
 	if err != nil {
@@ -104,8 +112,38 @@ func TestUpdateRecoveryDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	disk, _ := attachAll(t, dir, 8)
+	disk, store := attachAll(t, dir, 8)
 	tw := twinDBs{mem: mem, disk: disk}
+	// writes counts the store's write stages (chunk, manifest, WAL); only
+	// the explicit checkpoints of the interleaving may move it.
+	var writes atomic.Int64
+	store.FaultHook = func(stage string) error {
+		if stage != "read-chunk" {
+			writes.Add(1)
+		}
+		return nil
+	}
+	type diskState struct {
+		gen           int
+		chunks        string
+		delta, delete int
+	}
+	state := func() map[string]diskState {
+		out := map[string]diskState{}
+		for _, name := range mutTables {
+			m, err := store.ReadManifest(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds, err := disk.Delta(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[name] = diskState{m.Gen, fmt.Sprint(m.ChunkCounts), ds.NumDeltaRows(), ds.NumDeleted()}
+		}
+		return out
+	}
+	pendingQueries := 0
 
 	templates := map[string][]any{}
 	for _, name := range mutTables {
@@ -164,7 +202,11 @@ func TestUpdateRecoveryDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("step %d mem Q%d: %v", step, q, err)
 			}
-			for _, p := range []int{1, 2} {
+			before, w0 := state(), writes.Load()
+			if st := before["lineitem"]; st.delta > 0 && st.delete > 0 {
+				pendingQueries++
+			}
+			for _, p := range []int{1, 2, 8} {
 				opts := core.DefaultOptions()
 				opts.Parallelism = p
 				got, err := core.Run(disk, plan, opts)
@@ -173,11 +215,18 @@ func TestUpdateRecoveryDifferential(t *testing.T) {
 				}
 				sameRowMultisets(t, fmt.Sprintf("step %d Q%d p=%d", step, q, p), want, got)
 			}
+			if after := state(); fmt.Sprint(after) != fmt.Sprint(before) || writes.Load() != w0 {
+				t.Fatalf("step %d Q%d wrote: %d write stages, state %v -> %v", step, q, writes.Load()-w0, before, after)
+			}
 		}
 	}
 	if checkpoints == 0 {
 		t.Fatal("interleaving never checkpointed; adjust the seed")
 	}
+	if pendingQueries == 0 {
+		t.Fatal("no query ran over pending inserts and deletions; adjust the seed")
+	}
+	t.Logf("%d of the mid-stream query checks ran over pending inserts and deletions", pendingQueries)
 	// Commit everything: the final checkpoints define the durable state.
 	for _, name := range mutTables {
 		tw.each(t, func(db *core.Database) error {
@@ -322,6 +371,109 @@ func TestReadOnlyAttachCheckpointNoop(t *testing.T) {
 	for _, name := range baseTables {
 		if _, err := os.Stat(filepath.Join(dir, name+".manifest.json")); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestDeltaScanBoundaryShapes generates the edge shapes of the scan over
+// base + deletion list + insert tail instead of remembering a few: vector
+// sizes {1, 7, 1024, chunkRows-1, chunkRows+1} × insert-tail lengths {0, 1,
+// batch-1, batch+1} × deletions on/off, where the deletions hit the first
+// and last row of a base batch, of a chunk fragment and of the tail. Each
+// shape runs a grouped aggregate and a code-domain select with chunk
+// pruning at parallelism 1, 2 and 8 over a disk-attached table with the
+// delta pending, against the MIL engine over a reorganized in-memory twin.
+func TestDeltaScanBoundaryShapes(t *testing.T) {
+	const chunkRows = 64
+	const baseN = 3*chunkRows + 5 // three full chunks and a short fourth
+	keys := make([]int64, baseN)
+	vals := make([]float64, baseN)
+	tags := make([]string, baseN)
+	for i := range keys {
+		keys[i], vals[i], tags[i] = int64(i), float64(i%13), []string{"a", "b", "c"}[i%3]
+	}
+	newTable := func() *colstore.Table {
+		tab := colstore.NewTable("ev")
+		for _, err := range []error{
+			tab.AddColumn("k", vector.Int64, slices.Clone(keys)),
+			tab.AddColumn("v", vector.Float64, slices.Clone(vals)),
+			tab.AddColumn("tag", vector.String, slices.Clone(tags)),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tab
+	}
+	store, err := columnbm.NewStore(t.TempDir(), chunkRows, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.SaveTable(newTable()); err != nil {
+		t.Fatal(err)
+	}
+	plans := map[string]string{
+		"aggr":   `Aggr(Scan(ev), [tag], [n = count(), s = sum(v), mk = max(k)])`,
+		"select": fmt.Sprintf(`Select(Scan(ev, [k, tag, v]), and(==(tag, 'b'), >=(k, %d)))`, chunkRows+3),
+	}
+	for _, vs := range []int{1, 7, 1024, chunkRows - 1, chunkRows + 1} {
+		for _, nIns := range []int{0, 1, vs - 1, vs + 1} {
+			for _, withDel := range []bool{false, true} {
+				label := fmt.Sprintf("vs=%d ins=%d del=%v", vs, nIns, withDel)
+				disk := core.NewDatabase()
+				if _, err := core.AttachDiskTable(disk, store, "ev"); err != nil {
+					t.Fatal(err)
+				}
+				twin := core.NewDatabase()
+				twin.AddTable(newTable())
+				var dels []int32
+				if withDel {
+					firstBatch := min(vs, chunkRows)
+					dels = []int32{0, int32(firstBatch - 1), chunkRows, 2*chunkRows - 1}
+					if nIns > 0 {
+						dels = append(dels, baseN, int32(baseN+nIns-1))
+					}
+				}
+				for _, db := range []*core.Database{disk, twin} {
+					ds, err := db.Delta("ev")
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < nIns; i++ {
+						tag := []string{"b", "new"}[i%2] // "new" is in no dictionary
+						if _, err := ds.Insert([]any{int64(baseN + i), float64(i % 5), tag}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for _, id := range dels {
+						if err := ds.Delete(id); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if err := twin.Reorganize("ev"); err != nil {
+					t.Fatal(err)
+				}
+				for name, src := range plans {
+					plan, err := algebra.Parse(src)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := mil.New(twin).Run(plan)
+					if err != nil {
+						t.Fatalf("%s %s: mil: %v", label, name, err)
+					}
+					for _, p := range []int{1, 2, 8} {
+						opts := core.DefaultOptions()
+						opts.BatchSize, opts.Parallelism = vs, p
+						got, err := core.Run(disk, plan, opts)
+						if err != nil {
+							t.Fatalf("%s %s p=%d: %v", label, name, p, err)
+						}
+						sameRowMultisets(t, fmt.Sprintf("%s %s p=%d", label, name, p), want, got)
+					}
+				}
+			}
 		}
 	}
 }

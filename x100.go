@@ -61,10 +61,11 @@
 // manifest, verified on first load: corruption surfaces as a wrapped
 // error (not a panic), counted in WalStatuses alongside the WAL/recovery
 // counters. Reorganize rewrites the directory into a fresh chunk-file
-// generation, compacting deletions and re-encoding enums. A read-only
-// attached table is never written: implicit checkpoints before parallel
-// scans are no-ops unless inserts are pending, and attaching creates no
-// log file until the first logged update.
+// generation, compacting deletions and re-encoding enums. Queries never
+// write: a scan reads the base chunks, minus the sorted deletion list,
+// followed by the pending inserts as an uncompressed tail, so a read-only
+// attached table is never written, and attaching creates no log file until
+// the first logged update.
 //
 // # Parallel execution
 //
@@ -91,10 +92,10 @@
 // tie on every key may interleave differently across runs (the serial sort
 // is stable, the parallel merge is not). Hash-join build sides of
 // partitionable subtrees are also drained, hashed, and inserted in
-// parallel. Pending insert deltas are checkpointed
-// into base fragments before a parallel scan (row ids are preserved), and
-// deletion lists are applied as selection vectors inside partitioned
-// scans, so updated tables parallelize too. On disk-backed tables, morsels
+// parallel. Deletion lists are applied as selection vectors inside
+// partitioned scans and pending inserts are one more morsel after the base
+// range, so updated tables parallelize without being checkpointed. On
+// disk-backed tables, morsels
 // align to the chunk grid so no two workers ever decompress the same
 // chunk.
 //
