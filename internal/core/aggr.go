@@ -17,10 +17,16 @@ import (
 // hard-coded Query 1 UDF), and ordered aggregation (group members arrive
 // consecutively). With no group-by expressions it degrades to scalar
 // aggregation over a single group.
+//
+// The input is a fragment of one or more pipelines, each aggregated into a
+// partial of its own by the fragment's worker. The first partial is the
+// operator itself; the others merge into it before the first emit.
 type aggrOp struct {
 	input Operator
 	node  *algebra.Aggr
 	opts  ExecOptions
+	in    *fragment
+	parts []*aggrOp // parts[0] == op
 
 	schema     vector.Schema
 	groupProgs []*expr.Prog
@@ -326,7 +332,22 @@ func aggResultType(a algebra.AggExpr, in vector.Schema) (argT, outT vector.Type,
 	return
 }
 
-func newAggrOp(input Operator, node *algebra.Aggr, opts ExecOptions) (*aggrOp, error) {
+// newAggrOp compiles an aggregation over in: one partial aggregation per
+// pipeline, compiled under its worker's options.
+func newAggrOp(in *fragment, node *algebra.Aggr) (*aggrOp, error) {
+	parts := make([]*aggrOp, len(in.parts))
+	for i, p := range in.parts {
+		var err error
+		if parts[i], err = newAggrPart(p, node, in.workers[i]); err != nil {
+			return nil, err
+		}
+	}
+	op := parts[0]
+	op.in, op.parts = in, parts
+	return op, nil
+}
+
+func newAggrPart(input Operator, node *algebra.Aggr, opts ExecOptions) (*aggrOp, error) {
 	in := input.Schema()
 	op := &aggrOp{input: input, node: node, opts: opts, mode: node.Mode}
 	for _, g := range node.GroupBy {
@@ -441,6 +462,17 @@ func (op *aggrOp) prepareDirect(in vector.Schema) error {
 func (op *aggrOp) Schema() vector.Schema { return op.schema }
 
 func (op *aggrOp) Open() error {
+	op.in.rewind()
+	for _, p := range op.parts {
+		if err := p.open(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// open opens one partial's input and resets its group table.
+func (op *aggrOp) open() error {
 	if err := op.input.Open(); err != nil {
 		return err
 	}
@@ -492,16 +524,38 @@ func (op *aggrOp) growGroups(n int) {
 	op.rowCount = growTo(op.rowCount, n)
 }
 
-func (op *aggrOp) Close() error { return op.input.Close() }
+func (op *aggrOp) Close() error { return op.in.close() }
 
 func (op *aggrOp) Next() (*vector.Batch, error) {
 	if !op.done {
-		if err := op.consume(); err != nil {
+		if err := op.run(); err != nil {
 			return nil, err
 		}
 		op.done = true
 	}
 	return op.emit()
+}
+
+// run aggregates every pipeline into its partial on the fragment's workers,
+// then merges the partials into op in worker order (a fixed merge order
+// keeps repeated runs at the same parallelism bit-identical for a given
+// partitioning). The merge is order-insensitive, so the group set and all
+// integer aggregates are identical to one serial pass; float aggregates
+// agree up to summation order.
+func (op *aggrOp) run() error {
+	t0 := time.Now()
+	if err := op.in.runWorkers(len(op.parts), func(w int) error { return op.parts[w].consume() }); err != nil {
+		return err
+	}
+	if len(op.parts) == 1 {
+		return nil
+	}
+	for _, p := range op.parts[1:] {
+		op.mergeFrom(p)
+	}
+	op.in.mergeTracers(op.in.opts.Tracer)
+	op.in.opts.Tracer.RecordOperator("Aggr(parallel-merge)", op.nGroups, time.Since(t0))
+	return nil
 }
 
 func (op *aggrOp) consume() error {

@@ -11,12 +11,14 @@ import (
 	"x100/internal/expr"
 	"x100/internal/primitives"
 	"x100/internal/sindex"
+	"x100/internal/trace"
 	"x100/internal/vector"
 )
 
-// Build compiles an algebra plan into an X100 operator tree. With
-// opts.Parallelism > 1, partitionable plan fragments compile into parallel
-// worker pipelines joined by exchange/merge operators (see exchange.go).
+// Build compiles an algebra plan into an X100 operator tree. Every
+// partitionable plan fragment compiles into opts.parallelism() worker
+// pipelines; with one worker that is the serial pipeline itself, with more
+// an exchange or a merging pipeline breaker joins them (see exchange.go).
 //
 // Build captures a snapshot set (frozen per-table views, see snapshot.go)
 // the whole operator tree executes against; closing the root operator —
@@ -67,9 +69,6 @@ func buildRoot(db *Database, plan algebra.Node, opts ExecOptions) (Operator, err
 			}
 		}
 	}
-	if opts.parallelism() > 1 {
-		return buildParallel(db, plan, opts)
-	}
 	return build(db, plan, opts)
 }
 
@@ -89,10 +88,74 @@ func planTables(plan algebra.Node, dst []string) []string {
 	return dst
 }
 
+// build compiles plan into one operator: the single pipeline itself, or an
+// exchange over the pipelines of a parallel fragment.
 func build(db *Database, plan algebra.Node, opts ExecOptions) (Operator, error) {
+	f, err := compile(db, plan, opts)
+	if err != nil {
+		return nil, err
+	}
+	if len(f.parts) == 1 {
+		return f.parts[0], nil
+	}
+	return newExchangeOp(f), nil
+}
+
+// compile compiles plan into one pipeline per worker: opts.parallelism()
+// copies of a partitionable plan, or one pipeline of any other. A single
+// pipeline is the serial operator chain as it is — no slot, morsel source
+// or private tracer — unless it is compiled inside a parallel worker (a
+// join's build side); it then runs on whichever prober first needs it, so
+// it records into a collector of its own.
+func compile(db *Database, plan algebra.Node, opts ExecOptions) (*fragment, error) {
+	n := 1
+	if partitionable(plan) {
+		n = opts.parallelism()
+	}
+	f := &fragment{opts: opts, workers: make([]ExecOptions, n)}
+	for i := range f.workers {
+		w := opts
+		if n > 1 || opts.slot != nil {
+			w.slot = nil
+			if n > 1 {
+				w.slot = opts.pool().NewSlot()
+			}
+			if opts.Tracer != nil {
+				w.Tracer = trace.New()
+				f.tracers = append(f.tracers, w.Tracer)
+			}
+		}
+		f.workers[i] = w
+	}
+	c := &compiler{db: db, frag: f,
+		scans: make(map[*algebra.Scan]*morselSource), joins: make(map[*algebra.Join]*joinBuild)}
+	for _, w := range f.workers {
+		p, err := c.pipeline(plan, w)
+		if err != nil {
+			return nil, err
+		}
+		f.parts = append(f.parts, p)
+	}
+	return f, nil
+}
+
+// compiler compiles the pipelines of one fragment. Every operator instance
+// (with its expression programs, buffers and selection vectors) is private
+// to its worker; the first worker creates the scans' morsel sources and the
+// joins' builds, which the other workers share.
+type compiler struct {
+	db    *Database
+	frag  *fragment
+	scans map[*algebra.Scan]*morselSource
+	joins map[*algebra.Join]*joinBuild
+}
+
+// pipeline compiles one worker's pipeline of plan under the worker's
+// options. Pipeline breakers compile their input as a fragment of its own.
+func (c *compiler) pipeline(plan algebra.Node, opts ExecOptions) (Operator, error) {
 	switch n := plan.(type) {
 	case *algebra.Scan:
-		return newScanOp(db, n.Table, n.Cols, opts)
+		return c.scan(n, nil, opts)
 	case *algebra.Select:
 		// Summary-index pruning: a Select directly over a Scan derives
 		// #rowId bounds from range conjuncts on indexed columns
@@ -102,88 +165,137 @@ func build(db *Database, plan algebra.Node, opts ExecOptions) (Operator, error) 
 		// are independent: NoSummaryIndex only skips the bounds,
 		// NoCodeDomain only skips the fusion.
 		if sc, ok := n.Input.(*algebra.Scan); ok {
-			op, err := newScanOp(db, sc.Table, sc.Cols, opts)
+			bounds := n.Pred
+			if opts.NoSummaryIndex {
+				bounds = nil
+			}
+			op, err := c.scan(sc, bounds, opts)
 			if err != nil {
 				return nil, err
-			}
-			if !opts.NoSummaryIndex {
-				applySummaryBounds(op.view, n.Pred, op)
 			}
 			if !opts.NoCodeDomain {
 				return newScanSelectOp(op, n.Pred, opts)
 			}
 			return newSelectOp(op, n.Pred, opts)
 		}
-		in, err := build(db, n.Input, opts)
+		in, err := c.pipeline(n.Input, opts)
 		if err != nil {
 			return nil, err
 		}
 		return newSelectOp(in, n.Pred, opts)
 	case *algebra.Project:
-		in, err := build(db, n.Input, opts)
+		in, err := c.pipeline(n.Input, opts)
 		if err != nil {
 			return nil, err
 		}
 		return newProjectOp(in, n.Exprs, opts)
 	case *algebra.Aggr:
-		in, err := build(db, n.Input, opts)
+		in, err := compile(c.db, n.Input, opts)
 		if err != nil {
 			return nil, err
 		}
-		return newAggrOp(in, n, opts)
+		return newAggrOp(in, n)
 	case *algebra.Join:
-		l, err := build(db, n.Left, opts)
-		if err != nil {
-			return nil, err
-		}
-		r, err := build(db, n.Right, opts)
-		if err != nil {
-			return nil, err
-		}
-		if len(n.On) == 0 {
-			if n.Kind != algebra.Inner {
-				return nil, fmt.Errorf("core: %v join requires equi-conditions", n.Kind)
-			}
-			// The paper's default join: CartProd with a Select on top.
-			cp, err := newCartProdOp(l, r, opts)
-			if err != nil {
-				return nil, err
-			}
-			if n.Residual == nil {
-				return cp, nil
-			}
-			return newSelectOp(cp, n.Residual, opts)
-		}
-		return newHashJoinOp(l, r, n, opts)
+		return c.join(n, opts)
 	case *algebra.Fetch1Join:
-		in, err := build(db, n.Input, opts)
+		in, err := c.pipeline(n.Input, opts)
 		if err != nil {
 			return nil, err
 		}
-		return newFetch1JoinOp(db, in, n, opts)
+		return newFetch1JoinOp(c.db, in, n, opts)
 	case *algebra.FetchNJoin:
-		in, err := build(db, n.Input, opts)
+		in, err := c.pipeline(n.Input, opts)
 		if err != nil {
 			return nil, err
 		}
-		return newFetchNJoinOp(db, in, n, opts)
+		return newFetchNJoinOp(c.db, in, n, opts)
 	case *algebra.Order:
-		in, err := build(db, n.Input, opts)
+		in, err := compile(c.db, n.Input, opts)
 		if err != nil {
 			return nil, err
 		}
-		return newOrderOp(in, n.Keys, 0, opts)
+		return newOrderOp(in, n.Keys, 0)
 	case *algebra.TopN:
-		in, err := build(db, n.Input, opts)
+		in, err := compile(c.db, n.Input, opts)
 		if err != nil {
 			return nil, err
 		}
-		return newOrderOp(in, n.Keys, n.N, opts)
+		return newOrderOp(in, n.Keys, n.N)
 	case *algebra.Array:
 		return newArrayOp(n.Dims, opts), nil
 	default:
 		return nil, fmt.Errorf("core: cannot build operator for %T", plan)
 	}
+}
+
+// scan compiles one worker's scan. The first worker narrows the base range
+// by the summary bounds of pred (when non-nil) and, in a parallel fragment,
+// creates the morsel source all the workers' scans claim from; a single
+// pipeline's scan walks its range itself.
+func (c *compiler) scan(n *algebra.Scan, pred expr.Expr, opts ExecOptions) (*scanOp, error) {
+	op, err := newScanOp(c.db, n.Table, n.Cols, opts)
+	if err != nil {
+		return nil, err
+	}
+	src, seen := c.scans[n]
+	if !seen {
+		if pred != nil {
+			applySummaryBounds(op.view, pred, op)
+		}
+		if len(c.frag.workers) > 1 {
+			// Align morsels to the ColumnBM chunk grid of disk-backed
+			// tables so workers never split (and thus never redundantly
+			// decompress) a chunk.
+			src = newMorselSource(op.lo, op.hi, op.view.chunkRows, opts)
+			src.tailLo, src.tailHi = op.baseN, op.tailHi
+			c.frag.sources = append(c.frag.sources, src)
+		}
+		c.scans[n] = src
+	}
+	op.source = src
+	return op, nil
+}
+
+// join compiles one worker's join. An equi-join probes a hash table built
+// once from its right input and shared by the probes of all workers;
+// without equi-conditions it is the paper's default join, a CartProd with
+// a Select on top.
+func (c *compiler) join(n *algebra.Join, opts ExecOptions) (Operator, error) {
+	if len(n.On) == 0 {
+		if n.Kind != algebra.Inner {
+			return nil, fmt.Errorf("core: %v join requires equi-conditions", n.Kind)
+		}
+		l, err := build(c.db, n.Left, opts)
+		if err != nil {
+			return nil, err
+		}
+		r, err := build(c.db, n.Right, opts)
+		if err != nil {
+			return nil, err
+		}
+		cp, err := newCartProdOp(l, r, opts)
+		if err != nil {
+			return nil, err
+		}
+		if n.Residual == nil {
+			return cp, nil
+		}
+		return newSelectOp(cp, n.Residual, opts)
+	}
+	left, err := c.pipeline(n.Left, opts)
+	if err != nil {
+		return nil, err
+	}
+	jb := c.joins[n]
+	if jb == nil {
+		right, err := compile(c.db, n.Right, opts)
+		if err != nil {
+			return nil, err
+		}
+		jb = &joinBuild{in: right}
+		c.joins[n] = jb
+	}
+	return newHashJoinOp(left, jb, n, opts)
 }
 
 // applySummaryBounds narrows a scan's base-row range using summary indices

@@ -8,17 +8,19 @@ import (
 	"x100/internal/algebra"
 	"x100/internal/expr"
 	"x100/internal/primitives"
-	"x100/internal/sched"
-	"x100/internal/trace"
 	"x100/internal/vector"
 )
 
 // joinBuild is the hash-join build state: the materialized build side plus
-// its chained hash table. It is immutable once built, so N probe pipelines
-// running on separate goroutines can share one instance — the first prober
-// constructs it (the sync.Once), the rest wait and then probe concurrently.
+// its chained hash table. It is built once per plan — by the first prober
+// (the sync.Once), while the rest wait — and is immutable afterwards, so
+// the probe pipelines of all workers probe it concurrently and a re-Opened
+// plan probes it again.
 type joinBuild struct {
-	right     Operator // build-side pipeline, drained exactly once
+	// in is the build side: one pipeline, or the pipelines of a
+	// partitionable right input, whose workers drain, hash and insert in
+	// parallel.
+	in        *fragment
 	rightKeys []int
 	// keyXlat, when non-nil for key i, maps the build side's dictionary
 	// codes into the probe side's code domain (-1 = value absent from the
@@ -28,16 +30,6 @@ type joinBuild struct {
 	keyXlat [][]int32
 	once    sync.Once
 	err     error
-
-	// Parallel build (set at compile time when the build side is
-	// partitionable and parallelism > 1): per-worker partition pipelines
-	// drain concurrently into private builders, which concatenate and are
-	// hashed/inserted in parallel. Empty = serial drain of right.
-	parParts   []Operator
-	parSources []*morselSource
-	parExtra   []Operator
-	parTracers []*trace.Collector
-	parSlots   []*sched.Slot
 
 	rbuild  []*colBuilder // all right columns
 	buckets []int32       // head row id + 1
@@ -111,140 +103,77 @@ func (jb *joinBuild) run(opts ExecOptions) error {
 
 func (jb *joinBuild) build(opts ExecOptions) error {
 	t0 := time.Now()
-	life := opts.life
-	if len(jb.parParts) > 0 {
-		if err := jb.drainParallel(life); err != nil {
-			return err
-		}
-	} else {
-		if err := jb.drainSerial(life); err != nil {
-			return err
-		}
+	if err := jb.drain(); err != nil {
+		return err
 	}
 	if len(jb.rbuild) > 0 {
 		jb.nRight = jb.rbuild[0].len()
 	}
-	if err := jb.index(life); err != nil {
+	if err := jb.index(); err != nil {
 		return err
 	}
-	for _, tr := range jb.parTracers {
-		if tr != nil {
-			opts.Tracer.Merge(tr)
-		}
-	}
+	jb.in.mergeTracers(opts.Tracer)
 	opts.Tracer.RecordOperator("HashJoin(build)", jb.nRight, time.Since(t0))
 	return nil
 }
 
-// drainSerial materializes the build side from the single right pipeline.
-func (jb *joinBuild) drainSerial(life *lifecycle) error {
-	if err := jb.right.Open(); err != nil {
+// drain materializes the build side: each worker drains its pipeline into
+// private builders (no shared state, no locks), then the parts concatenate
+// in worker order. With several workers row order — and therefore chain
+// order — depends on the morsel race, so parallel builds are
+// multiset-equivalent to serial ones, not row-identical.
+func (jb *joinBuild) drain() error {
+	life := jb.in.opts.life
+	rs := jb.in.parts[0].Schema()
+	parts := make([][]*colBuilder, len(jb.in.parts))
+	err := jb.in.runWorkers(len(parts), func(w int) error {
+		p := jb.in.parts[w]
+		if err := p.Open(); err != nil {
+			return err
+		}
+		defer p.Close()
+		cols := make([]*colBuilder, len(rs))
+		for i, f := range rs {
+			cols[i] = newColBuilder(f.Type)
+		}
+		parts[w] = cols
+		for {
+			if err := life.check(); err != nil {
+				return err
+			}
+			b, err := p.Next()
+			if err != nil {
+				return err
+			}
+			if b == nil {
+				return nil
+			}
+			for i, v := range b.Vecs {
+				cols[i].appendVec(v, b.Sel, b.N)
+			}
+			life.reserve(batchBytes(len(rs), b.Rows()))
+		}
+	})
+	if err != nil {
 		return err
 	}
-	rs := jb.right.Schema()
-	jb.rbuild = make([]*colBuilder, len(rs))
-	for i, f := range rs {
-		jb.rbuild[i] = newColBuilder(f.Type)
-	}
-	for {
-		if err := life.check(); err != nil {
-			return err
-		}
-		b, err := jb.right.Next()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			return nil
-		}
-		for i, v := range b.Vecs {
-			jb.rbuild[i].appendVec(v, b.Sel, b.N)
-		}
-		life.reserve(batchBytes(len(rs), b.Rows()))
-	}
-}
-
-// drainParallel materializes the build side from N partition pipelines:
-// each worker drains its morsels into private builders (no shared state,
-// no locks), then the partitions concatenate in worker order. Row order —
-// and therefore chain order — depends on the morsel race, so parallel
-// builds are multiset-equivalent to serial ones, not row-identical.
-func (jb *joinBuild) drainParallel(life *lifecycle) error {
-	nw := len(jb.parParts)
-	for _, src := range jb.parSources {
-		src.reset()
-	}
-	rs := jb.parParts[0].Schema()
-	partCols := make([][]*colBuilder, nw)
-	errs := make([]error, nw)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			slot := jb.parSlots[w]
-			slot.Bind(life.stop())
-			if !slot.Acquire() {
-				errs[w] = life.check()
-				return
-			}
-			defer slot.Release()
-			p := jb.parParts[w]
-			if err := p.Open(); err != nil {
-				errs[w] = err
-				return
-			}
-			defer p.Close()
-			cols := make([]*colBuilder, len(rs))
-			for i, f := range rs {
-				cols[i] = newColBuilder(f.Type)
-			}
-			for {
-				if err := life.check(); err != nil {
-					errs[w] = err
-					return
-				}
-				b, err := p.Next()
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				if b == nil {
-					break
-				}
-				for i, v := range b.Vecs {
-					cols[i].appendVec(v, b.Sel, b.N)
-				}
-				life.reserve(batchBytes(len(rs), b.Rows()))
-			}
-			partCols[w] = cols
-		}(w)
-	}
-	wg.Wait()
-	for _, p := range jb.parExtra {
-		p.Close()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	jb.rbuild = partCols[0]
-	for w := 1; w < nw; w++ {
+	jb.rbuild = parts[0]
+	for _, cols := range parts[1:] {
 		for i := range jb.rbuild {
-			jb.rbuild[i].appendBuilder(partCols[w][i])
+			jb.rbuild[i].appendBuilder(cols[i])
 		}
 	}
 	return nil
 }
 
 // index hashes all build rows with the bulk width kernels and links the
-// chained hash table. With worker pipelines available the hash pass splits
-// into disjoint row ranges and the insert pass into disjoint slot ranges —
-// every worker scans the hash array but only writes buckets it owns, and
-// rows insert in ascending order per bucket, so the resulting chains are
-// exactly the serial ones.
-func (jb *joinBuild) index(life *lifecycle) error {
+// chained hash table. A partitioned build of at least 1<<14 rows splits the
+// hash pass into disjoint row ranges and the insert pass into disjoint
+// bucket ranges, one per worker — every worker scans the hash array but
+// only writes buckets it owns, and rows insert in ascending order per
+// bucket, so the resulting chains are exactly the serial ones.
+func (jb *joinBuild) index() error {
+	life := jb.in.opts.life
 	// Size the table to ~2x rows, power of two.
 	sz := 1024
 	for sz < jb.nRight*2 {
@@ -263,72 +192,35 @@ func (jb *joinBuild) index(life *lifecycle) error {
 		return nil
 	}
 	hashes := make([]uint64, jb.nRight)
-	nw := len(jb.parParts)
-	if nw > 1 && jb.nRight >= 1<<14 {
-		chunk := (jb.nRight + nw - 1) / nw
-		errs := make([]error, nw)
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			lo, hi := w*chunk, min((w+1)*chunk, jb.nRight)
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				slot := jb.parSlots[w]
-				slot.Bind(life.stop())
-				if !slot.Acquire() {
-					errs[w] = life.check()
-					return
-				}
-				defer slot.Release()
-				errs[w] = jb.hashRows(hashes, lo, hi)
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		wg = sync.WaitGroup{}
-		for w := 0; w < nw; w++ {
-			slo := uint64(w) * uint64(sz) / uint64(nw)
-			shi := uint64(w+1) * uint64(sz) / uint64(nw)
-			wg.Add(1)
-			go func(w int, slo, shi uint64) {
-				defer wg.Done()
-				ws := jb.parSlots[w]
-				ws.Bind(life.stop())
-				if !ws.Acquire() {
-					return
-				}
-				defer ws.Release()
-				for r := 0; r < jb.nRight; r++ {
-					slot := hashes[r] & jb.mask
-					if slot >= slo && slot < shi {
-						jb.next[r] = jb.buckets[slot] - 1
-						jb.buckets[slot] = int32(r) + 1
-					}
-				}
-			}(w, slo, shi)
-		}
-		wg.Wait()
-		// A cancelled insert worker leaves its bucket range unlinked; the
-		// lifecycle check turns that partial table into a query error
-		// before any prober can read it.
-		return life.check()
+	nw := len(jb.in.parts)
+	if jb.nRight < 1<<14 {
+		nw = 1
 	}
-	if err := jb.hashRows(hashes, 0, jb.nRight); err != nil {
+	chunk := (jb.nRight + nw - 1) / nw
+	if err := jb.in.runWorkers(nw, func(w int) error {
+		lo, hi := w*chunk, min((w+1)*chunk, jb.nRight)
+		if lo >= hi {
+			return nil
+		}
+		return jb.hashRows(hashes, lo, hi)
+	}); err != nil {
 		return err
 	}
-	for r := 0; r < jb.nRight; r++ {
-		slot := hashes[r] & jb.mask
-		jb.next[r] = jb.buckets[slot] - 1
-		jb.buckets[slot] = int32(r) + 1
-	}
-	return nil
+	// A worker cancelled while queued for its slot leaves its bucket range
+	// unlinked; runWorkers then reports the cancellation, so no prober can
+	// read the partial table.
+	return jb.in.runWorkers(nw, func(w int) error {
+		slo := uint64(w) * uint64(sz) / uint64(nw)
+		shi := uint64(w+1) * uint64(sz) / uint64(nw)
+		for r := 0; r < jb.nRight; r++ {
+			slot := hashes[r] & jb.mask
+			if slot >= slo && slot < shi {
+				jb.next[r] = jb.buckets[slot] - 1
+				jb.buckets[slot] = int32(r) + 1
+			}
+		}
+		return nil
+	})
 }
 
 // hashJoinOp implements the Join operator for equi-conditions. The right
@@ -339,7 +231,6 @@ func (jb *joinBuild) index(life *lifecycle) error {
 // the decorrelation workhorses for the TPC-H plans).
 type hashJoinOp struct {
 	left   Operator
-	right  Operator // nil when the build is shared with sibling probe pipelines
 	node   *algebra.Join
 	opts   ExecOptions
 	schema vector.Schema
@@ -350,8 +241,7 @@ type hashJoinOp struct {
 	// probe-code translation of a code-domain join key (nil = plain key).
 	keyXlat [][]int32
 
-	// bld holds the build side. Serial joins own a fresh one per Open;
-	// parallel probe pipelines share a single prebuilt instance.
+	// bld is the build side, shared by the probe pipelines of all workers.
 	bld      *joinBuild
 	hashBuf  []uint64
 	residual expr.Scalar // optional, over concatenated schema
@@ -368,9 +258,9 @@ type hashJoinOp struct {
 	rightIdx []int32
 }
 
-func newHashJoinOp(left, right Operator, node *algebra.Join, opts ExecOptions) (*hashJoinOp, error) {
-	ls, rs := left.Schema(), right.Schema()
-	op := &hashJoinOp{left: left, right: right, node: node, opts: opts}
+func newHashJoinOp(left Operator, jb *joinBuild, node *algebra.Join, opts ExecOptions) (*hashJoinOp, error) {
+	ls, rs := left.Schema(), jb.in.parts[0].Schema()
+	op := &hashJoinOp{left: left, bld: jb, node: node, opts: opts}
 	codeKeys := make(map[int]codeJoinKey)
 	for _, ck := range opts.codeJoins[node] {
 		codeKeys[ck.idx] = ck
@@ -419,22 +309,7 @@ func newHashJoinOp(left, right Operator, node *algebra.Join, opts ExecOptions) (
 		}
 		op.residual = sc
 	}
-	return op, nil
-}
-
-// newSharedProbeJoinOp builds one probe pipeline of a parallel hash join:
-// the left input is this worker's partition and jb is the build shared by
-// all sibling probers. jb.right is only used for its schema here; the
-// parallel plan builder retains ownership and closes it.
-func newSharedProbeJoinOp(left Operator, jb *joinBuild, node *algebra.Join, opts ExecOptions) (*hashJoinOp, error) {
-	op, err := newHashJoinOp(left, jb.right, node, opts)
-	if err != nil {
-		return nil, err
-	}
-	op.right = nil
-	jb.rightKeys = op.rightKeys
-	jb.keyXlat = op.keyXlat
-	op.bld = jb
+	jb.rightKeys, jb.keyXlat = op.rightKeys, op.keyXlat
 	return op, nil
 }
 
@@ -450,11 +325,6 @@ func (op *hashJoinOp) Open() error {
 	if err := op.left.Open(); err != nil {
 		return err
 	}
-	if op.right != nil {
-		// Owned build side: a fresh build per Open (the build-side pipeline
-		// is opened and drained lazily by joinBuild.run at the first Next).
-		op.bld = &joinBuild{right: op.right, rightKeys: op.rightKeys, keyXlat: op.keyXlat}
-	}
 	op.curBatch = nil
 	op.curLive = 0
 	op.curChain = -1
@@ -464,18 +334,9 @@ func (op *hashJoinOp) Open() error {
 	return nil
 }
 
-func (op *hashJoinOp) Close() error {
-	if err := op.left.Close(); err != nil {
-		if op.right != nil {
-			op.right.Close()
-		}
-		return err
-	}
-	if op.right != nil {
-		return op.right.Close()
-	}
-	return nil
-}
+// Close closes the probe side; the build side's pipelines close as soon as
+// the build has drained them.
+func (op *hashJoinOp) Close() error { return op.left.Close() }
 
 // probeHashes computes hashes of the left key columns for a batch.
 func (op *hashJoinOp) probeHashes(b *vector.Batch) error {

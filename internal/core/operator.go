@@ -50,19 +50,21 @@ type ExecOptions struct {
 	codeJoins map[*algebra.Join][]codeJoinKey
 	// Parallelism is the number of worker pipelines for intra-query
 	// parallelism. 0 and 1 run single-threaded; negative values select
-	// runtime.GOMAXPROCS(0). Partitionable plan fragments (scan → select →
-	// project chains, hash-join probes, and the input of hash/direct
-	// aggregation) are split into row-range morsels executed by that many
-	// goroutines; the rest of the plan runs serially on the merged stream.
+	// runtime.GOMAXPROCS(0). Every partitionable plan fragment (scan →
+	// select → project chains with fetch joins and hash-join probes) is
+	// compiled into that many pipelines, which split the fragment's rows
+	// into morsels and run on as many goroutines; the fragment's consumer
+	// (exchange, aggregation, sort or join build) merges them. The rest of
+	// the plan runs serially.
 	Parallelism int
 	// Sched is the admission-control pool worker goroutines draw execution
 	// slots from. nil selects the process-wide default pool (sched.Default,
 	// sized to GOMAXPROCS), so concurrent queries share one slot budget
 	// instead of oversubscribing cores with private worker fleets.
 	Sched *sched.Pool
-	// slot is the execution slot of the worker pipeline this options copy
-	// was compiled for (set by workerOptions); nil on serial pipelines and
-	// on the coordinator's own options.
+	// slot is the admission slot of the parallel-fragment worker this
+	// options copy was compiled for (set by compile); nil on a fragment's
+	// single pipeline and on the options the query was built with.
 	slot *sched.Slot
 	// snaps is the query's snapshot set: the frozen per-table views every
 	// operator of this plan resolves tables through (see snapshot.go).

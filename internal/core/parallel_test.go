@@ -336,68 +336,117 @@ func TestParallelEmptyTable(t *testing.T) {
 	}
 }
 
-// TestParallelDeltaFallback: a table with pending deltas must fall back to
-// the serial scan and still produce correct results at any parallelism.
-func TestParallelDeltaFallback(t *testing.T) {
+// TestParallelPendingDelta: pending inserts and deletions — on the probe
+// side and on a hash join's build side — are part of every partitioned
+// scan (deletions as selection vectors, the insert tail as one more
+// morsel), so aggregation, sort, TopN and join build all run in parallel
+// over them and agree with parallelism 1.
+func TestParallelPendingDelta(t *testing.T) {
 	db := parallelDB(t, 20_000)
 	ds, err := db.Delta("fact")
 	must0(t, err)
-	if _, err := ds.Insert([]any{int64(1), 42.0, int64(1), "a"}); err != nil {
-		t.Fatal(err)
+	for i := range 40 {
+		if _, err := ds.Insert([]any{int64(i % 7), 42.0 + float64(i), int64(i % 3), "a"}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	must0(t, ds.Delete(3))
-	plan := algebra.NewAggr(
-		algebra.NewScan("fact", "g", "v"),
-		[]algebra.NamedExpr{algebra.NE("g", expr.C("g"))},
-		[]algebra.AggExpr{algebra.Sum("s", expr.C("v")), algebra.Count("n")},
-	)
-	runParallelLevels(t, db, plan)
+	must0(t, ds.Delete(20_005)) // an insert-tail row
+	dd, err := db.Delta("dim")
+	must0(t, err)
+	for _, k := range []int64{5, 5, 2000} {
+		if _, err := dd.Insert([]any{k, "added"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	must0(t, dd.Delete(7))
+	must0(t, dd.Delete(977)) // the first inserted dim row
+
+	for _, tc := range []struct {
+		name string
+		plan algebra.Node
+	}{
+		{"aggr", algebra.NewAggr(
+			algebra.NewScan("fact", "g", "v"),
+			[]algebra.NamedExpr{algebra.NE("g", expr.C("g"))},
+			[]algebra.AggExpr{algebra.Sum("s", expr.C("v")), algebra.Count("n")},
+		)},
+		{"order", algebra.NewOrder(
+			algebra.NewScan("fact", "#rowid", "g", "v"), algebra.Desc(expr.C("#rowid")))},
+		{"topn", algebra.NewTopN(
+			algebra.NewScan("fact", "#rowid", "v"), 50, algebra.Desc(expr.C("v")), algebra.Asc(expr.C("#rowid")))},
+		{"join-build", algebra.NewAggr(
+			algebra.NewJoin(
+				algebra.NewScan("fact", "k", "v"),
+				algebra.NewScan("dim", "dk", "dn"),
+				algebra.EquiCond{L: "k", R: "dk"},
+			),
+			[]algebra.NamedExpr{algebra.NE("dn", expr.C("dn"))},
+			[]algebra.AggExpr{algebra.Sum("s", expr.C("v")), algebra.Count("n")},
+		)},
+	} {
+		t.Run(tc.name, func(t *testing.T) { runParallelLevels(t, db, tc.plan) })
+	}
+	if ds.NumDeltaRows() != 40 || dd.NumDeltaRows() != 3 || ds.NumDeleted() != 2 || dd.NumDeleted() != 2 {
+		t.Fatal("queries must leave the deltas pending")
+	}
 }
 
-// TestParallelReopen: a Built parallel plan must produce the full result
-// again after Close/re-Open (the shared morsel sources rewind at Open).
+// TestParallelReopen: a Built plan must produce the full result again after
+// Close/re-Open — morsel sources rewind at Open and a hash join reuses its
+// build — at parallelism 1 and 4, for every operator that consumes a
+// fragment. The join's build side is over the parallel-index threshold.
 func TestParallelReopen(t *testing.T) {
 	db := parallelDB(t, 50_000)
-	plan := algebra.NewAggr(
-		algebra.NewScan("fact", "v"),
-		nil,
-		[]algebra.AggExpr{algebra.Sum("s", expr.C("v")), algebra.Count("n")},
-	)
-	opts := DefaultOptions()
-	opts.Parallelism = 4
-	op, err := Build(db, plan, opts)
-	if err != nil {
-		t.Fatal(err)
+	big := colstore.NewTable("bigdim")
+	bk := make([]int64, 20_000)
+	bv := make([]int64, len(bk))
+	for i := range bk {
+		bk[i] = int64(i)
+		bv[i] = int64(i % 11)
 	}
-	first, err := Drain(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Drain(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Row(0)[1].(int64) != 50_000 || second.Row(0)[1].(int64) != 50_000 {
-		t.Fatalf("counts: first %v, second %v", first.Row(0), second.Row(0))
-	}
-	assertSameResult(t, first, second)
+	must0(t, big.AddColumn("bk", vector.Int64, bk))
+	must0(t, big.AddColumn("bv", vector.Int64, bv))
+	db.AddTable(big)
 
-	// Same through an exchange (scan-only fragment).
-	scanOnly := algebra.NewScan("fact", "k")
-	op2, err := Build(db, scanOnly, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := Drain(op2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Drain(op2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.NumRows() != 50_000 || r2.NumRows() != 50_000 {
-		t.Fatalf("rows: first %d, second %d", r1.NumRows(), r2.NumRows())
+	for _, tc := range []struct {
+		name    string
+		plan    algebra.Node
+		rows    int
+		ordered bool
+	}{
+		{"aggr", algebra.NewAggr(algebra.NewScan("fact", "v"), nil,
+			[]algebra.AggExpr{algebra.Sum("s", expr.C("v")), algebra.Count("n")}), 1, false},
+		{"scan", algebra.NewScan("fact", "k"), 50_000, false},
+		{"order", algebra.NewOrder(algebra.NewScan("fact", "#rowid", "v"), algebra.Desc(expr.C("#rowid"))), 50_000, true},
+		{"topn", algebra.NewTopN(algebra.NewScan("fact", "#rowid", "v"), 100,
+			algebra.Desc(expr.C("v")), algebra.Asc(expr.C("#rowid"))), 100, true},
+		{"hashjoin", algebra.NewJoin(algebra.NewScan("fact", "k", "v"), algebra.NewScan("bigdim", "bk", "bv"),
+			algebra.EquiCond{L: "k", R: "bk"}), 50_000, false},
+	} {
+		serial := DefaultOptions()
+		want, err := Run(db, tc.plan, serial)
+		must0(t, err)
+		if want.NumRows() != tc.rows {
+			t.Fatalf("%s: %d rows, want %d", tc.name, want.NumRows(), tc.rows)
+		}
+		for _, p := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/parallelism%d", tc.name, p), func(t *testing.T) {
+				opts := DefaultOptions()
+				opts.Parallelism = p
+				op, err := Build(db, tc.plan, opts)
+				must0(t, err)
+				for run := range 2 {
+					got, err := Drain(op)
+					must0(t, err)
+					if tc.ordered {
+						assertRowsEqualOrdered(t, fmt.Sprintf("run %d", run), want, got)
+					} else {
+						assertSameResult(t, want, got)
+					}
+				}
+			})
+		}
 	}
 }
 

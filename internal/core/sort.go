@@ -13,11 +13,24 @@ import (
 // columnar builders (plus one builder per computed sort key), sorts an index
 // permutation, and re-emits batches in order. TopN shares the machinery and
 // truncates the permutation.
+//
+// The input is a fragment of one or more pipelines, each drained into a
+// sorted run of its own by the fragment's worker (for TopN already pruned
+// to its local top N, a superset of its share of the global top N). The
+// first run is the operator itself. One run is emitted by gathering along
+// its permutation; several are interleaved by a k-way heap merge, which is
+// the only serial step and costs O(output * log runs) comparisons instead
+// of the full O(input log input) sort. Rows that compare equal on the sort
+// keys may then interleave differently from the serial (stable) sort,
+// because morsel scheduling decides which run a row lands in — the output
+// is deterministic in sort-key order but not in tie order.
 type orderOp struct {
 	input Operator
 	keys  []algebra.OrdExpr
 	limit int // <= 0: no limit (Order); > 0: TopN
 	opts  ExecOptions
+	in    *fragment
+	runs  []*orderOp // runs[0] == op
 
 	schema   vector.Schema
 	keyProgs []*expr.Prog
@@ -26,11 +39,34 @@ type orderOp struct {
 	cols    []*colBuilder
 	keyCols []*colBuilder
 	perm    []int32
+	merged  []runRow // with several runs: the globally sorted rows
 	done    bool
 	emitPos int
 }
 
-func newOrderOp(input Operator, keys []algebra.OrdExpr, limit int, opts ExecOptions) (*orderOp, error) {
+// runRow addresses one row of one sorted run: row is the physical index in
+// that run's builders (a value of its perm).
+type runRow struct {
+	run int32
+	row int32
+}
+
+// newOrderOp compiles a sort over in: one run per pipeline, compiled under
+// its worker's options.
+func newOrderOp(in *fragment, keys []algebra.OrdExpr, limit int) (*orderOp, error) {
+	runs := make([]*orderOp, len(in.parts))
+	for i, p := range in.parts {
+		var err error
+		if runs[i], err = newSortRun(p, keys, limit, in.workers[i]); err != nil {
+			return nil, err
+		}
+	}
+	op := runs[0]
+	op.in, op.runs = in, runs
+	return op, nil
+}
+
+func newSortRun(input Operator, keys []algebra.OrdExpr, limit int, opts ExecOptions) (*orderOp, error) {
 	in := input.Schema()
 	op := &orderOp{input: input, keys: keys, limit: limit, opts: opts, schema: in.Clone()}
 	for _, k := range keys {
@@ -54,35 +90,137 @@ func newOrderOp(input Operator, keys []algebra.OrdExpr, limit int, opts ExecOpti
 func (op *orderOp) Schema() vector.Schema { return op.schema }
 
 func (op *orderOp) Open() error {
+	op.in.rewind()
 	op.done = false
 	op.emitPos = 0
-	op.cols = nil
-	op.keyCols = nil
-	op.perm = nil
-	return op.input.Open()
+	op.merged = nil
+	for _, r := range op.runs {
+		r.cols, r.keyCols, r.perm = nil, nil, nil
+		if err := r.input.Open(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-func (op *orderOp) Close() error { return op.input.Close() }
+func (op *orderOp) Close() error { return op.in.close() }
 
 func (op *orderOp) Next() (*vector.Batch, error) {
 	if !op.done {
-		if err := op.consume(); err != nil {
+		if err := op.run(); err != nil {
 			return nil, err
 		}
 		op.done = true
 	}
 	total := len(op.perm)
+	if len(op.runs) > 1 {
+		total = len(op.merged)
+	}
 	if op.emitPos >= total {
 		return nil, nil
 	}
 	k := min(op.opts.batchSize(), total-op.emitPos)
-	idx := op.perm[op.emitPos : op.emitPos+k]
+	lo := op.emitPos
 	op.emitPos += k
 	out := &vector.Batch{Schema: op.schema, Vecs: make([]*vector.Vector, len(op.schema)), N: k}
-	for c, cb := range op.cols {
-		out.Vecs[c] = cb.gather(idx)
+	if len(op.runs) == 1 {
+		idx := op.perm[lo : lo+k]
+		for c, cb := range op.cols {
+			out.Vecs[c] = cb.gather(idx)
+		}
+		return out, nil
+	}
+	for c := range op.schema {
+		nb := newColBuilder(op.schema[c].Type)
+		for _, rr := range op.merged[lo : lo+k] {
+			nb.appendRow(op.runs[rr.run].cols[c], int(rr.row))
+		}
+		out.Vecs[c] = nb.vec()
 	}
 	return out, nil
+}
+
+// run sorts every pipeline into its run on the fragment's workers, then
+// k-way merges the runs when there are several.
+func (op *orderOp) run() error {
+	t0 := time.Now()
+	if err := op.in.runWorkers(len(op.runs), func(w int) error { return op.runs[w].consume() }); err != nil {
+		return err
+	}
+	if len(op.runs) == 1 {
+		return nil
+	}
+	op.merge()
+	op.in.mergeTracers(op.in.opts.Tracer)
+	name := "Order(parallel-merge)"
+	if op.limit > 0 {
+		name = "TopN(parallel-merge)"
+	}
+	op.in.opts.Tracer.RecordOperator(name, len(op.merged), time.Since(t0))
+	return nil
+}
+
+// merge interleaves the sorted runs with a binary min-heap of run indices,
+// stopping at limit rows for TopN.
+func (op *orderOp) merge() {
+	total := 0
+	heads := make([]int, len(op.runs))
+	var heap []int32
+	for i, r := range op.runs {
+		total += len(r.perm)
+		if len(r.perm) > 0 {
+			heap = append(heap, int32(i))
+		}
+	}
+	if op.limit > 0 {
+		total = min(total, op.limit)
+	}
+	less := func(a, b int32) bool {
+		ia := int(op.runs[a].perm[heads[a]])
+		ib := int(op.runs[b].perm[heads[b]])
+		for c, k := range op.keys {
+			ca, cb := op.runs[a].keyCols[c], op.runs[b].keyCols[c]
+			if ca.equalCross(ia, cb, ib) {
+				continue
+			}
+			if k.Desc {
+				return cb.lessCross(ib, ca, ia)
+			}
+			return ca.lessCross(ia, cb, ib)
+		}
+		return a < b // deterministic tie-break by run id
+	}
+	siftDown := func(i int) {
+		for {
+			l := 2*i + 1
+			if l >= len(heap) {
+				return
+			}
+			m := l
+			if r := l + 1; r < len(heap) && less(heap[r], heap[l]) {
+				m = r
+			}
+			if !less(heap[m], heap[i]) {
+				return
+			}
+			heap[i], heap[m] = heap[m], heap[i]
+			i = m
+		}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		siftDown(i)
+	}
+	op.merged = make([]runRow, 0, total)
+	for len(op.merged) < total && len(heap) > 0 {
+		r := heap[0]
+		op.merged = append(op.merged, runRow{run: r, row: op.runs[r].perm[heads[r]]})
+		heads[r]++
+		if heads[r] >= len(op.runs[r].perm) {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		siftDown(0)
+	}
 }
 
 func (op *orderOp) consume() error {

@@ -69,35 +69,34 @@
 //
 // # Parallel execution
 //
-// WithParallelism(n) executes a query on n worker pipelines. Partitionable
-// plan fragments — scan → select → project chains, the probe side of hash
-// joins, and the input of hash/direct aggregation — are split into
-// contiguous row-range morsels (16K rows, or one vector when
-// WithVectorSize exceeds that) claimed dynamically by the workers, so an
-// uneven selectivity distribution rebalances automatically. Each worker
-// owns a full copy of its pipeline (vectors, selection buffers, compiled
-// expression programs), so workers share only read-only state: column
-// fragments, dictionaries, summary indices, and hash-join builds, which
-// are materialized once and probed concurrently. Results fan back in
-// through an exchange operator, and aggregations merge per-worker partial
-// group tables order-insensitively.
+// WithParallelism(n) executes a query on n worker pipelines. Every
+// partitionable plan fragment — a scan → select → project chain, with fetch
+// joins and the probe sides of hash joins — is compiled once per worker;
+// n = 1 is the serial plan itself. The workers claim contiguous row-range
+// morsels (16K rows, or one vector when WithVectorSize exceeds that)
+// dynamically, so an uneven selectivity distribution rebalances
+// automatically. Each worker owns a full copy of its pipeline (vectors,
+// selection buffers, compiled expression programs), so workers share only
+// read-only state: column fragments, dictionaries, summary indices, and
+// hash-join builds, which are materialized once and probed concurrently.
+// The consumer of a fragment takes all n pipelines: an exchange fans their
+// results in, aggregation merges one partial group table per worker
+// order-insensitively, Order/TopN k-way merge one sorted run per worker,
+// and a hash-join build drains all of them (and hashes and inserts in
+// parallel once it holds 16K rows or more).
 //
 // Determinism: the result row set, group sets, and all integer aggregates
 // are identical at every parallelism level; floating-point aggregates are
 // deterministic up to summation order (partial sums combine in worker
 // order, but morsels race to workers). Row order out of an exchange is not
 // deterministic — order-sensitive queries sort above it. Order and TopN
-// over a partitionable input sort per-worker runs in parallel and k-way
-// merge them, so output order is deterministic in the sort keys; rows that
-// tie on every key may interleave differently across runs (the serial sort
-// is stable, the parallel merge is not). Hash-join build sides of
-// partitionable subtrees are also drained, hashed, and inserted in
-// parallel. Deletion lists are applied as selection vectors inside
-// partitioned scans and pending inserts are one more morsel after the base
-// range, so updated tables parallelize without being checkpointed. On
-// disk-backed tables, morsels
-// align to the chunk grid so no two workers ever decompress the same
-// chunk.
+// output is deterministic in the sort keys; rows that tie on every key may
+// interleave differently across runs (the serial sort is stable, the
+// parallel merge is not). Deletion lists are applied as selection vectors
+// inside partitioned scans and pending inserts are one more morsel after
+// the base range, so updated tables parallelize without being
+// checkpointed. On disk-backed tables, morsels align to the chunk grid so
+// no two workers ever decompress the same chunk.
 //
 // # Multi-query serving
 //
