@@ -36,11 +36,16 @@ type aggrOp struct {
 
 	// group key storage (hash/ordered mode).
 	groups []*colBuilder
-	// hash table: buckets hold group id + 1 (0 = empty).
-	buckets []int32
-	mask    uint64
-	hashBuf []uint64
-	gidBuf  []int32
+	// hash table: open addressing with linear probing; buckets hold group
+	// id + 1 (0 = empty). groupHash keeps the low 32 bits of every group's
+	// hash — all a slot of a table of up to 2^32 buckets uses — so growing
+	// the table or merging a partial never hashes a key again.
+	buckets   []int32
+	mask      uint64
+	groupHash []uint32
+	hashBuf   []uint64
+	gidBuf    []int32
+	scratch   groupScratch
 	// accumulators, one per aggregate, plus a hidden row counter used by
 	// avg finalization and direct-mode occupancy.
 	accs     []*accumulator
@@ -54,6 +59,11 @@ type aggrOp struct {
 	done    bool
 	emitPos int
 	nGroups int
+
+	// trace names, fixed at build: the operator and, per aggregate, its
+	// update primitive and its fused sum+count primitive.
+	name                 string
+	accNames, fusedNames []string
 }
 
 type accumulator struct {
@@ -399,6 +409,15 @@ func newAggrPart(input Operator, node *algebra.Aggr, opts ExecOptions) (*aggrOp,
 			return nil, err
 		}
 	}
+	op.name = fmt.Sprintf("Aggr(%s)", op.mode)
+	for _, a := range op.accs {
+		name := fmt.Sprintf("aggr_%s_%s_col_uidx_col", aggName(a.fn), typeAbbrevCore(a.argTyp))
+		if a.fn == algebra.AggCount {
+			name = "aggr_count_uidx_col"
+		}
+		op.accNames = append(op.accNames, name)
+		op.fusedNames = append(op.fusedNames, fmt.Sprintf("aggr_sumcount_%s_col_uidx_col", typeAbbrevCore(a.argTyp)))
+	}
 	return op, nil
 }
 
@@ -483,6 +502,7 @@ func (op *aggrOp) open() error {
 	op.groups = nil
 	op.rowCount = nil
 	op.buckets = nil
+	op.groupHash = nil
 	for _, a := range op.accs {
 		*a = *newAccumulator(a.fn, a.argTyp, a.outTyp)
 	}
@@ -497,12 +517,11 @@ func (op *aggrOp) open() error {
 		// under concurrent serving.
 		op.growGroups(min(op.directWidth, 256))
 	default:
+		// The hash table is sized by the first batch (reserveSlots).
 		for i := range op.node.GroupBy {
 			t := op.schema[i].Type
 			op.groups = append(op.groups, newColBuilder(t))
 		}
-		op.buckets = make([]int32, 1024)
-		op.mask = 1023
 		if len(op.node.GroupBy) == 0 {
 			// Scalar aggregation: one pre-existing group.
 			op.nGroups = 1
@@ -512,6 +531,9 @@ func (op *aggrOp) open() error {
 	return nil
 }
 
+// growGroups makes the accumulators hold n groups. Group assignment calls
+// it once per batch, not once per new group, and append grows the
+// capacities geometrically.
 func (op *aggrOp) growGroups(n int) {
 	// Charge accumulator growth against the query's memory budget: one
 	// 8-byte-ish cell per accumulator (plus the row count) per new group.
@@ -551,7 +573,9 @@ func (op *aggrOp) run() error {
 		return nil
 	}
 	for _, p := range op.parts[1:] {
-		op.mergeFrom(p)
+		if err := op.mergeFrom(p); err != nil {
+			return err
+		}
 	}
 	op.in.mergeTracers(op.in.opts.Tracer)
 	op.in.opts.Tracer.RecordOperator("Aggr(parallel-merge)", op.nGroups, time.Since(t0))
@@ -582,9 +606,7 @@ func (op *aggrOp) consume() error {
 		case algebra.ModeDirect:
 			op.assignDirect(b)
 		case algebra.ModeOrdered:
-			if err := op.assignOrdered(b); err != nil {
-				return err
-			}
+			op.assignOrdered(b)
 		default:
 			if len(op.node.GroupBy) == 0 {
 				zeroGids(op.gidBuf[:b.N], b.Sel)
@@ -603,14 +625,11 @@ func (op *aggrOp) consume() error {
 			if prog := op.aggProgs[i]; prog != nil {
 				v = prog.Run(b)
 			}
-			name := fmt.Sprintf("aggr_%s_%s_col_uidx_col", aggName(a.fn), typeAbbrevCore(a.argTyp))
-			if a.fn == algebra.AggCount {
-				name = "aggr_count_uidx_col"
-			}
+			name := op.accNames[i]
 			tr := op.opts.Tracer.Now()
 			if !rowCounted && a.updateFusedCount(v, op.rowCount, gids, b.Sel) {
 				rowCounted = true
-				name = fmt.Sprintf("aggr_sumcount_%s_col_uidx_col", typeAbbrevCore(a.argTyp))
+				name = op.fusedNames[i]
 			} else {
 				a.update(v, gids, b.Sel, b.N)
 			}
@@ -619,7 +638,7 @@ func (op *aggrOp) consume() error {
 		if !rowCounted {
 			primitives.AggrCount(op.rowCount, gids, b.Sel, b.N)
 		}
-		op.opts.Tracer.RecordOperator(fmt.Sprintf("Aggr(%s)", op.mode), b.Rows(), time.Since(t0))
+		op.opts.Tracer.RecordOperator(op.name, b.Rows(), time.Since(t0))
 	}
 }
 
@@ -683,82 +702,198 @@ func (op *aggrOp) groupKeyVectors(b *vector.Batch) []*vector.Vector {
 	return keys
 }
 
-// assignHash hashes group keys vector-at-a-time (map_hash_* primitives),
-// then probes/extends the group hash table.
+// assignHash assigns the group ids of a batch through the hash table.
+// Only the first row of every run of equal keys is hashed (map_hash_*
+// primitives) and looked up; the rest of the run takes its group.
+// Clustered input — lineitem grouped by l_orderkey — has long runs.
 func (op *aggrOp) assignHash(b *vector.Batch) error {
 	keys := op.groupKeyVectors(b)
+	pos, same := op.adjacentEqual(b, keys)
+	if len(pos) == 0 {
+		return nil
+	}
+	s := &op.scratch
+	heads := s.heads[:0]
+	j := 0
+	for k, p := range pos {
+		if k > 0 && j < len(same) && same[j] == int32(k-1) {
+			j++
+			continue
+		}
+		heads = append(heads, p)
+	}
+	s.heads = heads
 	hashes := op.hashBuf[:b.N]
 	t0 := op.opts.Tracer.Now()
 	for i, k := range keys {
-		if err := hashVector(hashes, k, b.Sel, i == 0); err != nil {
+		if err := hashVector(hashes, k, heads, i == 0); err != nil {
 			return err
 		}
 	}
 	op.opts.Tracer.RecordPrimitiveSince("map_hash_col", t0, b.Rows(), 8*b.Rows())
 
-	gids := op.gidBuf[:b.N]
 	t1 := op.opts.Tracer.Now()
-	if b.Sel != nil {
-		for _, i := range b.Sel {
-			gids[i] = op.findOrAddGroup(keys, int(i), hashes[i])
-		}
-	} else {
-		for i := 0; i < b.N; i++ {
-			gids[i] = op.findOrAddGroup(keys, i, hashes[i])
-		}
+	gids := op.gidBuf[:b.N]
+	op.findOrInsert(keys, hashes, heads, gids)
+	for _, k := range same {
+		gids[pos[k+1]] = gids[pos[k]]
 	}
+	op.growGroups(op.nGroups)
 	op.opts.Tracer.RecordPrimitiveSince("aggr_hashprobe_uidx_col", t1, b.Rows(), 12*b.Rows())
 	return nil
 }
 
-// findOrAddGroup probes the group hash table for the key at the given row
-// of the key vectors (hash h), inserting a new group on miss. Shared by the
-// per-batch hash-assignment path and the parallel partial-result merge.
-func (op *aggrOp) findOrAddGroup(keys []*vector.Vector, row int, h uint64) int32 {
-	slot := h & op.mask
-	for {
-		g := op.buckets[slot] - 1
-		if g < 0 {
-			// New group: store keys.
-			for c, k := range keys {
-				op.groups[c].appendAt(k, row)
+// adjacentEqual returns the live positions of b and, as indexes k into
+// them, the live rows k+1 whose keys equal those of live row k, found by
+// typed compares one key column at a time.
+func (op *aggrOp) adjacentEqual(b *vector.Batch, keys []*vector.Vector) (pos, same []int32) {
+	s := &op.scratch
+	pos = s.livePos[:0]
+	if b.Sel != nil {
+		pos = append(pos, b.Sel...)
+	} else {
+		for p := 0; p < b.N; p++ {
+			pos = append(pos, int32(p))
+		}
+	}
+	s.livePos = pos
+	if len(pos) == 0 {
+		return pos, nil
+	}
+	same = allPairs(s.same, len(pos)-1)
+	for _, k := range keys {
+		same = keepEqual(same, k, pos, k, pos[1:])
+	}
+	s.same = same
+	return pos, same
+}
+
+// groupScratch holds the per-batch buffers of the group-id assignment,
+// reused across batches.
+type groupScratch struct {
+	livePos, same, heads []int32
+	slot                 []uint64
+	todo, gp, gg, cp, cq []int32
+	sel, newRows         []int32
+}
+
+// findOrInsert sets gids[p] to the group of row p of the key vectors for
+// the given rows, whose hashes are known, inserting the keys not seen
+// before as new groups in the order of the rows.
+//
+// It works a batch at a time. Each round reads the slot of every
+// unresolved row. An occupied slot gives a candidate pair (row, group),
+// verified by typed compares one key column at a time; a miss moves on to
+// the next slot and stays for the next round. A row that reaches an empty
+// slot claims it (bucket -(row+1)), and a later row reaching a claimed
+// slot is verified against the claiming row. Rows of one key visit the
+// same slots in the same rounds, so the claimer of a key is its first row;
+// after the last round the claimers become groups in row order and their
+// followers take their group ids.
+func (op *aggrOp) findOrInsert(keys []*vector.Vector, hashes []uint64, rows []int32, gids []int32) {
+	s := &op.scratch
+	op.reserveSlots(len(rows))
+	buckets, mask := op.buckets, op.mask
+	slot := resize(s.slot, len(hashes))
+	for _, p := range rows {
+		slot[p] = hashes[p] & mask
+	}
+	gvecs := make([]*vector.Vector, len(op.groups))
+	for c, cb := range op.groups {
+		gvecs[c] = cb.vec()
+	}
+	todo := append(s.todo[:0], rows...)
+	gp, gg, cp, cq := s.gp, s.gg, s.cp, s.cq
+	for len(todo) > 0 {
+		gp, gg, cp, cq = gp[:0], gg[:0], cp[:0], cq[:0]
+		for _, p := range todo {
+			switch e := buckets[slot[p]]; {
+			case e > 0:
+				gp, gg = append(gp, p), append(gg, e-1)
+			case e == 0:
+				buckets[slot[p]] = -(p + 1)
+				gids[p] = -(p + 1)
+			default:
+				cp, cq = append(cp, p), append(cq, -e-1)
 			}
-			g = int32(op.nGroups)
-			op.nGroups++
-			op.buckets[slot] = g + 1
-			op.growGroups(op.nGroups)
-			op.maybeGrowTable()
-			return g
 		}
-		if op.groupEquals(int(g), keys, row) {
-			return g
+		// Rows against groups, then rows against claimers; the misses of
+		// both move to the next slot and form the next round.
+		s.sel = allPairs(s.sel, len(gp))
+		for c, k := range keys {
+			s.sel = keepEqual(s.sel, gvecs[c], gg, k, gp)
 		}
-		slot = (slot + 1) & op.mask
+		next := op.resolve(todo[:0], gp, gg, s.sel, slot, gids, false)
+		s.sel = allPairs(s.sel, len(cp))
+		for _, k := range keys {
+			s.sel = keepEqual(s.sel, k, cq, k, cp)
+		}
+		todo = op.resolve(next, cp, cq, s.sel, slot, gids, true)
 	}
-}
+	s.todo, s.slot, s.gp, s.gg, s.cp, s.cq = todo, slot, gp, gg, cp, cq
 
-func (op *aggrOp) groupEquals(g int, keys []*vector.Vector, row int) bool {
+	newRows := s.newRows[:0]
+	for _, p := range rows {
+		g := gids[p]
+		if g >= 0 {
+			continue
+		}
+		if q := -g - 1; q != p {
+			gids[p] = gids[q] // a follower: its claimer q < p has its id
+			continue
+		}
+		gids[p] = int32(op.nGroups)
+		op.nGroups++
+		buckets[slot[p]] = gids[p] + 1
+		newRows = append(newRows, p)
+	}
 	for c, k := range keys {
-		if !op.groups[c].equalAt(g, k, row) {
-			return false
-		}
+		op.groups[c].appendVec(k, newRows, 0)
 	}
-	return true
+	for _, p := range newRows {
+		op.groupHash = append(op.groupHash, uint32(hashes[p]))
+	}
+	s.newRows = newRows
 }
 
-func (op *aggrOp) maybeGrowTable() {
-	if op.nGroups*10 < len(op.buckets)*7 {
+// resolve settles one list of candidate pairs — rows ps against groups or
+// claiming rows qs — given match, the verified pair indexes: a matched row
+// takes the group (a claimed one as -(claimer+1), settled after the last
+// round), a missed row moves to the next slot and is appended to next.
+func (op *aggrOp) resolve(next, ps, qs, match []int32, slot []uint64, gids []int32, claimed bool) []int32 {
+	j := 0
+	for i, p := range ps {
+		if j < len(match) && match[j] == int32(i) {
+			j++
+			if claimed {
+				gids[p] = -(qs[i] + 1)
+			} else {
+				gids[p] = qs[i]
+			}
+			continue
+		}
+		slot[p] = (slot[p] + 1) & op.mask
+		next = append(next, p)
+	}
+	return next
+}
+
+// reserveSlots sizes the table so that the groups plus rows more (the most
+// a batch can add) stay under 0.7 load, which also leaves every probe an
+// empty slot to stop at. The table doubles, re-inserting the groups by
+// their stored hashes.
+func (op *aggrOp) reserveSlots(rows int) {
+	n := max(len(op.buckets), 1024)
+	for (op.nGroups+rows)*10 >= n*7 {
+		n *= 2
+	}
+	if n == len(op.buckets) {
 		return
 	}
-	newLen := len(op.buckets) * 2
-	op.buckets = make([]int32, newLen)
-	op.mask = uint64(newLen - 1)
-	for g := 0; g < op.nGroups; g++ {
-		var h uint64
-		for _, cb := range op.groups {
-			h = cb.hashAt(g, h)
-		}
-		slot := h & op.mask
+	op.buckets = make([]int32, n)
+	op.mask = uint64(n - 1)
+	for g, h := range op.groupHash {
+		slot := uint64(h) & op.mask
 		for op.buckets[slot] != 0 {
 			slot = (slot + 1) & op.mask
 		}
@@ -767,41 +902,46 @@ func (op *aggrOp) maybeGrowTable() {
 }
 
 // assignOrdered assigns group ids assuming group members arrive
-// consecutively: a new group starts whenever the key differs from the
-// previous live row's key.
-func (op *aggrOp) assignOrdered(b *vector.Batch) error {
+// consecutively: a new group starts at every live row whose key differs
+// from the previous live row's (for the first row, the last group's).
+func (op *aggrOp) assignOrdered(b *vector.Batch) {
 	keys := op.groupKeyVectors(b)
+	pos, same := op.adjacentEqual(b, keys)
+	if len(pos) == 0 {
+		return
+	}
+	firstNew := op.nGroups == 0
+	if !firstNew {
+		first := []int32{0}
+		last := []int32{int32(op.nGroups - 1)}
+		for c, k := range keys {
+			first = keepEqual(first, op.groups[c].vec(), last, k, pos)
+		}
+		firstNew = len(first) == 0
+	}
 	gids := op.gidBuf[:b.N]
-	process := func(i int32) {
-		isNew := op.nGroups == 0
-		if !isNew {
-			last := op.nGroups - 1
-			for c, k := range keys {
-				if !op.groups[c].equalAt(last, k, int(i)) {
-					isNew = true
-					break
-				}
+	s := &op.scratch
+	newRows := s.newRows[:0]
+	j := 0
+	for k, p := range pos {
+		isNew := firstNew
+		if k > 0 {
+			isNew = j >= len(same) || same[j] != int32(k-1)
+			if !isNew {
+				j++
 			}
 		}
 		if isNew {
-			for c, k := range keys {
-				op.groups[c].appendAt(k, int(i))
-			}
 			op.nGroups++
-			op.growGroups(op.nGroups)
+			newRows = append(newRows, p)
 		}
-		gids[i] = int32(op.nGroups - 1)
+		gids[p] = int32(op.nGroups - 1)
 	}
-	if b.Sel != nil {
-		for _, i := range b.Sel {
-			process(i)
-		}
-	} else {
-		for i := 0; i < b.N; i++ {
-			process(int32(i))
-		}
+	for c, k := range keys {
+		op.groups[c].appendVec(k, newRows, 0)
 	}
-	return nil
+	s.newRows = newRows
+	op.growGroups(op.nGroups)
 }
 
 // emit produces output batches from the accumulated groups.
@@ -870,7 +1010,7 @@ func (op *aggrOp) emit() (*vector.Batch, error) {
 // row counts before finalization, so the merged result equals a serial
 // aggregation up to floating-point summation order. op and src must be
 // built from the same Aggr node and run in the same mode.
-func (op *aggrOp) mergeFrom(src *aggrOp) {
+func (op *aggrOp) mergeFrom(src *aggrOp) error {
 	switch op.mode {
 	case algebra.ModeDirect:
 		// Group id is the code slot itself: merge slot-wise.
@@ -884,6 +1024,7 @@ func (op *aggrOp) mergeFrom(src *aggrOp) {
 				a.merge(src.accs[i], g, g)
 			}
 		}
+		return nil
 	default:
 		if len(op.node.GroupBy) == 0 {
 			// Scalar aggregation: the single pre-existing group 0.
@@ -891,24 +1032,55 @@ func (op *aggrOp) mergeFrom(src *aggrOp) {
 			for i, a := range op.accs {
 				a.merge(src.accs[i], 0, 0)
 			}
-			return
+			return nil
 		}
+		for _, p := range []*aggrOp{op, src} {
+			if err := p.hashGroups(); err != nil {
+				return err
+			}
+		}
+		// src's groups are one batch of rows whose hashes are known; the
+		// new ones join op's groups in src's group order.
 		keys := make([]*vector.Vector, len(src.groups))
 		for c, cb := range src.groups {
 			keys[c] = cb.vec()
 		}
-		for g := 0; g < src.nGroups; g++ {
-			var h uint64
-			for _, cb := range src.groups {
-				h = cb.hashAt(g, h)
-			}
-			dg := int(op.findOrAddGroup(keys, g, h))
+		hashes := make([]uint64, src.nGroups)
+		for g, h := range src.groupHash {
+			hashes[g] = uint64(h)
+		}
+		gids := make([]int32, src.nGroups)
+		op.findOrInsert(keys, hashes, allPairs(nil, src.nGroups), gids)
+		op.growGroups(op.nGroups)
+		for g, dg := range gids {
 			op.rowCount[dg] += src.rowCount[g]
 			for i, a := range op.accs {
-				a.merge(src.accs[i], g, dg)
+				a.merge(src.accs[i], g, int(dg))
 			}
 		}
+		return nil
 	}
+}
+
+// hashGroups hashes the keys of groups formed without the hash table — an
+// ordered aggregation's — and indexes them, so that its partials merge the
+// way hash partials do.
+func (op *aggrOp) hashGroups() error {
+	if len(op.groupHash) == op.nGroups {
+		return nil
+	}
+	h := make([]uint64, op.nGroups)
+	for c, cb := range op.groups {
+		if err := hashVector(h, cb.vec(), nil, c == 0); err != nil {
+			return err
+		}
+	}
+	op.groupHash, op.buckets = make([]uint32, op.nGroups), nil
+	for g, x := range h {
+		op.groupHash[g] = uint32(x)
+	}
+	op.reserveSlots(0)
+	return nil
 }
 
 // merge combines the partial accumulator state of src group sg into group

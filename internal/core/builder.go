@@ -93,26 +93,6 @@ func (cb *colBuilder) appendVec(v *vector.Vector, sel []int32, n int) {
 	}
 }
 
-// appendAt appends the value at physical position i of v.
-func (cb *colBuilder) appendAt(v *vector.Vector, i int) {
-	switch cb.typ.Physical() {
-	case vector.Bool:
-		cb.b = append(cb.b, v.Bools()[i])
-	case vector.UInt8:
-		cb.u8 = append(cb.u8, v.UInt8s()[i])
-	case vector.UInt16:
-		cb.u16 = append(cb.u16, v.UInt16s()[i])
-	case vector.Int32:
-		cb.i32 = append(cb.i32, v.Int32s()[i])
-	case vector.Int64:
-		cb.i64 = append(cb.i64, v.Int64s()[i])
-	case vector.Float64:
-		cb.f64 = append(cb.f64, v.Float64s()[i])
-	case vector.String:
-		cb.strs = append(cb.strs, v.Strings()[i])
-	}
-}
-
 // appendValue appends one boxed value (tuple-at-a-time paths).
 func (cb *colBuilder) appendValue(v any) {
 	switch cb.typ.Physical() {
@@ -201,25 +181,84 @@ func (cb *colBuilder) gather(idx []int32) *vector.Vector {
 	return out
 }
 
-// equalAt reports whether the accumulated row i equals the live row j of v
-// (key verification in hash tables).
-func (cb *colBuilder) equalAt(i int, v *vector.Vector, j int) bool {
-	switch cb.typ.Physical() {
+// keepEqual narrows sel, a list of candidate pair indexes, to the pairs k
+// whose values a[ia[k]] and b[ib[k]] are equal: the key verification of
+// both hash tables, one key column and one typed loop at a time. a and b
+// share a physical type.
+func keepEqual(sel []int32, a *vector.Vector, ia []int32, b *vector.Vector, ib []int32) []int32 {
+	switch a.Typ.Physical() {
 	case vector.Bool:
-		return cb.b[i] == v.Bools()[j]
+		return eqPairs(sel, a.Bools(), ia, b.Bools(), ib)
 	case vector.UInt8:
-		return cb.u8[i] == v.UInt8s()[j]
+		return eqPairs(sel, a.UInt8s(), ia, b.UInt8s(), ib)
 	case vector.UInt16:
-		return cb.u16[i] == v.UInt16s()[j]
+		return eqPairs(sel, a.UInt16s(), ia, b.UInt16s(), ib)
 	case vector.Int32:
-		return cb.i32[i] == v.Int32s()[j]
+		return eqPairs(sel, a.Int32s(), ia, b.Int32s(), ib)
 	case vector.Int64:
-		return cb.i64[i] == v.Int64s()[j]
+		return eqPairs(sel, a.Int64s(), ia, b.Int64s(), ib)
 	case vector.Float64:
-		return cb.f64[i] == v.Float64s()[j]
+		return eqPairs(sel, a.Float64s(), ia, b.Float64s(), ib)
 	default:
-		return cb.strs[i] == v.Strings()[j]
+		return eqPairs(sel, a.Strings(), ia, b.Strings(), ib)
 	}
+}
+
+// eqPairs narrows sel in place to the pairs k with a[ia[k]] == b[ib[k]].
+func eqPairs[T comparable](sel []int32, a []T, ia []int32, b []T, ib []int32) []int32 {
+	out := sel[:0]
+	for _, k := range sel {
+		if a[ia[k]] == b[ib[k]] {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// keepEqualXlat is keepEqual for a code-domain join key: a holds build-side
+// dictionary codes, which x translates into the code domain of b, the probe
+// side (-1 never matches).
+func keepEqualXlat(sel []int32, x []int32, a *vector.Vector, ia []int32, b *vector.Vector, ib []int32) []int32 {
+	if a.Typ.Physical() == vector.UInt8 {
+		return xlatProbe(sel, x, a.UInt8s(), ia, b, ib)
+	}
+	return xlatProbe(sel, x, a.UInt16s(), ia, b, ib)
+}
+
+func xlatProbe[A uint8 | uint16](sel []int32, x []int32, a []A, ia []int32, b *vector.Vector, ib []int32) []int32 {
+	if b.Typ.Physical() == vector.UInt8 {
+		return eqXlatPairs(sel, x, a, ia, b.UInt8s(), ib)
+	}
+	return eqXlatPairs(sel, x, a, ia, b.UInt16s(), ib)
+}
+
+func eqXlatPairs[A, B uint8 | uint16](sel []int32, x []int32, a []A, ia []int32, b []B, ib []int32) []int32 {
+	out := sel[:0]
+	for _, k := range sel {
+		if x[a[ia[k]]] == int32(b[ib[k]]) {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// resize returns s with length n, reusing its array when large enough; the
+// contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// allPairs returns s holding 0..n-1: the selection of all n candidate
+// pairs.
+func allPairs(s []int32, n int) []int32 {
+	s = resize(s, n)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
 }
 
 // less compares accumulated rows i and j (sort support).
@@ -322,30 +361,5 @@ func (cb *colBuilder) equalRows(i, j int) bool {
 		return cb.f64[i] == cb.f64[j]
 	default:
 		return cb.strs[i] == cb.strs[j]
-	}
-}
-
-// hashAt returns the hash of accumulated row i (rebuild path for growing
-// hash tables).
-func (cb *colBuilder) hashAt(i int, h uint64) uint64 {
-	switch cb.typ.Physical() {
-	case vector.Bool:
-		x := uint64(0)
-		if cb.b[i] {
-			x = 1
-		}
-		return hashCombine(h, x)
-	case vector.UInt8:
-		return hashCombine(h, uint64(cb.u8[i]))
-	case vector.UInt16:
-		return hashCombine(h, uint64(cb.u16[i]))
-	case vector.Int32:
-		return hashCombine(h, uint64(cb.i32[i]))
-	case vector.Int64:
-		return hashCombine(h, uint64(cb.i64[i]))
-	case vector.Float64:
-		return hashCombineF64(h, cb.f64[i])
-	default:
-		return hashCombineStr(h, cb.strs[i])
 	}
 }

@@ -32,6 +32,9 @@ type fetch1JoinOp struct {
 	cols    []*colstore.Column
 	locs    []*colstore.FragLocator
 	bufs    []*vector.Vector
+	// trace names, fixed at build: the operator's and each column's gather.
+	name      string
+	colTraces []string
 }
 
 func newFetch1JoinOp(db *Database, input Operator, node *algebra.Fetch1Join, opts ExecOptions) (*fetch1JoinOp, error) {
@@ -39,7 +42,8 @@ func newFetch1JoinOp(db *Database, input Operator, node *algebra.Fetch1Join, opt
 	if err != nil {
 		return nil, err
 	}
-	op := &fetch1JoinOp{input: input, node: node, view: v, dsnap: v.delta, opts: opts, rowPass: -1}
+	op := &fetch1JoinOp{input: input, node: node, view: v, dsnap: v.delta, opts: opts, rowPass: -1,
+		name: "Fetch1Join(" + node.Table + ")"}
 	in := input.Schema()
 	if c, ok := node.RowID.(*expr.Col); ok {
 		if i := in.ColIndex(c.Name); i >= 0 && in[i].Type.Physical() == vector.Int32 {
@@ -63,6 +67,7 @@ func newFetch1JoinOp(db *Database, input Operator, node *algebra.Fetch1Join, opt
 			return nil, fmt.Errorf("core: table %s has no column %q", node.Table, cname)
 		}
 		op.cols = append(op.cols, c)
+		op.colTraces = append(op.colTraces, fmt.Sprintf("map_fetch_sint_col_%s_col", typeAbbrevCore(c.Typ)))
 		name := cname
 		if i < len(node.As) && node.As[i] != "" {
 			name = node.As[i]
@@ -124,12 +129,10 @@ func (op *fetch1JoinOp) Next() (*vector.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		op.opts.Tracer.RecordPrimitiveSince(
-			fmt.Sprintf("map_fetch_sint_col_%s_col", typeAbbrevCore(col.Typ)),
-			tr, b.Rows(), (4+col.Typ.Width())*b.Rows())
+		op.opts.Tracer.RecordPrimitiveSince(op.colTraces[ci], tr, b.Rows(), (4+col.Typ.Width())*b.Rows())
 		out.Vecs = append(out.Vecs, v)
 	}
-	op.opts.Tracer.RecordOperator("Fetch1Join("+op.node.Table+")", b.Rows(), time.Since(t0))
+	op.opts.Tracer.RecordOperator(op.name, b.Rows(), time.Since(t0))
 	return out, nil
 }
 

@@ -31,9 +31,12 @@ type joinBuild struct {
 	once    sync.Once
 	err     error
 
-	rbuild  []*colBuilder // all right columns
-	buckets []int32       // head row id + 1
-	next    []int32       // chain
+	rbuild []*colBuilder // all right columns
+	// vecs wraps rbuild as vectors once the build is drained: the sources
+	// of key verification and of the build-side output gather.
+	vecs    []*vector.Vector
+	buckets []int32 // head row id + 1
+	next    []int32 // chain
 	mask    uint64
 	nRight  int
 }
@@ -78,22 +81,6 @@ func (jb *joinBuild) hashRows(hashes []uint64, lo, hi int) error {
 	return nil
 }
 
-// builderCode reads the narrow dictionary code at build row r.
-func builderCode(cb *colBuilder, r int) int32 {
-	if cb.typ.Physical() == vector.UInt8 {
-		return int32(cb.u8[r])
-	}
-	return int32(cb.u16[r])
-}
-
-// probeCode reads the narrow dictionary code at probe position pos.
-func probeCode(v *vector.Vector, pos int) int32 {
-	if v.Typ.Physical() == vector.UInt8 {
-		return int32(v.UInt8s()[pos])
-	}
-	return int32(v.UInt16s()[pos])
-}
-
 // run materializes the build side on first call; subsequent (possibly
 // concurrent) calls return the first call's outcome.
 func (jb *joinBuild) run(opts ExecOptions) error {
@@ -108,6 +95,10 @@ func (jb *joinBuild) build(opts ExecOptions) error {
 	}
 	if len(jb.rbuild) > 0 {
 		jb.nRight = jb.rbuild[0].len()
+	}
+	jb.vecs = make([]*vector.Vector, len(jb.rbuild))
+	for i, cb := range jb.rbuild {
+		jb.vecs[i] = cb.vec()
 	}
 	if err := jb.index(); err != nil {
 		return err
@@ -225,15 +216,17 @@ func (jb *joinBuild) index() error {
 
 // hashJoinOp implements the Join operator for equi-conditions. The right
 // (build) side is drained into columnar builders and indexed by a chained
-// hash table; left (probe) batches are hashed vector-at-a-time and matches
-// are emitted in batch-sized chunks. Kinds: inner, semi, anti, leftouter,
-// mark (Section 4.1.2 lists Join over left-deep plans; semi/anti/mark are
-// the decorrelation workhorses for the TPC-H plans).
+// hash table; left (probe) batches are hashed vector-at-a-time and probed a
+// block of candidate pairs at a time (see candidates and verify). Kinds:
+// inner, semi, anti, leftouter, mark (Section 4.1.2 lists Join over
+// left-deep plans; semi/anti/mark are the decorrelation workhorses for the
+// TPC-H plans).
 type hashJoinOp struct {
 	left   Operator
 	node   *algebra.Join
 	opts   ExecOptions
 	schema vector.Schema
+	name   string // trace name of the semi/anti/mark probe
 
 	leftKeys  []int // column indices in left schema
 	rightKeys []int // column indices in right schema
@@ -243,24 +236,33 @@ type hashJoinOp struct {
 
 	// bld is the build side, shared by the probe pipelines of all workers.
 	bld      *joinBuild
-	hashBuf  []uint64
 	residual expr.Scalar // optional, over concatenated schema
 
-	// probe state
-	curBatch   *vector.Batch
-	curLive    int   // next live-row ordinal within curBatch
-	curChain   int32 // current candidate right row (-2 = start next left row)
-	matchedCur bool  // current left row has matched (left-outer tracking)
-	lastBatch  *vector.Batch
+	// Probe state: the current left batch, the hashes of its rows and the
+	// chain heads of its live rows. Expansion resumes at live row `live`,
+	// chain entry `chain` (-1: that row's chain is exhausted).
+	cur     *vector.Batch
+	hashBuf []uint64
+	heads   []int32
+	live    int
+	chain   int32
+	matched bool // live row `live` has a match (left-outer)
 
-	// reusable output buffers
-	leftIdx  []int32
-	rightIdx []int32
+	// One block of candidate pairs (probe position, build row) and sel, the
+	// indexes of the pairs still passing verification.
+	candPos, candRow, sel []int32
+
+	// Reused output: the pairs to emit, the semi/anti/mark selection and
+	// match flags, and the output batch with its vectors.
+	leftIdx, rightIdx []int32
+	outSel            []int32
+	hit               []bool
+	out               *vector.Batch
 }
 
 func newHashJoinOp(left Operator, jb *joinBuild, node *algebra.Join, opts ExecOptions) (*hashJoinOp, error) {
 	ls, rs := left.Schema(), jb.in.parts[0].Schema()
-	op := &hashJoinOp{left: left, bld: jb, node: node, opts: opts}
+	op := &hashJoinOp{left: left, bld: jb, node: node, opts: opts, name: fmt.Sprintf("HashJoin(%s)", node.Kind)}
 	codeKeys := make(map[int]codeJoinKey)
 	for _, ck := range opts.codeJoins[node] {
 		codeKeys[ck.idx] = ck
@@ -301,6 +303,12 @@ func newHashJoinOp(left Operator, jb *joinBuild, node *algebra.Join, opts ExecOp
 	default:
 		op.schema = append(ls.Clone(), rs.Clone()...)
 	}
+	op.out = &vector.Batch{Schema: op.schema, Vecs: make([]*vector.Vector, len(op.schema))}
+	if node.Kind == algebra.Inner || node.Kind == algebra.LeftOuter {
+		for c, f := range op.schema {
+			op.out.Vecs[c] = vector.New(f.Type, 0)
+		}
+	}
 	if node.Residual != nil {
 		combined := append(ls.Clone(), rs.Clone()...)
 		sc, _, err := expr.Bind(node.Residual, combined)
@@ -325,12 +333,7 @@ func (op *hashJoinOp) Open() error {
 	if err := op.left.Open(); err != nil {
 		return err
 	}
-	op.curBatch = nil
-	op.curLive = 0
-	op.curChain = -1
-	op.hashBuf = nil
-	op.leftIdx = op.leftIdx[:0]
-	op.rightIdx = op.rightIdx[:0]
+	op.cur = nil
 	return nil
 }
 
@@ -338,50 +341,103 @@ func (op *hashJoinOp) Open() error {
 // the build has drained them.
 func (op *hashJoinOp) Close() error { return op.left.Close() }
 
-// probeHashes computes hashes of the left key columns for a batch.
-func (op *hashJoinOp) probeHashes(b *vector.Batch) error {
-	if b.N > len(op.hashBuf) {
-		op.hashBuf = make([]uint64, b.N)
+// pull fetches the next left batch, hashes its key columns and looks up the
+// chain head of every live row; op.cur is nil at the end of the input.
+func (op *hashJoinOp) pull() error {
+	b, err := op.left.Next()
+	if err != nil || b == nil {
+		op.cur = nil
+		return err
 	}
-	hashes := op.hashBuf[:b.N]
+	op.hashBuf = resize(op.hashBuf, b.N)
 	for i, ki := range op.leftKeys {
-		if err := hashVector(hashes, b.Vecs[ki], b.Sel, i == 0); err != nil {
+		if err := hashVector(op.hashBuf, b.Vecs[ki], b.Sel, i == 0); err != nil {
 			return err
 		}
+	}
+	n := b.Rows()
+	heads := resize(op.heads, n)
+	buckets, mask, h := op.bld.buckets, op.bld.mask, op.hashBuf
+	if b.Sel != nil {
+		for k, p := range b.Sel {
+			heads[k] = buckets[h[p]&mask] - 1
+		}
+	} else {
+		for k := range heads {
+			heads[k] = buckets[h[k]&mask] - 1
+		}
+	}
+	op.cur, op.heads, op.live, op.matched = b, heads, 0, false
+	if n > 0 {
+		op.chain = heads[0]
 	}
 	return nil
 }
 
-// keyMatch verifies that build row r equals left batch row pos on all keys.
-// Code-domain keys compare the translated build code against the probe
-// code — two narrow integer loads, no string touch.
-func (op *hashJoinOp) keyMatch(r int32, b *vector.Batch, pos int) bool {
-	for i, ki := range op.rightKeys {
-		if x := op.keyXlat[i]; x != nil {
-			if x[builderCode(op.bld.rbuild[ki], int(r))] != probeCode(b.Vecs[op.leftKeys[i]], pos) {
-				return false
-			}
-			continue
+// exhausted reports whether every live row of the current batch has been
+// expanded (true when there is no current batch).
+func (op *hashJoinOp) exhausted() bool { return op.cur == nil || op.live >= op.cur.Rows() }
+
+// candidates fills one block of at most limit candidate pairs — every
+// build row on the chain of a live row, in probe-row order and chain order
+// within a row, resuming mid-chain where the previous block stopped — and
+// selects all of them for verification. With ends, each row whose chain
+// is complete also gets a (row, -1) end marker, which is not selected.
+func (op *hashJoinOp) candidates(limit int, ends bool) {
+	b, next, heads := op.cur, op.bld.next, op.heads
+	nLive := b.Rows()
+	live, r := op.live, op.chain
+	candPos, candRow, sel := op.candPos[:0], op.candRow[:0], op.sel[:0]
+	for live < nLive && len(candPos) < limit {
+		pos := int32(b.LiveRow(live))
+		for r >= 0 && len(candPos) < limit {
+			sel = append(sel, int32(len(candPos)))
+			candPos = append(candPos, pos)
+			candRow = append(candRow, r)
+			r = next[r]
 		}
-		if !op.bld.rbuild[ki].equalAt(int(r), b.Vecs[op.leftKeys[i]], pos) {
-			return false
+		if r >= 0 || (ends && len(candPos) == limit) {
+			break
+		}
+		if ends {
+			candPos = append(candPos, pos)
+			candRow = append(candRow, -1)
+		}
+		live++
+		if live < nLive {
+			r = heads[live]
 		}
 	}
-	return true
+	op.live, op.chain = live, r
+	op.candPos, op.candRow, op.sel = candPos, candRow, sel
+}
+
+// verify narrows op.sel to the candidate pairs whose keys are equal, one
+// key column at a time; code-domain keys compare through keyXlat.
+func (op *hashJoinOp) verify() {
+	for i, ki := range op.rightKeys {
+		bv, pv := op.bld.vecs[ki], op.cur.Vecs[op.leftKeys[i]]
+		if x := op.keyXlat[i]; x != nil {
+			op.sel = keepEqualXlat(op.sel, x, bv, op.candRow, pv, op.candPos)
+		} else {
+			op.sel = keepEqual(op.sel, bv, op.candRow, pv, op.candPos)
+		}
+	}
 }
 
 // residualOK evaluates the residual predicate on (left row pos, right row r).
-func (op *hashJoinOp) residualOK(b *vector.Batch, pos int, r int32) bool {
+func (op *hashJoinOp) residualOK(pos, r int32) bool {
 	if op.residual == nil {
 		return true
 	}
+	b := op.cur
 	nl := len(b.Vecs)
-	row := make([]any, nl+len(op.bld.rbuild))
+	row := make([]any, nl+len(op.bld.vecs))
 	for c, v := range b.Vecs {
-		row[c] = v.Value(pos)
+		row[c] = v.Value(int(pos))
 	}
-	for c, cb := range op.bld.rbuild {
-		row[nl+c] = cb.vec().Value(int(r))
+	for c, v := range op.bld.vecs {
+		row[nl+c] = v.Value(int(r))
 	}
 	return op.residual(row).(bool)
 }
@@ -406,171 +462,127 @@ func (op *hashJoinOp) Next() (*vector.Batch, error) {
 	}
 }
 
-// nextExpand emits (left,right) pairs for inner and left-outer joins,
-// resuming mid-chain across calls.
+// nextExpand emits (left,right) pairs for inner and left-outer joins. Each
+// block of candidates is limited to the room left in the output batch, so
+// output batches are full except at the end of a probe batch, and the
+// pairs come in probe-row order, chain order within a row, with a
+// left-outer row that matched nothing emitted once, paired with -1.
 func (op *hashJoinOp) nextExpand() (*vector.Batch, error) {
 	t0 := time.Now()
 	bs := op.opts.batchSize()
-	op.leftIdx = op.leftIdx[:0]
-	op.rightIdx = op.rightIdx[:0]
 	outer := op.node.Kind == algebra.LeftOuter
-
+	op.leftIdx, op.rightIdx = op.leftIdx[:0], op.rightIdx[:0]
 	for len(op.leftIdx) < bs {
-		if op.curBatch == nil {
-			// Pending output pairs reference the previous batch's vectors;
+		if op.exhausted() {
+			// Pending output pairs reference the current batch's vectors;
 			// emit them before pulling a new batch.
 			if len(op.leftIdx) > 0 {
 				break
 			}
-			b, err := op.left.Next()
-			if err != nil {
+			if err := op.pull(); err != nil {
 				return nil, err
 			}
-			if b == nil {
-				break
+			if op.cur == nil {
+				return nil, nil
 			}
-			if err := op.probeHashes(b); err != nil {
-				return nil, err
-			}
-			op.curBatch = b
-			op.curLive = 0
-			op.curChain = -2 // -2: start a new left row
-		}
-		b := op.curBatch
-		nLive := b.Rows()
-		if op.curLive >= nLive {
-			op.lastBatch = b
-			op.curBatch = nil
 			continue
 		}
-		pos := b.LiveRow(op.curLive)
-		if op.curChain == -2 {
-			// Begin chain for this left row.
-			op.curChain = op.bld.buckets[op.hashBuf[pos]&op.bld.mask] - 1
-			op.matchedCur = false
+		op.candidates(bs-len(op.leftIdx), outer)
+		op.verify()
+		if op.residual != nil {
+			keep := op.sel[:0]
+			for _, k := range op.sel {
+				if op.residualOK(op.candPos[k], op.candRow[k]) {
+					keep = append(keep, k)
+				}
+			}
+			op.sel = keep
 		}
-		for op.curChain >= 0 && len(op.leftIdx) < bs {
-			r := op.curChain
-			op.curChain = op.bld.next[r]
-			if op.keyMatch(r, b, pos) && op.residualOK(b, pos, r) {
-				op.leftIdx = append(op.leftIdx, int32(pos))
+		if !outer {
+			for _, k := range op.sel {
+				op.leftIdx = append(op.leftIdx, op.candPos[k])
+				op.rightIdx = append(op.rightIdx, op.candRow[k])
+			}
+			continue
+		}
+		// Left-outer: walk the block in order; an end marker emits its row
+		// with -1 unless one of the row's pairs matched.
+		j := 0
+		for k, r := range op.candRow {
+			pos := op.candPos[k]
+			if r < 0 {
+				if !op.matched {
+					op.leftIdx = append(op.leftIdx, pos)
+					op.rightIdx = append(op.rightIdx, -1)
+				}
+				op.matched = false
+				continue
+			}
+			if j < len(op.sel) && op.sel[j] == int32(k) {
+				j++
+				op.leftIdx = append(op.leftIdx, pos)
 				op.rightIdx = append(op.rightIdx, r)
-				op.matchedCur = true
+				op.matched = true
 			}
 		}
-		if op.curChain < 0 {
-			if outer && !op.matchedCur {
-				op.leftIdx = append(op.leftIdx, int32(pos))
-				op.rightIdx = append(op.rightIdx, -1)
-			}
-			op.curLive++
-			op.curChain = -2
-		}
 	}
-	if len(op.leftIdx) == 0 {
-		return nil, nil
+	out := op.out
+	nl := len(op.cur.Vecs)
+	for c, v := range op.cur.Vecs {
+		out.Vecs[c].Gather(v, op.leftIdx)
+		out.Vecs[c].Typ = op.schema[c].Type
 	}
-	out := op.assembleExpand()
-	op.opts.Tracer.RecordOperator("HashJoin(probe)", out.Rows(), time.Since(t0))
+	for c, v := range op.bld.vecs {
+		out.Vecs[nl+c].GatherOuter(v, op.rightIdx)
+		out.Vecs[nl+c].Typ = op.schema[nl+c].Type
+	}
+	out.Sel, out.N = nil, len(op.leftIdx)
+	op.opts.Tracer.RecordOperator("HashJoin(probe)", out.N, time.Since(t0))
 	return out, nil
 }
 
-func (op *hashJoinOp) assembleExpand() *vector.Batch {
-	b := op.curBatch
-	if b == nil {
-		b = op.lastBatch
-	}
-	nl := len(b.Vecs)
-	k := len(op.leftIdx)
-	out := &vector.Batch{Schema: op.schema, Vecs: make([]*vector.Vector, len(op.schema)), N: k}
-	for c := 0; c < nl; c++ {
-		v := vector.New(op.schema[c].Type, k)
-		v.Gather(b.Vecs[c], op.leftIdx)
-		v.Typ = op.schema[c].Type
-		out.Vecs[c] = v
-	}
-	for c := range op.bld.rbuild {
-		out.Vecs[nl+c] = gatherOuter(op.bld.rbuild[c], op.rightIdx, op.schema[nl+c].Type)
-	}
-	return out
-}
-
-// gatherOuter gathers build rows by id, writing the zero value for -1
-// (unmatched left-outer rows).
-func gatherOuter(cb *colBuilder, idx []int32, t vector.Type) *vector.Vector {
-	out := vector.New(t, len(idx))
-	src := cb.vec()
-	for j, r := range idx {
-		if r < 0 {
-			continue // zero value
-		}
-		out.Set(j, src.Value(int(r)))
-	}
-	out.Typ = t
-	return out
-}
-
 // nextFiltered handles semi, anti and mark joins: one output row (at most)
-// per left row, no expansion.
+// per left row, no expansion. The batch's candidates are verified block by
+// block; a row's first verified pair marks it as hit, and the residual is
+// not evaluated again for a row that already hit.
 func (op *hashJoinOp) nextFiltered() (*vector.Batch, error) {
+	bs := op.opts.batchSize()
 	for {
 		t0 := time.Now()
-		b, err := op.left.Next()
-		if err != nil || b == nil {
+		if err := op.pull(); err != nil || op.cur == nil {
 			return nil, err
 		}
-		if err := op.probeHashes(b); err != nil {
-			return nil, err
-		}
-		n := b.Rows()
-		sel := make([]int32, 0, n)
-		var marks []bool
-		if op.node.Kind == algebra.Mark {
-			marks = make([]bool, b.N)
-		}
-		check := func(pos int) bool {
-			r := op.bld.buckets[op.hashBuf[pos]&op.bld.mask] - 1
-			for r >= 0 {
-				if op.keyMatch(r, b, pos) && op.residualOK(b, pos, r) {
-					return true
+		b := op.cur
+		hit := resize(op.hit, b.N)
+		clear(hit)
+		op.hit = hit
+		for !op.exhausted() {
+			op.candidates(bs, false)
+			op.verify()
+			for _, k := range op.sel {
+				if pos := op.candPos[k]; !hit[pos] && op.residualOK(pos, op.candRow[k]) {
+					hit[pos] = true
 				}
-				r = op.bld.next[r]
 			}
-			return false
 		}
-		emit := func(pos int32) {
-			matched := check(int(pos))
-			switch op.node.Kind {
-			case algebra.Semi:
-				if matched {
-					sel = append(sel, pos)
-				}
-			case algebra.Anti:
-				if !matched {
-					sel = append(sel, pos)
-				}
-			case algebra.Mark:
-				marks[pos] = matched
+		sel := op.outSel[:0]
+		for k := 0; k < b.Rows(); k++ {
+			pos := int32(b.LiveRow(k))
+			if op.node.Kind == algebra.Mark || hit[pos] == (op.node.Kind == algebra.Semi) {
 				sel = append(sel, pos)
 			}
 		}
-		if b.Sel != nil {
-			for _, i := range b.Sel {
-				emit(i)
-			}
-		} else {
-			for i := 0; i < b.N; i++ {
-				emit(int32(i))
-			}
-		}
+		op.outSel = sel
 		if len(sel) == 0 {
 			continue
 		}
-		out := &vector.Batch{Schema: op.schema, Vecs: b.Vecs, Sel: sel, N: b.N}
+		out := op.out
+		out.Vecs = append(out.Vecs[:0], b.Vecs...)
 		if op.node.Kind == algebra.Mark {
-			out.Vecs = append(append([]*vector.Vector{}, b.Vecs...), vector.FromBools(marks))
+			out.Vecs = append(out.Vecs, vector.FromBools(hit))
 		}
-		op.opts.Tracer.RecordOperator(fmt.Sprintf("HashJoin(%s)", op.node.Kind), len(sel), time.Since(t0))
+		out.Sel, out.N = sel, b.N
+		op.opts.Tracer.RecordOperator(op.name, len(sel), time.Since(t0))
 		return out, nil
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"x100/internal/algebra"
 	"x100/internal/expr"
-	"x100/internal/primitives"
 	"x100/internal/sched"
 	"x100/internal/trace"
 	"x100/internal/vector"
@@ -252,8 +251,3 @@ func drain(op Operator, life *lifecycle) (*Result, error) {
 	}
 	return res, nil
 }
-
-// scalar hash helpers consistent with the vectorized hash primitives.
-func hashCombine(h, v uint64) uint64            { return primitives.HashCombineValueInt(h, v) }
-func hashCombineF64(h uint64, f float64) uint64 { return primitives.HashCombineValueF64(h, f) }
-func hashCombineStr(h uint64, s string) uint64  { return primitives.HashCombineValueStr(h, s) }

@@ -232,6 +232,27 @@ func TestParallelScalarAggr(t *testing.T) {
 	runParallelLevels(t, db, plan)
 }
 
+// TestParallelOrderedAggr runs ordered aggregation over a clustered scan
+// whose key runs straddle morsel boundaries: a run split across workers
+// yields a group in several partials, which must merge by key as hash
+// partials do.
+func TestParallelOrderedAggr(t *testing.T) {
+	db := NewDatabase()
+	keys := make([]int64, 100_000)
+	vals := make([]float64, len(keys))
+	for i := range keys {
+		keys[i], vals[i] = int64(i/97), float64(i%13)
+	}
+	runs := colstore.NewTable("runs")
+	must0(t, runs.AddColumn("k", vector.Int64, keys))
+	must0(t, runs.AddColumn("v", vector.Float64, vals))
+	db.AddTable(runs)
+	plan := algebra.NewAggr(algebra.NewScan("runs", "k", "v"),
+		[]algebra.NamedExpr{algebra.NE("k", expr.C("k"))},
+		[]algebra.AggExpr{algebra.Sum("s", expr.C("v")), algebra.Count("n")}).WithMode(algebra.ModeOrdered)
+	runParallelLevels(t, db, plan)
+}
+
 func TestParallelJoinProbe(t *testing.T) {
 	db := parallelDB(t, 60_000)
 	// Partitioned probe over fact, shared build over dim, aggregated above

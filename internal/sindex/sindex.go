@@ -46,27 +46,37 @@ func BuildSummary[T primitives.Ordered](col []T, granule int) *Summary[T] {
 	if n == 0 {
 		return s
 	}
-	// Forward pass: running maxima at granule boundaries.
-	var runMax T
+	// One sweep takes each granule's max and min together, skipping NaN
+	// (x != x) unless the granule holds nothing else. On ties the max keeps
+	// the first value and the min the last, as a forward running max and a
+	// backward running min do.
 	for g := 0; g < ng; g++ {
-		lo, hi := g*granule, min((g+1)*granule, n)
-		for i := lo; i < hi; i++ {
-			if i == 0 || col[i] > runMax {
-				runMax = col[i]
+		part := col[g*granule : min((g+1)*granule, n)]
+		hi, lo := part[0], part[0]
+		for _, v := range part[1:] {
+			if v > hi || hi != hi {
+				hi = v
+			}
+			if v <= lo || lo != lo {
+				lo = v
 			}
 		}
-		s.RunMax[g+1] = runMax
+		s.RunMax[g+1], s.RevMin[g] = hi, lo
 	}
-	// Backward pass: reverse running minima from each boundary.
-	var revMin T
+	// Prefix max and suffix min over the granules. Seeding them with the
+	// column's first and last value keeps the behaviour of a running fold
+	// whose start is NaN: every later comparison fails, so NaN sticks.
+	runMax := col[0]
+	for g := 1; g <= ng; g++ {
+		if s.RunMax[g] > runMax {
+			runMax = s.RunMax[g]
+		}
+		s.RunMax[g] = runMax
+	}
+	revMin := col[n-1]
 	for g := ng - 1; g >= 0; g-- {
-		lo, hi := g*granule, min((g+1)*granule, n)
-		for i := hi - 1; i >= lo; i-- {
-			if g == ng-1 && i == hi-1 {
-				revMin = col[i]
-			} else if col[i] < revMin {
-				revMin = col[i]
-			}
+		if s.RevMin[g] < revMin {
+			revMin = s.RevMin[g]
 		}
 		s.RevMin[g] = revMin
 	}

@@ -1,9 +1,13 @@
 package sindex
 
 import (
+	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"x100/internal/primitives"
 )
 
 func TestSummaryBoundsOnSorted(t *testing.T) {
@@ -151,5 +155,109 @@ func TestRangeIndexProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// twoPassSummary is the reference BuildSummary: a forward running max and a
+// backward running min, element by element.
+func twoPassSummary[T primitives.Ordered](col []T, granule int) *Summary[T] {
+	n := len(col)
+	ng := (n + granule - 1) / granule
+	s := &Summary[T]{Granule: granule, N: n, RunMax: make([]T, ng+1), RevMin: make([]T, ng+1)}
+	if n == 0 {
+		return s
+	}
+	var runMax T
+	for g := 0; g < ng; g++ {
+		lo, hi := g*granule, min((g+1)*granule, n)
+		for i := lo; i < hi; i++ {
+			if i == 0 || col[i] > runMax {
+				runMax = col[i]
+			}
+		}
+		s.RunMax[g+1] = runMax
+	}
+	var revMin T
+	for g := ng - 1; g >= 0; g-- {
+		lo, hi := g*granule, min((g+1)*granule, n)
+		for i := hi - 1; i >= lo; i-- {
+			if g == ng-1 && i == hi-1 {
+				revMin = col[i]
+			} else if col[i] < revMin {
+				revMin = col[i]
+			}
+		}
+		s.RevMin[g] = revMin
+	}
+	return s
+}
+
+// TestBuildSummaryDifferential pins the one-sweep BuildSummary to the
+// two-pass reference, bit for bit, on sorted, reverse, random and constant
+// columns of lengths around granule boundaries, and on float columns with
+// NaN (first, last, at granule starts, inside), -0/+0 ties and ±Inf.
+func TestBuildSummaryDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, granule := range []int{1, 4, DefaultGranule} {
+		for _, n := range []int{0, 1, granule - 1, granule, granule + 1, 3 * granule, 3*granule + 1} {
+			if n < 0 {
+				continue
+			}
+			shapes := map[string]func(i int) int32{
+				"sorted":   func(i int) int32 { return int32(i) },
+				"reverse":  func(i int) int32 { return int32(n - i) },
+				"random":   func(int) int32 { return rng.Int31n(50) - 25 },
+				"constant": func(int) int32 { return 7 },
+			}
+			for name, gen := range shapes {
+				col := make([]int32, n)
+				for i := range col {
+					col[i] = gen(i)
+				}
+				checkSummary(t, name, col, granule, func(a, b int32) bool { return a == b })
+			}
+		}
+	}
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	special := []float64{nan, inf, -inf, negZero, 0, 1, -1}
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, granule := range []int{1, 4, 16} {
+		for _, n := range []int{1, 2, granule - 1, granule, granule + 1, 3 * granule, 3*granule + 1} {
+			if n <= 0 {
+				continue
+			}
+			for trial := 0; trial < 50; trial++ {
+				col := make([]float64, n)
+				for i := range col {
+					col[i] = special[rng.Intn(len(special))]
+				}
+				checkSummary(t, "special", col, granule, sameBits)
+			}
+			for _, at := range []int{0, n - 1, min(granule, n-1), n / 2} {
+				col := make([]float64, n)
+				for i := range col {
+					col[i] = float64(i % 5)
+				}
+				col[at] = nan
+				checkSummary(t, "nan", col, granule, sameBits)
+				col[at] = negZero
+				checkSummary(t, "negzero", col, granule, sameBits)
+			}
+		}
+	}
+}
+
+func checkSummary[T primitives.Ordered](t *testing.T, name string, col []T, granule int, same func(a, b T) bool) {
+	t.Helper()
+	got, want := BuildSummary(col, granule), twoPassSummary(col, granule)
+	if got.N != want.N || len(got.RunMax) != len(want.RunMax) || len(got.RevMin) != len(want.RevMin) {
+		t.Fatalf("%s n=%d granule=%d: shape %d/%d/%d, want %d/%d/%d", name, len(col), granule,
+			got.N, len(got.RunMax), len(got.RevMin), want.N, len(want.RunMax), len(want.RevMin))
+	}
+	for g := range want.RunMax {
+		if !same(got.RunMax[g], want.RunMax[g]) || !same(got.RevMin[g], want.RevMin[g]) {
+			t.Fatalf("%s n=%d granule=%d %v: granule %d RunMax %v RevMin %v, want %v %v", name, len(col), granule,
+				col, g, got.RunMax[g], got.RevMin[g], want.RunMax[g], want.RevMin[g])
+		}
 	}
 }

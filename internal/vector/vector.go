@@ -307,6 +307,43 @@ func (v *Vector) Gather(src *Vector, sel []int32) {
 	v.Typ = src.Typ
 }
 
+// GatherOuter is Gather where a negative position yields the zero value:
+// the build-side columns of a left-outer join's unmatched rows.
+func (v *Vector) GatherOuter(src *Vector, sel []int32) {
+	switch d := src.data.(type) {
+	case []bool:
+		v.data = gatherOuter(v.data.([]bool), d, sel)
+	case []uint8:
+		v.data = gatherOuter(v.data.([]uint8), d, sel)
+	case []uint16:
+		v.data = gatherOuter(v.data.([]uint16), d, sel)
+	case []int32:
+		v.data = gatherOuter(v.data.([]int32), d, sel)
+	case []int64:
+		v.data = gatherOuter(v.data.([]int64), d, sel)
+	case []float64:
+		v.data = gatherOuter(v.data.([]float64), d, sel)
+	case []string:
+		v.data = gatherOuter(v.data.([]string), d, sel)
+	default:
+		panic(fmt.Sprintf("vector: unsupported payload %T", src.data))
+	}
+	v.Typ = src.Typ
+}
+
+func gatherOuter[T any](dst, src []T, sel []int32) []T {
+	dst = ensureCap(dst, len(sel))
+	var zero T
+	for j, i := range sel {
+		if i < 0 {
+			dst[j] = zero
+			continue
+		}
+		dst[j] = src[i]
+	}
+	return dst
+}
+
 // Data returns the payload of v as a typed slice; it panics if the
 // physical element type is not T. Generic code (the expression compiler)
 // uses it to extract slices once per vector before entering its hot loop.
