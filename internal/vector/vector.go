@@ -257,82 +257,42 @@ func (v *Vector) CopyN(src *Vector, n int) {
 
 // Gather copies the values of src at the given positions into v, resizing v
 // to len(sel). v and src must share a physical type.
-func (v *Vector) Gather(src *Vector, sel []int32) {
-	switch d := src.data.(type) {
-	case []bool:
-		dst := ensureCap(v.data.([]bool), len(sel))
-		for j, i := range sel {
-			dst[j] = d[i]
-		}
-		v.data = dst
-	case []uint8:
-		dst := ensureCap(v.data.([]uint8), len(sel))
-		for j, i := range sel {
-			dst[j] = d[i]
-		}
-		v.data = dst
-	case []uint16:
-		dst := ensureCap(v.data.([]uint16), len(sel))
-		for j, i := range sel {
-			dst[j] = d[i]
-		}
-		v.data = dst
-	case []int32:
-		dst := ensureCap(v.data.([]int32), len(sel))
-		for j, i := range sel {
-			dst[j] = d[i]
-		}
-		v.data = dst
-	case []int64:
-		dst := ensureCap(v.data.([]int64), len(sel))
-		for j, i := range sel {
-			dst[j] = d[i]
-		}
-		v.data = dst
-	case []float64:
-		dst := ensureCap(v.data.([]float64), len(sel))
-		for j, i := range sel {
-			dst[j] = d[i]
-		}
-		v.data = dst
-	case []string:
-		dst := ensureCap(v.data.([]string), len(sel))
-		for j, i := range sel {
-			dst[j] = d[i]
-		}
-		v.data = dst
-	default:
-		panic(fmt.Sprintf("vector: unsupported payload %T", src.data))
-	}
-	v.Typ = src.Typ
-}
+func (v *Vector) Gather(src *Vector, sel []int32) { v.gather(src, sel, false) }
 
 // GatherOuter is Gather where a negative position yields the zero value:
 // the build-side columns of a left-outer join's unmatched rows.
-func (v *Vector) GatherOuter(src *Vector, sel []int32) {
+func (v *Vector) GatherOuter(src *Vector, sel []int32) { v.gather(src, sel, true) }
+
+func (v *Vector) gather(src *Vector, sel []int32, outer bool) {
 	switch d := src.data.(type) {
 	case []bool:
-		v.data = gatherOuter(v.data.([]bool), d, sel)
+		v.data = gatherInto(v.data.([]bool), d, sel, outer)
 	case []uint8:
-		v.data = gatherOuter(v.data.([]uint8), d, sel)
+		v.data = gatherInto(v.data.([]uint8), d, sel, outer)
 	case []uint16:
-		v.data = gatherOuter(v.data.([]uint16), d, sel)
+		v.data = gatherInto(v.data.([]uint16), d, sel, outer)
 	case []int32:
-		v.data = gatherOuter(v.data.([]int32), d, sel)
+		v.data = gatherInto(v.data.([]int32), d, sel, outer)
 	case []int64:
-		v.data = gatherOuter(v.data.([]int64), d, sel)
+		v.data = gatherInto(v.data.([]int64), d, sel, outer)
 	case []float64:
-		v.data = gatherOuter(v.data.([]float64), d, sel)
+		v.data = gatherInto(v.data.([]float64), d, sel, outer)
 	case []string:
-		v.data = gatherOuter(v.data.([]string), d, sel)
+		v.data = gatherInto(v.data.([]string), d, sel, outer)
 	default:
 		panic(fmt.Sprintf("vector: unsupported payload %T", src.data))
 	}
 	v.Typ = src.Typ
 }
 
-func gatherOuter[T any](dst, src []T, sel []int32) []T {
+func gatherInto[T any](dst, src []T, sel []int32, outer bool) []T {
 	dst = ensureCap(dst, len(sel))
+	if !outer {
+		for j, i := range sel {
+			dst[j] = src[i]
+		}
+		return dst
+	}
 	var zero T
 	for j, i := range sel {
 		if i < 0 {
