@@ -804,6 +804,7 @@ func (op *aggrOp) findOrInsert(keys []*vector.Vector, hashes []uint64, rows []in
 	}
 	todo := append(s.todo[:0], rows...)
 	gp, gg, cp, cq := s.gp, s.gg, s.cp, s.cq
+	claims := 0
 	for len(todo) > 0 {
 		gp, gg, cp, cq = gp[:0], gg[:0], cp[:0], cq[:0]
 		for _, p := range todo {
@@ -813,6 +814,7 @@ func (op *aggrOp) findOrInsert(keys []*vector.Vector, hashes []uint64, rows []in
 			case e == 0:
 				buckets[slot[p]] = -(p + 1)
 				gids[p] = -(p + 1)
+				claims++
 			default:
 				cp, cq = append(cp, p), append(cq, -e-1)
 			}
@@ -831,6 +833,9 @@ func (op *aggrOp) findOrInsert(keys []*vector.Vector, hashes []uint64, rows []in
 		todo = op.resolve(next, cp, cq, s.sel, slot, gids, true)
 	}
 	s.todo, s.slot, s.gp, s.gg, s.cp, s.cq = todo, slot, gp, gg, cp, cq
+	if claims == 0 {
+		return // every row found an existing group
+	}
 
 	newRows := s.newRows[:0]
 	for _, p := range rows {
@@ -861,6 +866,12 @@ func (op *aggrOp) findOrInsert(keys []*vector.Vector, hashes []uint64, rows []in
 // takes the group (a claimed one as -(claimer+1), settled after the last
 // round), a missed row moves to the next slot and is appended to next.
 func (op *aggrOp) resolve(next, ps, qs, match []int32, slot []uint64, gids []int32, claimed bool) []int32 {
+	if len(match) == len(ps) && !claimed {
+		for i, p := range ps {
+			gids[p] = qs[i] // all matched: the common case once groups exist
+		}
+		return next
+	}
 	j := 0
 	for i, p := range ps {
 		if j < len(match) && match[j] == int32(i) {

@@ -542,11 +542,12 @@ func (op *hashJoinOp) nextExpand() (*vector.Batch, error) {
 }
 
 // nextFiltered handles semi, anti and mark joins: one output row (at most)
-// per left row, no expansion. The batch's candidates are verified block by
-// block; a row's first verified pair marks it as hit, and the residual is
-// not evaluated again for a row that already hit.
+// per left row, no expansion. Only a row's first match matters, so the
+// chains are walked breadth-first: each round pairs every row still
+// without a hit with its next chain entry and verifies the pairs like
+// nextExpand's blocks; a row leaves at its first match or chain end.
 func (op *hashJoinOp) nextFiltered() (*vector.Batch, error) {
-	bs := op.opts.batchSize()
+	next := op.bld.next
 	for {
 		t0 := time.Now()
 		if err := op.pull(); err != nil || op.cur == nil {
@@ -556,14 +557,29 @@ func (op *hashJoinOp) nextFiltered() (*vector.Batch, error) {
 		hit := resize(op.hit, b.N)
 		clear(hit)
 		op.hit = hit
-		for !op.exhausted() {
-			op.candidates(bs, false)
+		candPos, candRow := op.candPos[:0], op.candRow[:0]
+		for k, r := range op.heads {
+			if r >= 0 {
+				candPos, candRow = append(candPos, int32(b.LiveRow(k))), append(candRow, r)
+			}
+		}
+		for len(candPos) > 0 {
+			op.candPos, op.candRow = candPos, candRow
+			op.sel = allPairs(op.sel, len(candPos))
 			op.verify()
 			for _, k := range op.sel {
-				if pos := op.candPos[k]; !hit[pos] && op.residualOK(pos, op.candRow[k]) {
+				if pos := candPos[k]; op.residualOK(pos, candRow[k]) {
 					hit[pos] = true
 				}
 			}
+			n := 0
+			for k, pos := range candPos {
+				if r := next[candRow[k]]; r >= 0 && !hit[pos] {
+					candPos[n], candRow[n] = pos, r
+					n++
+				}
+			}
+			candPos, candRow = candPos[:n], candRow[:n]
 		}
 		sel := op.outSel[:0]
 		for k := 0; k < b.Rows(); k++ {
