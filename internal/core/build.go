@@ -159,11 +159,11 @@ func (c *compiler) pipeline(plan algebra.Node, opts ExecOptions) (Operator, erro
 	case *algebra.Select:
 		// Summary-index pruning: a Select directly over a Scan derives
 		// #rowId bounds from range conjuncts on indexed columns
-		// (Section 4.3), then still applies the full predicate — fused into
+		// (Section 4.3), then still applies the full predicate — pushed into
 		// the scan so predicate translation runs on dictionary codes and
 		// later columns decode only surviving rows. The two optimizations
 		// are independent: NoSummaryIndex only skips the bounds,
-		// NoCodeDomain only skips the fusion.
+		// NoCodeDomain only skips the pushdown.
 		if sc, ok := n.Input.(*algebra.Scan); ok {
 			bounds := n.Pred
 			if opts.NoSummaryIndex {
@@ -173,10 +173,13 @@ func (c *compiler) pipeline(plan algebra.Node, opts ExecOptions) (Operator, erro
 			if err != nil {
 				return nil, err
 			}
-			if !opts.NoCodeDomain {
-				return newScanSelectOp(op, n.Pred, opts)
+			if opts.NoCodeDomain {
+				return newSelectOp(op, n.Pred, opts)
 			}
-			return newSelectOp(op, n.Pred, opts)
+			if err := op.pushSelect(n.Pred); err != nil {
+				return nil, err
+			}
+			return op, nil
 		}
 		in, err := c.pipeline(n.Input, opts)
 		if err != nil {

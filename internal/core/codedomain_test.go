@@ -369,8 +369,9 @@ func TestCodeDomainLeftOuterGroupKey(t *testing.T) {
 	}
 }
 
-// TestCodeDomainWithDeletions checks the fused scan-select respects the
-// deletion list (deleted rows are filtered before predicate evaluation).
+// TestCodeDomainWithDeletions checks a scan with a pushed-down predicate
+// respects the deletion list (deleted rows are filtered before predicate
+// evaluation).
 func TestCodeDomainWithDeletions(t *testing.T) {
 	db, _, n := codeDomainDiskDB(t)
 	ds, err := db.Delta("events")

@@ -7,30 +7,107 @@ import (
 
 	"x100/internal/algebra"
 	"x100/internal/colstore"
-	"x100/internal/delta"
 	"x100/internal/expr"
+	"x100/internal/primitives"
 	"x100/internal/vector"
 )
+
+// fetchCols gathers the fetched columns of a fetch join's target table by
+// row id. Disk-backed columns are never pinned: base ids gather through one
+// colstore.FragLocator per column, which resolves row ids to (fragment,
+// offset) by binary search over the fragment grid and holds at most a small
+// LRU of decoded chunks, so fetch joins against directories larger than RAM
+// stay within bounded memory. Ids past the view's base address its pending
+// inserts and gather from the frozen snapshot's delta vectors.
+type fetchCols struct {
+	view  *tableView
+	cols  []*colstore.Column
+	locs  []*colstore.FragLocator
+	tails []*vector.Vector // each column's insert tail; nil without one
+	// split's result for the current batch: its base and tail positions,
+	// and at tail positions the ids rebased into the tail.
+	baseSel, tailSel, tailIDs []int32
+}
+
+// add resolves a fetched column of the view by name, with its insert tail.
+func (f *fetchCols) add(name string) (*colstore.Column, error) {
+	ti := f.view.colIndex(name)
+	if ti < 0 {
+		return nil, fmt.Errorf("core: table %s has no column %q", f.view.name, name)
+	}
+	f.cols = append(f.cols, f.view.cols[ti])
+	if n := f.view.delta.NumDeltaRows(); n > 0 {
+		f.tails = append(f.tails, f.view.delta.DeltaVector(ti, 0, n))
+	}
+	return f.view.cols[ti], nil
+}
+
+// open creates one locator per fetched column per operator instance:
+// parallel plans build one fetch op per worker, so locators (like readers)
+// are single-goroutine by construction.
+func (f *fetchCols) open() {
+	f.locs = make([]*colstore.FragLocator, len(f.cols))
+	for i, c := range f.cols {
+		f.locs[i] = c.Locator(0)
+	}
+}
+
+// split sorts the live positions of ids (sel, else [0,n)) into base and
+// tail positions for the gathers of one batch.
+func (f *fetchCols) split(ids, sel []int32, n int) {
+	if f.tails == nil {
+		return
+	}
+	baseN := int32(f.view.n)
+	if len(f.tailIDs) < n {
+		f.tailIDs = make([]int32, n)
+	}
+	f.baseSel, f.tailSel = f.baseSel[:0], f.tailSel[:0]
+	live := n
+	if sel != nil {
+		live = len(sel)
+	}
+	for j := range live {
+		i := int32(j)
+		if sel != nil {
+			i = sel[j]
+		}
+		if id := ids[i]; id < baseN {
+			f.baseSel = append(f.baseSel, i)
+		} else {
+			f.tailSel = append(f.tailSel, i)
+			f.tailIDs[i] = id - baseN
+		}
+	}
+}
+
+// gather fills dst with column ci's values at ids for the live positions
+// (sel, else [0,n)) of the batch last split.
+func (f *fetchCols) gather(ci int, dst *vector.Vector, ids, sel []int32, n int) error {
+	if len(f.tailSel) == 0 {
+		return f.locs[ci].Gather(dst, ids, sel, n)
+	}
+	if len(f.baseSel) > 0 {
+		if err := f.locs[ci].Gather(dst, ids, f.baseSel, n); err != nil {
+			return err
+		}
+	}
+	gatherCol(dst, f.tails[ci], f.tailIDs, f.tailSel, n)
+	return nil
+}
 
 // fetch1JoinOp fetches columns of a referenced table positionally by row id
 // (Section 4.1.2): the vectorized inner loop is a gather through the row-id
 // vector. Enum columns decode through their dictionary in the same pass
-// (double indirection: dict[codes[rowid]]). Disk-backed columns are never
-// pinned: each fetched column gathers through a colstore.FragLocator that
-// resolves row ids to (fragment, offset) by binary search over the
-// fragment grid and holds at most a small LRU of decoded chunks, so fetch
-// joins against directories larger than RAM stay within bounded memory.
+// (double indirection: dict[codes[rowid]]).
 type fetch1JoinOp struct {
+	fetchCols
 	input   Operator
 	node    *algebra.Fetch1Join
-	view    *tableView
-	dsnap   *delta.Snapshot
 	prog    *expr.Prog
 	rowPass int // input column index when RowID is a plain column
 	opts    ExecOptions
 	schema  vector.Schema
-	cols    []*colstore.Column
-	locs    []*colstore.FragLocator
 	bufs    []*vector.Vector
 	// trace names, fixed at build: the operator's and each column's gather.
 	name      string
@@ -42,7 +119,7 @@ func newFetch1JoinOp(db *Database, input Operator, node *algebra.Fetch1Join, opt
 	if err != nil {
 		return nil, err
 	}
-	op := &fetch1JoinOp{input: input, node: node, view: v, dsnap: v.delta, opts: opts, rowPass: -1,
+	op := &fetch1JoinOp{fetchCols: fetchCols{view: v}, input: input, node: node, opts: opts, rowPass: -1,
 		name: "Fetch1Join(" + node.Table + ")"}
 	in := input.Schema()
 	if c, ok := node.RowID.(*expr.Col); ok {
@@ -62,11 +139,10 @@ func newFetch1JoinOp(db *Database, input Operator, node *algebra.Fetch1Join, opt
 	}
 	op.schema = in.Clone()
 	for i, cname := range node.Cols {
-		c := v.col(cname)
-		if c == nil {
-			return nil, fmt.Errorf("core: table %s has no column %q", node.Table, cname)
+		c, err := op.add(cname)
+		if err != nil {
+			return nil, err
 		}
-		op.cols = append(op.cols, c)
 		op.colTraces = append(op.colTraces, fmt.Sprintf("map_fetch_sint_col_%s_col", typeAbbrevCore(c.Typ)))
 		name := cname
 		if i < len(node.As) && node.As[i] != "" {
@@ -84,14 +160,10 @@ func (op *fetch1JoinOp) Open() error {
 		return err
 	}
 	op.bufs = make([]*vector.Vector, len(op.cols))
-	op.locs = make([]*colstore.FragLocator, len(op.cols))
 	for i, c := range op.cols {
 		op.bufs[i] = vector.New(c.Typ, 0)
-		// One locator per fetched column per operator instance: parallel
-		// plans build one fetch op per worker, so locators (like readers)
-		// are single-goroutine by construction.
-		op.locs[i] = c.Locator(0)
 	}
+	op.open()
 	return nil
 }
 
@@ -111,7 +183,7 @@ func (op *fetch1JoinOp) Next() (*vector.Batch, error) {
 	}
 	out := &vector.Batch{Schema: op.schema, Vecs: make([]*vector.Vector, 0, len(op.schema)), Sel: b.Sel, N: b.N}
 	out.Vecs = append(out.Vecs, b.Vecs...)
-	hasDelta := op.dsnap.NumDeltaRows() > 0
+	op.split(ids, b.Sel, b.N)
 	for ci, col := range op.cols {
 		dst := op.bufs[ci]
 		if dst.Len() < b.N {
@@ -121,12 +193,7 @@ func (op *fetch1JoinOp) Next() (*vector.Batch, error) {
 		v := dst.Slice(0, b.N)
 		v.Typ = col.Typ
 		tr := op.opts.Tracer.Now()
-		if hasDelta {
-			err = op.fetchWithDelta(v, ci, ids, b.Sel, b.N)
-		} else {
-			err = op.locs[ci].Gather(v, ids, b.Sel, b.N)
-		}
-		if err != nil {
+		if err := op.gather(ci, v, ids, b.Sel, b.N); err != nil {
 			return nil, err
 		}
 		op.opts.Tracer.RecordPrimitiveSince(op.colTraces[ci], tr, b.Rows(), (4+col.Typ.Width())*b.Rows())
@@ -150,34 +217,28 @@ func FetchColumn(dst *vector.Vector, col *colstore.Column, ids []int32, sel []in
 		fetchEnum(dst, col, ids, sel, n)
 		return nil
 	}
-	switch col.Typ.Physical() {
-	case vector.Bool:
-		gatherLoop(dst.Bools(), col.Data().([]bool), ids, sel, n)
-	case vector.UInt8:
-		gatherLoop(dst.UInt8s(), col.Data().([]uint8), ids, sel, n)
-	case vector.UInt16:
-		gatherLoop(dst.UInt16s(), col.Data().([]uint16), ids, sel, n)
-	case vector.Int32:
-		gatherLoop(dst.Int32s(), col.Data().([]int32), ids, sel, n)
-	case vector.Int64:
-		gatherLoop(dst.Int64s(), col.Data().([]int64), ids, sel, n)
-	case vector.Float64:
-		gatherLoop(dst.Float64s(), col.Data().([]float64), ids, sel, n)
-	case vector.String:
-		gatherLoop(dst.Strings(), col.Data().([]string), ids, sel, n)
-	}
+	gatherCol(dst, vector.FromAny(col.Typ, col.Data()), ids, sel, n)
 	return nil
 }
 
-func gatherLoop[T any](dst []T, base []T, ids []int32, sel []int32, n int) {
-	if sel != nil {
-		for _, i := range sel {
-			dst[i] = base[ids[i]]
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = base[ids[i]]
+// gatherCol gathers src[ids[i]] into dst for the live positions (sel, else
+// [0,n)), typed by the vectors' common physical type.
+func gatherCol(dst, src *vector.Vector, ids []int32, sel []int32, n int) {
+	switch dst.Typ.Physical() {
+	case vector.Bool:
+		primitives.GatherCol(dst.Bools()[:n], src.Bools(), ids, sel)
+	case vector.UInt8:
+		primitives.GatherCol(dst.UInt8s()[:n], src.UInt8s(), ids, sel)
+	case vector.UInt16:
+		primitives.GatherCol(dst.UInt16s()[:n], src.UInt16s(), ids, sel)
+	case vector.Int32:
+		primitives.GatherCol(dst.Int32s()[:n], src.Int32s(), ids, sel)
+	case vector.Int64:
+		primitives.GatherCol(dst.Int64s()[:n], src.Int64s(), ids, sel)
+	case vector.Float64:
+		primitives.GatherCol(dst.Float64s()[:n], src.Float64s(), ids, sel)
+	case vector.String:
+		primitives.GatherCol(dst.Strings()[:n], src.Strings(), ids, sel)
 	}
 }
 
@@ -215,64 +276,21 @@ func enumGather[T any, C uint8 | uint16](dst []T, base []T, codes []C, ids []int
 	}
 }
 
-// fetchWithDelta is the slow path when the referenced table has pending
-// inserts: row ids at or beyond the captured base resolve into the delta
-// snapshot, base ids resolve value-at-a-time through the column's locator
-// (still never pinning).
-func (op *fetch1JoinOp) fetchWithDelta(dst *vector.Vector, ci int, ids []int32, sel []int32, n int) error {
-	baseN := op.view.n
-	col := op.cols[ci]
-	loc := op.locs[ci]
-	ti := 0
-	for i, c := range op.view.cols {
-		if c == col {
-			ti = i
-			break
-		}
-	}
-	get := func(id int32) (any, error) {
-		if int(id) < baseN {
-			return loc.Value(int(id))
-		}
-		return op.dsnap.DeltaValue(ti, int(id)-baseN), nil
-	}
-	if sel != nil {
-		for _, i := range sel {
-			v, err := get(ids[i])
-			if err != nil {
-				return err
-			}
-			dst.Set(int(i), v)
-		}
-		return nil
-	}
-	for i := 0; i < n; i++ {
-		v, err := get(ids[i])
-		if err != nil {
-			return err
-		}
-		dst.Set(i, v)
-	}
-	return nil
-}
-
 // fetchNJoinOp expands each input row into the contiguous range of
 // referenced-table rows given by a range index, fetching columns
-// positionally (the FetchNJoin of Section 4.1.2). Like Fetch1Join it
-// gathers through per-column FragLocators, so disk-backed fetch targets
-// decode at most a few chunks at a time instead of pinning.
+// positionally (the FetchNJoin of Section 4.1.2), gathering like
+// Fetch1Join.
 type fetchNJoinOp struct {
+	fetchCols
 	input    Operator
 	node     *algebra.FetchNJoin
-	view     *tableView
+	name     string  // trace name, fixed at build
 	del      []int32 // the fetch target's ascending deletion list
 	delPos   int     // first deletion >= curFetch within the current range
 	ranges   *rangeLookup
 	opts     ExecOptions
 	schema   vector.Schema
 	rangeCol int
-	cols     []*colstore.Column
-	locs     []*colstore.FragLocator
 
 	curBatch  *vector.Batch
 	lastBatch *vector.Batch
@@ -310,17 +328,16 @@ func newFetchNJoinOp(db *Database, input Operator, node *algebra.FetchNJoin, opt
 		return nil, fmt.Errorf("core: fetchnjoin input has no column %q", node.RangeOf)
 	}
 	op := &fetchNJoinOp{
-		input: input, node: node, view: v,
+		fetchCols: fetchCols{view: v}, input: input, node: node, name: "FetchNJoin(" + node.Table + ")",
 		ranges: &rangeLookup{starts: ri.Starts}, opts: opts, rangeCol: rc,
 	}
 	op.del = v.delta.SortedDeleted()
 	op.schema = in.Clone()
 	for i, cname := range node.Cols {
-		c := v.col(cname)
-		if c == nil {
-			return nil, fmt.Errorf("core: table %s has no column %q", node.Table, cname)
+		c, err := op.add(cname)
+		if err != nil {
+			return nil, err
 		}
-		op.cols = append(op.cols, c)
 		name := cname
 		if i < len(node.As) && node.As[i] != "" {
 			name = node.As[i]
@@ -339,10 +356,7 @@ func (op *fetchNJoinOp) Open() error {
 	bs := op.opts.batchSize()
 	op.leftIdx = make([]int32, 0, bs)
 	op.fetchIdx = make([]int32, 0, bs)
-	op.locs = make([]*colstore.FragLocator, len(op.cols))
-	for i, c := range op.cols {
-		op.locs[i] = c.Locator(0)
-	}
+	op.open()
 	return op.input.Open()
 }
 
@@ -412,50 +426,15 @@ func (op *fetchNJoinOp) Next() (*vector.Batch, error) {
 		v.Typ = op.schema[c].Type
 		out.Vecs[c] = v
 	}
-	hasDelta := op.view.delta.NumDeltaRows() > 0
+	op.split(op.fetchIdx, nil, k)
 	for i, col := range op.cols {
 		v := vector.New(col.Typ, k)
-		var err error
-		if hasDelta {
-			err = op.fetchWithDelta(v, i, op.fetchIdx, k)
-		} else {
-			err = op.locs[i].Gather(v, op.fetchIdx, nil, k)
-		}
-		if err != nil {
+		if err := op.gather(i, v, op.fetchIdx, nil, k); err != nil {
 			return nil, err
 		}
 		v.Typ = col.Typ
 		out.Vecs[nl+i] = v
 	}
-	op.opts.Tracer.RecordOperator("FetchNJoin("+op.node.Table+")", k, time.Since(t0))
+	op.opts.Tracer.RecordOperator(op.name, k, time.Since(t0))
 	return out, nil
-}
-
-// fetchWithDelta mirrors fetch1JoinOp.fetchWithDelta: a range index derived
-// while the referenced table had pending inserts addresses delta-resident
-// rows past the captured base, which resolve through the delta snapshot.
-func (op *fetchNJoinOp) fetchWithDelta(dst *vector.Vector, ci int, ids []int32, n int) error {
-	baseN := op.view.n
-	col := op.cols[ci]
-	loc := op.locs[ci]
-	ti := 0
-	for i, c := range op.view.cols {
-		if c == col {
-			ti = i
-			break
-		}
-	}
-	for i := 0; i < n; i++ {
-		id := ids[i]
-		if int(id) < baseN {
-			v, err := loc.Value(int(id))
-			if err != nil {
-				return err
-			}
-			dst.Set(i, v)
-			continue
-		}
-		dst.Set(i, op.view.delta.DeltaValue(ti, int(id)-baseN))
-	}
-	return nil
 }

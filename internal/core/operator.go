@@ -38,9 +38,9 @@ type ExecOptions struct {
 	Tracer *trace.Collector
 	// NoSummaryIndex disables summary-index range pruning (ablation).
 	NoSummaryIndex bool
-	// NoCodeDomain disables code-domain execution: the scan-select fusion
-	// with selection pushdown, string-predicate translation onto dictionary
-	// codes, and the group-by/join-key code rewrite. Everything then runs
+	// NoCodeDomain disables code-domain execution: pushing a Select into
+	// its scan with selection pushdown, string-predicate translation onto
+	// dictionary codes, and the group-by/join-key code rewrite. Everything then runs
 	// decode-first, which is the comparison baseline of the compressed
 	// benchmark and the differential tests.
 	NoCodeDomain bool

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"time"
 
 	"x100/internal/colstore"
 	"x100/internal/delta"
+	"x100/internal/expr"
 	"x100/internal/primitives"
 	"x100/internal/vector"
 )
@@ -95,10 +97,21 @@ type scanOp struct {
 	source   *morselSource
 	morselHi int
 
+	// fullPred, when non-nil, is a Select pushed into the scan
+	// (pushSelect): codeSteps are its conjuncts translated into the code
+	// domain, strPred the untranslated rest over the columns strCols. Base
+	// batches run the code steps, then strPred; tail batches run fullPred,
+	// the whole predicate, decode-first.
+	fullPred  *expr.Pred
+	codeSteps []*codeStep
+	strPred   *expr.Pred
+	strCols   []int
+
 	pos      int
 	rowIDBuf []int32
 	selBuf   []int32
 	batch    *vector.Batch
+	filled   []bool // columns of the current batch already materialized
 }
 
 func newScanOp(db *Database, table string, cols []string, opts ExecOptions) (*scanOp, error) {
@@ -181,6 +194,23 @@ func (s *scanOp) Open() error {
 		}
 	}
 	s.batch = &vector.Batch{Schema: s.schema, Vecs: make([]*vector.Vector, len(s.cols))}
+	s.filled = make([]bool, len(s.cols))
+	if s.fullPred != nil {
+		bs := s.opts.batchSize()
+		s.fullPred.Reserve(bs)
+		if s.strPred != nil {
+			s.strPred.Reserve(bs)
+		}
+		for _, st := range s.codeSteps {
+			if cap(st.buf) < bs {
+				st.buf = make([]int32, bs)
+			}
+			st.lastFrag = -1
+			if st.strFallback != nil {
+				st.strFallback.Reserve(bs)
+			}
+		}
+	}
 	// Charge the scan's decode/row-id buffers against the query budget.
 	s.opts.life.reserve(batchBytes(len(s.cols)+1, n))
 	return nil
@@ -279,10 +309,13 @@ func (s *scanOp) deletionSel(lo, hi int) []int32 {
 	return sel
 }
 
-// fillCol materializes column i of the current batch over [lo,hi). sel
-// (batch-relative positions, nil = all) is the selection known so far:
-// dictionary-backed base columns decode only the selected rows.
-func (s *scanOp) fillCol(i, lo, hi int, sel []int32) error {
+// fill materializes column i of the current batch over [lo,hi), once per
+// batch. sel (batch-relative positions, nil = all) is the selection known
+// so far: dictionary-backed base columns decode only the selected rows.
+func (s *scanOp) fill(i, lo, hi int, sel []int32) error {
+	if s.filled[i] {
+		return nil
+	}
 	sc := &s.cols[i]
 	var v *vector.Vector
 	var err error
@@ -310,27 +343,89 @@ func (s *scanOp) fillCol(i, lo, hi int, sel []int32) error {
 	}
 	v.Typ = sc.typ
 	s.batch.Vecs[i] = v
+	s.filled[i] = true
 	return nil
 }
 
+// Next claims batch ranges until one has a row that is live and, with a
+// pushed-down predicate, passes it; the remaining columns are then filled
+// only for those rows.
 func (s *scanOp) Next() (*vector.Batch, error) {
-	// Batch boundary: the cancellation/budget check of this pipeline.
-	if err := s.opts.life.check(); err != nil {
-		return nil, err
+	for {
+		// Batch boundary: the cancellation/budget check of this pipeline,
+		// also between batches the predicate filters out entirely.
+		if err := s.opts.life.check(); err != nil {
+			return nil, err
+		}
+		lo, hi, sel, ok := s.nextRange()
+		if !ok {
+			return nil, nil
+		}
+		b := s.batch
+		b.N = hi - lo
+		b.Sel = nil
+		clear(s.filled)
+		var t0 time.Time
+		if s.fullPred != nil {
+			t0 = time.Now()
+			var err error
+			if sel, err = s.filter(lo, hi, sel); err != nil {
+				return nil, err
+			}
+			if len(sel) == 0 {
+				s.opts.Tracer.RecordOperator("Select", 0, time.Since(t0))
+				continue
+			}
+		}
+		for i := range s.cols {
+			if err := s.fill(i, lo, hi, sel); err != nil {
+				return nil, err
+			}
+		}
+		b.Sel = sel
+		if s.fullPred != nil {
+			s.opts.Tracer.RecordOperator("Select", b.Rows(), time.Since(t0))
+		}
+		return b, nil
 	}
-	lo, hi, sel, ok := s.nextRange()
-	if !ok {
-		return nil, nil
+}
+
+// filter returns the rows of batch [lo,hi) under sel that pass the pushed
+// predicate: on a base batch the code steps, then the untranslated rest
+// decode-first; on a tail batch the whole predicate decode-first.
+func (s *scanOp) filter(lo, hi int, sel []int32) ([]int32, error) {
+	p, cols := s.fullPred, []int(nil)
+	if lo >= s.baseN {
+		for i := range s.cols {
+			if err := s.fill(i, lo, hi, sel); err != nil {
+				return nil, err
+			}
+		}
+	} else {
+		for _, st := range s.codeSteps {
+			out, err := st.apply(s, lo, hi, sel)
+			if err != nil || len(out) == 0 {
+				return out, err
+			}
+			sel = out
+		}
+		if s.strPred == nil {
+			return sel, nil
+		}
+		p, cols = s.strPred, s.strCols
 	}
-	b := s.batch
-	b.N = hi - lo
-	for i := range s.cols {
-		if err := s.fillCol(i, lo, hi, sel); err != nil {
+	for _, ci := range cols {
+		if err := s.fill(ci, lo, hi, sel); err != nil {
 			return nil, err
 		}
 	}
-	b.Sel = sel
-	return b, nil
+	nin := hi - lo
+	if sel != nil {
+		nin = len(sel)
+	}
+	s.batch.Sel = sel
+	s.opts.Tracer.RecordCounter("select_decode_first", int64(nin))
+	return p.Select(s.batch), nil
 }
 
 // decodeDict gathers dictionary values through the code vector — the

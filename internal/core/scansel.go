@@ -1,8 +1,8 @@
 package core
 
 import (
+	"slices"
 	"sort"
-	"time"
 
 	"x100/internal/colstore"
 	"x100/internal/expr"
@@ -10,8 +10,8 @@ import (
 	"x100/internal/vector"
 )
 
-// scanSelectOp fuses a Select directly over a Scan, enabling the two
-// code-domain scan optimizations of this engine:
+// pushSelect pushes pred, a Select directly over this scan, into it,
+// enabling the two code-domain scan optimizations of this engine:
 //
 //   - Code-domain predicates: conjuncts over a single dictionary-backed
 //     string column (enum columns, merged-dict ColumnBM columns, and
@@ -31,19 +31,36 @@ import (
 // Both apply to base batches only. Insert-tail batches are uncompressed
 // logical values that may carry dictionary values the compiled translation
 // has never seen, so the whole predicate evaluates decode-first over them.
-type scanSelectOp struct {
-	scan *scanOp
-	opts ExecOptions
-
-	codeSteps []*codeStep
-	// strPred evaluates the conjuncts that did not translate, over the
-	// scan's schema; strCols lists the scan columns it reads.
-	strPred *expr.Pred
-	strCols []int
-	// fullPred is the whole predicate, used on insert-tail batches.
-	fullPred *expr.Pred
-
-	filled []bool
+func (s *scanOp) pushSelect(pred expr.Expr) error {
+	full, err := expr.CompilePred(pred, s.schema, s.opts.exprOptions())
+	if err != nil {
+		return err
+	}
+	s.fullPred = full
+	var rest []expr.Expr
+	for _, cj := range conjuncts(pred, nil) {
+		if st := s.translate(cj); st != nil {
+			s.codeSteps = append(s.codeSteps, st)
+			continue
+		}
+		rest = append(rest, cj)
+	}
+	if len(rest) == 0 {
+		return nil
+	}
+	restPred := rest[0]
+	if len(rest) > 1 {
+		restPred = expr.AndE(rest...)
+	}
+	if s.strPred, err = expr.CompilePred(restPred, s.schema, s.opts.exprOptions()); err != nil {
+		return err
+	}
+	for _, name := range expr.Columns(restPred, nil) {
+		if ci := s.schema.ColIndex(name); ci >= 0 && !slices.Contains(s.strCols, ci) {
+			s.strCols = append(s.strCols, ci)
+		}
+	}
+	return nil
 }
 
 // stepKind tags how a code-domain step evaluates.
@@ -80,45 +97,9 @@ type codeStep struct {
 	buf []int32
 }
 
-// newScanSelectOp fuses pred over the scan. It always applies selection
-// pushdown; conjuncts additionally translate into the code domain when
-// they touch exactly one dictionary-backed string column.
-func newScanSelectOp(op *scanOp, pred expr.Expr, opts ExecOptions) (*scanSelectOp, error) {
-	full, err := expr.CompilePred(pred, op.schema, opts.exprOptions())
-	if err != nil {
-		return nil, err
-	}
-	s := &scanSelectOp{scan: op, opts: opts, fullPred: full, filled: make([]bool, len(op.cols))}
-	var rest []expr.Expr
-	for _, cj := range conjuncts(pred, nil) {
-		if st := s.translate(cj); st != nil {
-			s.codeSteps = append(s.codeSteps, st)
-			continue
-		}
-		rest = append(rest, cj)
-	}
-	if len(rest) > 0 {
-		restPred := rest[0]
-		if len(rest) > 1 {
-			restPred = expr.AndE(rest...)
-		}
-		if s.strPred, err = expr.CompilePred(restPred, op.schema, opts.exprOptions()); err != nil {
-			return nil, err
-		}
-		seen := map[int]bool{}
-		for _, name := range expr.Columns(restPred, nil) {
-			if ci := op.schema.ColIndex(name); ci >= 0 && !seen[ci] {
-				seen[ci] = true
-				s.strCols = append(s.strCols, ci)
-			}
-		}
-	}
-	return s, nil
-}
-
 // singleStringCol returns the scan column index when cj references exactly
 // one column and that column is a logically read string column.
-func (s *scanSelectOp) singleStringCol(cj expr.Expr) (int, bool) {
+func (s *scanOp) singleStringCol(cj expr.Expr) (int, bool) {
 	names := expr.Columns(cj, nil)
 	if len(names) == 0 {
 		return -1, false
@@ -128,11 +109,11 @@ func (s *scanSelectOp) singleStringCol(cj expr.Expr) (int, bool) {
 			return -1, false
 		}
 	}
-	ci := s.scan.schema.ColIndex(names[0])
+	ci := s.schema.ColIndex(names[0])
 	if ci < 0 {
 		return -1, false
 	}
-	sc := &s.scan.cols[ci]
+	sc := &s.cols[ci]
 	if sc.col == nil || sc.isRowID || sc.rawCode || sc.typ.Physical() != vector.String {
 		return -1, false
 	}
@@ -141,12 +122,12 @@ func (s *scanSelectOp) singleStringCol(cj expr.Expr) (int, bool) {
 
 // translate attempts to turn one conjunct into a code-domain step. nil
 // means the conjunct stays on the decode-first path.
-func (s *scanSelectOp) translate(cj expr.Expr) *codeStep {
+func (s *scanOp) translate(cj expr.Expr) *codeStep {
 	ci, ok := s.singleStringCol(cj)
 	if !ok {
 		return nil
 	}
-	sc := &s.scan.cols[ci]
+	sc := &s.cols[ci]
 	if d, _, ok := sc.col.CodeDomain(); ok {
 		return s.translateGlobal(cj, ci, d)
 	}
@@ -159,7 +140,7 @@ func (s *scanSelectOp) translate(cj expr.Expr) *codeStep {
 // everything else (IN, LIKE, ranges over insertion-ordered enum
 // dictionaries, single-column boolean combinations) becomes a bitmap built
 // by evaluating the predicate once per distinct dictionary value.
-func (s *scanSelectOp) translateGlobal(cj expr.Expr, ci int, d *colstore.Dict) *codeStep {
+func (s *scanOp) translateGlobal(cj expr.Expr, ci int, d *colstore.Dict) *codeStep {
 	if cmp, cst, ok := colConstCmp(cj); ok {
 		switch cmp {
 		case expr.EQ:
@@ -266,8 +247,8 @@ func colConstCmp(cj expr.Expr) (expr.CmpKind, string, bool) {
 
 // dictPred compiles cj against a one-column {name: string} schema so it can
 // be evaluated over dictionary values instead of rows.
-func (s *scanSelectOp) dictPred(cj expr.Expr, ci int) (*expr.Pred, vector.Schema) {
-	schema := vector.Schema{{Name: s.scan.schema[ci].Name, Type: vector.String}}
+func (s *scanOp) dictPred(cj expr.Expr, ci int) (*expr.Pred, vector.Schema) {
+	schema := vector.Schema{{Name: s.schema[ci].Name, Type: vector.String}}
 	// Dictionary evaluation is off the per-row hot path; keep it out of the
 	// primitive trace so per-row primitive counts stay meaningful.
 	p, err := expr.CompilePred(cj, schema, expr.Options{Fuse: s.opts.Fuse})
@@ -280,7 +261,7 @@ func (s *scanSelectOp) dictPred(cj expr.Expr, ci int) (*expr.Pred, vector.Schema
 // bitsFor evaluates cj over the dictionary values and returns the
 // qualifying-code bitmap, or nil when the conjunct cannot be compiled
 // against the single-column schema.
-func (s *scanSelectOp) bitsFor(cj expr.Expr, ci int, values []string) []bool {
+func (s *scanOp) bitsFor(cj expr.Expr, ci int, values []string) []bool {
 	p, schema := s.dictPred(cj, ci)
 	if p == nil {
 		return nil
@@ -307,8 +288,8 @@ func evalDictBits(p *expr.Pred, schema vector.Schema, values []string) []bool {
 // read instead of its rows, the conjunct is evaluated once per distinct
 // value, and rows filter through a byte lookup. Chunks that are not
 // dict-coded (raw/prefix, or in-memory fragments) evaluate decode-first.
-func (s *scanSelectOp) translateChunk(cj expr.Expr, ci int) *codeStep {
-	sc := &s.scan.cols[ci]
+func (s *scanOp) translateChunk(cj expr.Expr, ci int) *codeStep {
+	sc := &s.cols[ci]
 	hasDict := false
 	for i := 0; i < sc.col.NumFrags(); i++ {
 		f := sc.col.Frag(i)
@@ -328,7 +309,7 @@ func (s *scanSelectOp) translateChunk(cj expr.Expr, ci int) *codeStep {
 	if p == nil {
 		return nil
 	}
-	fallback, err := expr.CompilePred(cj, s.scan.schema, s.opts.exprOptions())
+	fallback, err := expr.CompilePred(cj, s.schema, s.opts.exprOptions())
 	if err != nil {
 		return nil
 	}
@@ -339,36 +320,11 @@ func (s *scanSelectOp) translateChunk(cj expr.Expr, ci int) *codeStep {
 	}
 }
 
-func (s *scanSelectOp) Schema() vector.Schema { return s.scan.schema }
-
-func (s *scanSelectOp) Open() error {
-	if err := s.scan.Open(); err != nil {
-		return err
-	}
-	bs := s.opts.batchSize()
-	s.fullPred.Reserve(bs)
-	if s.strPred != nil {
-		s.strPred.Reserve(bs)
-	}
-	for _, st := range s.codeSteps {
-		if cap(st.buf) < bs {
-			st.buf = make([]int32, bs)
-		}
-		st.lastFrag = -1
-		if st.strFallback != nil {
-			st.strFallback.Reserve(bs)
-		}
-	}
-	return nil
-}
-
-func (s *scanSelectOp) Close() error { return s.scan.Close() }
-
 // apply runs one code step over the batch range, returning the surviving
 // selection (explicit, possibly empty). filled tracks per-batch column
 // materialization for the decode-first chunk fallback.
-func (st *codeStep) apply(s *scanSelectOp, lo, hi int, sel []int32) ([]int32, error) {
-	sc := &s.scan.cols[st.colIdx]
+func (st *codeStep) apply(s *scanOp, lo, hi int, sel []int32) ([]int32, error) {
+	sc := &s.cols[st.colIdx]
 	k := hi - lo
 	nin := k
 	if sel != nil {
@@ -391,7 +347,7 @@ func (st *codeStep) apply(s *scanSelectOp, lo, hi int, sel []int32) ([]int32, er
 			if err := s.fill(st.colIdx, lo, hi, sel); err != nil {
 				return nil, err
 			}
-			b := s.scan.batch
+			b := s.batch
 			saved := b.Sel
 			b.Sel = sel
 			out := st.strFallback.Select(b)
@@ -491,96 +447,4 @@ func selectCodeCmp(res []int32, codes *vector.Vector, op expr.CmpKind, code int,
 	default:
 		return primitives.SelectGEColVal(res, in, uint16(code), sel)
 	}
-}
-
-// fill materializes scan column ci for the current batch once.
-func (s *scanSelectOp) fill(ci, lo, hi int, sel []int32) error {
-	if s.filled[ci] {
-		return nil
-	}
-	if err := s.scan.fillCol(ci, lo, hi, sel); err != nil {
-		return err
-	}
-	s.filled[ci] = true
-	return nil
-}
-
-func (s *scanSelectOp) Next() (*vector.Batch, error) {
-	for {
-		lo, hi, sel, ok := s.scan.nextRange()
-		if !ok {
-			return nil, nil
-		}
-		t0 := time.Now()
-		b := s.scan.batch
-		b.N = hi - lo
-		b.Sel = nil
-		clear(s.filled)
-		var err error
-		if lo >= s.scan.baseN {
-			sel, err = s.selectTail(lo, hi, sel)
-		} else {
-			sel, err = s.selectBase(lo, hi, sel)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(sel) == 0 {
-			s.opts.Tracer.RecordOperator("Select", 0, time.Since(t0))
-			continue
-		}
-		// Materialize the remaining columns only for surviving rows.
-		for i := range s.scan.cols {
-			if err := s.fill(i, lo, hi, sel); err != nil {
-				return nil, err
-			}
-		}
-		b.Sel = sel
-		s.opts.Tracer.RecordOperator("Select", b.Rows(), time.Since(t0))
-		return b, nil
-	}
-}
-
-// selectBase runs the code-domain steps, then the untranslated conjuncts
-// decode-first, over a base batch, returning the surviving selection.
-func (s *scanSelectOp) selectBase(lo, hi int, sel []int32) ([]int32, error) {
-	for _, st := range s.codeSteps {
-		out, err := st.apply(s, lo, hi, sel)
-		if err != nil || len(out) == 0 {
-			return out, err
-		}
-		sel = out
-	}
-	if s.strPred == nil {
-		return sel, nil
-	}
-	for _, ci := range s.strCols {
-		if err := s.fill(ci, lo, hi, sel); err != nil {
-			return nil, err
-		}
-	}
-	return s.decodeFirst(s.strPred, hi-lo, sel), nil
-}
-
-// selectTail evaluates the whole predicate decode-first over an insert-tail
-// batch.
-func (s *scanSelectOp) selectTail(lo, hi int, sel []int32) ([]int32, error) {
-	for i := range s.scan.cols {
-		if err := s.fill(i, lo, hi, sel); err != nil {
-			return nil, err
-		}
-	}
-	return s.decodeFirst(s.fullPred, hi-lo, sel), nil
-}
-
-// decodeFirst applies p to the materialized batch under sel.
-func (s *scanSelectOp) decodeFirst(p *expr.Pred, k int, sel []int32) []int32 {
-	nin := k
-	if sel != nil {
-		nin = len(sel)
-	}
-	b := s.scan.batch
-	b.Sel = sel
-	s.opts.Tracer.RecordCounter("select_decode_first", int64(nin))
-	return p.Select(b)
 }

@@ -20,12 +20,14 @@ func shape(op Operator) string {
 	case *releaseOp:
 		return shape(o.Operator)
 	case *scanOp:
+		s := "scan"
 		if o.source != nil {
-			return "scan+morsels"
+			s = "scan+morsels"
 		}
-		return "scan"
-	case *scanSelectOp:
-		return "scansel(" + shape(o.scan) + ")"
+		if o.fullPred != nil {
+			s = "scansel(" + s + ")"
+		}
+		return s
 	case *selectOp:
 		return "select(" + shape(o.input) + ")"
 	case *projectOp:

@@ -261,7 +261,7 @@ func typeErr(col string, t vector.Type, v any) error {
 }
 
 // deltaValue reads the boxed logical value of delta row j from a column
-// buffer (shared by Store and Snapshot accessors).
+// buffer (shared by the row accessors and rebuildCols).
 func deltaValue(c *deltaCol, j int) any {
 	switch c.physical {
 	case vector.Bool:
@@ -300,14 +300,6 @@ func deltaVector(c *deltaCol, lo, hi int) *vector.Vector {
 	default:
 		return vector.FromStrings(c.strs[lo:hi])
 	}
-}
-
-// DeltaValue returns the boxed logical value of delta row j (0-based within
-// the delta) for column index ci.
-func (s *Store) DeltaValue(ci int, j int) any {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return deltaValue(&s.ins[ci], j)
 }
 
 // DeltaVector returns delta rows [lo:hi) of column ci as a logical-typed
@@ -634,10 +626,6 @@ func (sn *Snapshot) IsDeleted(rowID int32) bool {
 	_, ok := slices.BinarySearch(sn.deleted, rowID)
 	return ok
 }
-
-// DeltaValue returns the boxed logical value of snapshot delta row j for
-// column index ci.
-func (sn *Snapshot) DeltaValue(ci, j int) any { return deltaValue(&sn.cols[ci], j) }
 
 // DeltaVector returns snapshot delta rows [lo:hi) of column ci as a
 // logical-typed vector.

@@ -80,7 +80,7 @@ func TestDeltaValueAndVector(t *testing.T) {
 	if _, err := s.Insert([]any{int32(7), "q", 0.7}); err != nil {
 		t.Fatal(err)
 	}
-	if s.DeltaValue(0, 0) != int32(7) || s.DeltaValue(1, 0) != "q" || s.DeltaValue(2, 0) != 0.7 {
+	if row := s.DeltaRow(0); row[0] != int32(7) || row[1] != "q" || row[2] != 0.7 {
 		t.Fatal("delta values")
 	}
 	v := s.DeltaVector(1, 0, 1)
@@ -164,7 +164,7 @@ func TestReorganizeLinearization(t *testing.T) {
 			if int(id) < s.Table().N {
 				before = append(before, s.Table().Col("v").DecodedValue(int(id)))
 			} else {
-				before = append(before, s.DeltaValue(0, int(id)-s.Table().N))
+				before = append(before, s.DeltaRow(int(id) - s.Table().N)[0])
 			}
 		}
 		if err := s.Reorganize(); err != nil {

@@ -14,6 +14,7 @@ import (
 	"x100/internal/columnbm"
 	"x100/internal/core"
 	"x100/internal/mil"
+	"x100/internal/sindex"
 	"x100/internal/vector"
 )
 
@@ -383,6 +384,11 @@ func TestReadOnlyAttachCheckpointNoop(t *testing.T) {
 // shape runs a grouped aggregate and a code-domain select with chunk
 // pruning at parallelism 1, 2 and 8 over a disk-attached table with the
 // delta pending, against the MIL engine over a reorganized in-memory twin.
+// At vector sizes {1, 7, 1024} it also fetches from the table with its
+// delta pending: a Fetch1Join whose row ids hit base and tail rows in
+// scrambled order, and a FetchNJoin whose ranges run into the tail, against
+// the same plans over an in-memory twin checkpointed in place (which keeps
+// row ids).
 func TestDeltaScanBoundaryShapes(t *testing.T) {
 	const chunkRows = 64
 	const baseN = 3*chunkRows + 5 // three full chunks and a short fourth
@@ -416,6 +422,42 @@ func TestDeltaScanBoundaryShapes(t *testing.T) {
 		"aggr":   `Aggr(Scan(ev), [tag], [n = count(), s = sum(v), mk = max(k)])`,
 		"select": fmt.Sprintf(`Select(Scan(ev, [k, tag, v]), and(==(tag, 'b'), >=(k, %d)))`, chunkRows+3),
 	}
+	fetchPlans := map[string]string{
+		"fetch1": `Fetch1Join(Select(Scan(ref), !=(f, 1)), ev, rid, [k, tag])`,
+		"fetchN": `FetchNJoin(Select(Scan(par, [#rowid, pk]), !=(pk, 1)), ev, #rowid, [k, tag])`,
+	}
+	// addFetchSources gives db the tables that fetch from ev's total rows:
+	// ref.rid visits every row id in a scrambled order, and par's rows own
+	// ranges of ev (some empty, some crossing a chunk or the tail boundary).
+	addFetchSources := func(db *core.Database, total int) {
+		rids := make([]int32, total)
+		fs := make([]int64, total)
+		for j := range rids {
+			rids[j], fs[j] = int32(j*37%total), int64(j%3)
+		}
+		ref := colstore.NewTable("ref")
+		if err := ref.AddColumn("rid", vector.Int32, rids); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.AddColumn("f", vector.Int64, fs); err != nil {
+			t.Fatal(err)
+		}
+		db.AddTable(ref)
+		starts := []int32{0, 0, 1, chunkRows, 2*chunkRows + 1, baseN - 1, baseN + 1, int32(total)}
+		for i := range starts {
+			starts[i] = min(starts[i], int32(total))
+		}
+		pks := make([]int64, len(starts)-1)
+		for i := range pks {
+			pks[i] = int64(i)
+		}
+		par := colstore.NewTable("par")
+		if err := par.AddColumn("pk", vector.Int64, pks); err != nil {
+			t.Fatal(err)
+		}
+		db.AddTable(par)
+		db.RegisterRangeIndex("ev", "par", &sindex.RangeIndex{From: "ev", To: "par", Starts: starts})
+	}
 	for _, vs := range []int{1, 7, 1024, chunkRows - 1, chunkRows + 1} {
 		for _, nIns := range []int{0, 1, vs - 1, vs + 1} {
 			for _, withDel := range []bool{false, true} {
@@ -426,6 +468,8 @@ func TestDeltaScanBoundaryShapes(t *testing.T) {
 				}
 				twin := core.NewDatabase()
 				twin.AddTable(newTable())
+				fetchTwin := core.NewDatabase()
+				fetchTwin.AddTable(newTable())
 				var dels []int32
 				if withDel {
 					firstBatch := min(vs, chunkRows)
@@ -434,7 +478,7 @@ func TestDeltaScanBoundaryShapes(t *testing.T) {
 						dels = append(dels, baseN, int32(baseN+nIns-1))
 					}
 				}
-				for _, db := range []*core.Database{disk, twin} {
+				for _, db := range []*core.Database{disk, twin, fetchTwin} {
 					ds, err := db.Delta("ev")
 					if err != nil {
 						t.Fatal(err)
@@ -454,6 +498,9 @@ func TestDeltaScanBoundaryShapes(t *testing.T) {
 				if err := twin.Reorganize("ev"); err != nil {
 					t.Fatal(err)
 				}
+				if done, err := fetchTwin.Checkpoint("ev"); err != nil || !done {
+					t.Fatalf("%s: checkpoint twin: done=%v err=%v", label, done, err)
+				}
 				for name, src := range plans {
 					plan, err := algebra.Parse(src)
 					if err != nil {
@@ -462,6 +509,30 @@ func TestDeltaScanBoundaryShapes(t *testing.T) {
 					want, err := mil.New(twin).Run(plan)
 					if err != nil {
 						t.Fatalf("%s %s: mil: %v", label, name, err)
+					}
+					for _, p := range []int{1, 2, 8} {
+						opts := core.DefaultOptions()
+						opts.BatchSize, opts.Parallelism = vs, p
+						got, err := core.Run(disk, plan, opts)
+						if err != nil {
+							t.Fatalf("%s %s p=%d: %v", label, name, p, err)
+						}
+						sameRowMultisets(t, fmt.Sprintf("%s %s p=%d", label, name, p), want, got)
+					}
+				}
+				if !slices.Contains([]int{1, 7, 1024}, vs) {
+					continue
+				}
+				addFetchSources(disk, baseN+nIns)
+				addFetchSources(fetchTwin, baseN+nIns)
+				for name, src := range fetchPlans {
+					plan, err := algebra.Parse(src)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := core.Run(fetchTwin, plan, core.DefaultOptions())
+					if err != nil {
+						t.Fatalf("%s %s: twin: %v", label, name, err)
 					}
 					for _, p := range []int{1, 2, 8} {
 						opts := core.DefaultOptions()
