@@ -218,6 +218,18 @@ func forceStringRoundTrip(t *testing.T, vals []string, codec Codec, payload []by
 	}
 }
 
+// allStringCodecsRoundTrip round-trips vals through the codec the writer
+// picks and through each string codec forced, where it applies.
+func allStringCodecsRoundTrip(t *testing.T, vals []string) {
+	t.Helper()
+	stringRoundTrip(t, vals)
+	raw := encodeStringRaw(vals)
+	forceStringRoundTrip(t, vals, CodecRaw, raw)
+	dictPayload, _ := tryDictStr(vals, len(raw))
+	forceStringRoundTrip(t, vals, CodecDict, dictPayload)
+	forceStringRoundTrip(t, vals, CodecPrefix, tryPrefix(vals, len(raw)))
+}
+
 func TestStringCodecRoundTripAdversarial(t *testing.T) {
 	repeat := func(v string, n int) []string {
 		out := make([]string, n)
@@ -251,11 +263,7 @@ func TestStringCodecRoundTripAdversarial(t *testing.T) {
 	}
 	for name, vals := range cases {
 		t.Run(name, func(t *testing.T) {
-			stringRoundTrip(t, vals)
-			rawLimit := len(encodeStringRaw(vals))
-			dictPayload, _ := tryDictStr(vals, rawLimit)
-			forceStringRoundTrip(t, vals, CodecDict, dictPayload)
-			forceStringRoundTrip(t, vals, CodecPrefix, tryPrefix(vals, rawLimit))
+			allStringCodecsRoundTrip(t, vals)
 		})
 	}
 }
@@ -293,19 +301,105 @@ func TestStringCodecChoice(t *testing.T) {
 	}
 }
 
+// noFFBytes returns n pseudo-random bytes without 0xFF, the value separator
+// of FuzzStringCodecRoundTrip.
+func noFFBytes(r *rand.Rand, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(r.Intn(255))
+	}
+	return b
+}
+
 // FuzzStringCodecRoundTrip splits an arbitrary byte string into values on
-// 0xFF and asserts the chosen codec round-trips.
+// 0xFF and asserts that the chosen codec and every forced string codec
+// round-trip.
 func FuzzStringCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("hello\xffhello\xffworld"))
 	f.Add(bytes.Repeat([]byte{0xfe, 0xff}, 64))
+	// Seeds at the edge of a decoded backing copy (stringBackingBytes of
+	// value bytes): values ending exactly on it, one value filling it, one
+	// value longer than it, zero-length values, and an all-empty chunk.
+	r := rand.New(rand.NewSource(1))
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, []byte{0xff}) }
+	f.Add(join(noFFBytes(r, stringBackingBytes-100), noFFBytes(r, 100), noFFBytes(r, 1)))
+	f.Add(join(noFFBytes(r, stringBackingBytes), nil, noFFBytes(r, 1), nil))
+	f.Add(join(noFFBytes(r, 10), noFFBytes(r, stringBackingBytes+1), noFFBytes(r, 10)))
+	f.Add(join(nil, noFFBytes(r, 3), nil, nil, noFFBytes(r, 2), nil))
+	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		vals := []string{}
 		for _, part := range bytes.Split(raw, []byte{0xff}) {
 			vals = append(vals, string(part))
 		}
-		stringRoundTrip(t, vals)
+		allStringCodecsRoundTrip(t, vals)
 	})
+}
+
+// TestStringDecodeNoAlias decodes a raw, a prefix and a dict chunk, each
+// spanning several backing copies and holding a value longer than one, then
+// overwrites the payload: no decoded value may change, because none may
+// point into the (pooled, reused) payload buffer. It also bounds the
+// decode's allocations to a few per backing copy, not one per value.
+func TestStringDecodeNoAlias(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	big := string(noFFBytes(r, stringBackingBytes+123))
+	rawVals := make([]string, 6000)
+	for i := range rawVals {
+		rawVals[i] = string(noFFBytes(r, r.Intn(60)))
+	}
+	rawVals[100] = big
+	prefixVals := make([]string, 6000)
+	for i := range prefixVals {
+		prefixVals[i] = fmt.Sprintf("Customer#%09d", i)
+	}
+	prefixVals[200] += big
+	modes := []string{"AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB", big}
+	dictVals := make([]string, 6000)
+	for i := range dictVals {
+		dictVals[i] = modes[i%len(modes)]
+	}
+	for _, tc := range []struct {
+		codec Codec
+		vals  []string
+	}{
+		{CodecRaw, rawVals},
+		{CodecPrefix, prefixVals},
+		{CodecDict, dictVals},
+	} {
+		raw := encodeStringRaw(tc.vals)
+		var payload []byte
+		switch tc.codec {
+		case CodecRaw:
+			payload = raw
+		case CodecPrefix:
+			payload = tryPrefix(tc.vals, len(raw))
+		case CodecDict:
+			payload, _ = tryDictStr(tc.vals, len(raw))
+		}
+		if payload == nil {
+			t.Fatalf("%v: codec declined the test chunk", tc.codec)
+		}
+		hdr := chunkHeader{codec: tc.codec, count: len(tc.vals)}
+		got := make([]string, len(tc.vals))
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := decodeStringInto(got, hdr, payload); err != nil {
+				t.Fatalf("%v: decode failed: %v", tc.codec, err)
+			}
+		})
+		if maxAllocs := 2*(len(raw)/stringBackingBytes) + 4; allocs > float64(maxAllocs) {
+			t.Errorf("%v: %.0f allocations per decode, want at most %d", tc.codec, allocs, maxAllocs)
+		}
+		for i := range payload {
+			payload[i] = 0xAA
+		}
+		for i, want := range tc.vals {
+			if got[i] != want {
+				t.Fatalf("%v: value %d changed after the payload was overwritten", tc.codec, i)
+			}
+		}
+	}
 }
 
 // FuzzStringCodecDecode asserts the string decoder never panics or

@@ -36,6 +36,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -952,32 +953,25 @@ func commonPrefixLen(a, b string) int {
 	return i
 }
 
+// stringBackingBytes caps the value bytes of one backing copy that decoded
+// string values share. A value longer than this gets a copy of its own, so
+// a retained value keeps at most 64 KiB (or its own bytes) alive, never a
+// whole decoded chunk. A backing holds value bytes only, which keeps
+// decodedSize an exact charge for raw and prefix chunks.
+const stringBackingBytes = 64 << 10
+
 // decodeStringInto decodes a string chunk (raw, dict or prefix codec) into
-// dst, which must have length hdr.count. Decoded strings are fresh copies:
-// they never alias the (pooled, reusable) compressed payload.
+// dst, which must have length hdr.count. Decoded values are carved out of
+// shared backing copies of at most stringBackingBytes each (a dict chunk's
+// dictionary values likewise, with every row sharing its value's string);
+// no value ever aliases the pooled, reusable compressed payload.
 func decodeStringInto(dst []string, hdr chunkHeader, payload []byte) error {
 	if len(dst) != hdr.count {
 		return ErrCorrupt
 	}
 	switch hdr.codec {
 	case CodecRaw:
-		off := 0
-		for i := range dst {
-			if off+4 > len(payload) {
-				return fmt.Errorf("%w: truncated string chunk", ErrCorrupt)
-			}
-			n := int(binary.LittleEndian.Uint32(payload[off:]))
-			off += 4
-			if n < 0 || off+n > len(payload) {
-				return fmt.Errorf("%w: truncated string chunk", ErrCorrupt)
-			}
-			dst[i] = string(payload[off : off+n])
-			off += n
-		}
-		if off != len(payload) {
-			return fmt.Errorf("%w: trailing bytes in string chunk", ErrCorrupt)
-		}
-		return nil
+		return decodeRawStrings(dst, payload)
 	case CodecDict:
 		dict, width, codes, err := scanDictPayload(hdr, payload, true)
 		if err != nil {
@@ -997,34 +991,100 @@ func decodeStringInto(dst []string, hdr chunkHeader, payload []byte) error {
 		}
 		return nil
 	case CodecPrefix:
-		off := 0
-		prev := ""
-		for i := range dst {
-			p, n := binary.Uvarint(payload[off:])
-			if n <= 0 || p > uint64(len(prev)) {
-				return fmt.Errorf("%w: bad prefix length", ErrCorrupt)
-			}
-			off += n
-			sl, n := binary.Uvarint(payload[off:])
-			if n <= 0 || sl > uint64(len(payload)) {
-				return fmt.Errorf("%w: bad suffix length", ErrCorrupt)
-			}
-			off += n
-			if off+int(sl) > len(payload) {
-				return fmt.Errorf("%w: truncated prefix chunk", ErrCorrupt)
-			}
-			v := prev[:p] + string(payload[off:off+int(sl)])
-			off += int(sl)
-			dst[i] = v
-			prev = v
-		}
-		if off != len(payload) {
-			return fmt.Errorf("%w: trailing bytes in prefix chunk", ErrCorrupt)
-		}
-		return nil
+		return decodePrefixStrings(dst, payload)
 	default:
 		return fmt.Errorf("%w: codec %v is not a string codec", ErrCorrupt, hdr.codec)
 	}
+}
+
+// decodeRawStrings decodes len(dst) length-prefixed values, len(4) | bytes,
+// which must fill b exactly. Each backing copy is sized in a first pass over
+// the length words to the run of values whose bytes fit stringBackingBytes,
+// then filled in a second.
+func decodeRawStrings(dst []string, b []byte) error {
+	off := 0
+	for i := 0; i < len(dst); {
+		j, end, size := i, off, 0
+		for ; j < len(dst); j++ {
+			if end+4 > len(b) {
+				return fmt.Errorf("%w: truncated string chunk", ErrCorrupt)
+			}
+			n := int(binary.LittleEndian.Uint32(b[end:]))
+			if n < 0 || n > len(b)-end-4 {
+				return fmt.Errorf("%w: truncated string chunk", ErrCorrupt)
+			}
+			if j > i && size+n > stringBackingBytes {
+				break
+			}
+			size += n
+			end += 4 + n
+		}
+		var back strings.Builder
+		back.Grow(size)
+		for ; i < j; i++ {
+			n := int(binary.LittleEndian.Uint32(b[off:]))
+			from := back.Len()
+			back.Write(b[off+4 : off+4+n])
+			dst[i] = back.String()[from:]
+			off += 4 + n
+		}
+	}
+	if off != len(b) {
+		return fmt.Errorf("%w: trailing bytes in string chunk", ErrCorrupt)
+	}
+	return nil
+}
+
+// decodePrefixStrings decodes len(dst) front-coded values (see tryPrefix),
+// which must fill payload exactly, sizing each backing copy the way
+// decodeRawStrings does. A value's shared prefix is copied from the previous
+// value, so no backing refers to another.
+func decodePrefixStrings(dst []string, payload []byte) error {
+	off := 0
+	prev := ""
+	for i := 0; i < len(dst); {
+		j, end, size, prevLen := i, off, 0, len(prev)
+		for ; j < len(dst); j++ {
+			p, n := binary.Uvarint(payload[end:])
+			if n <= 0 || p > uint64(prevLen) {
+				return fmt.Errorf("%w: bad prefix length", ErrCorrupt)
+			}
+			end += n
+			sl, n := binary.Uvarint(payload[end:])
+			if n <= 0 {
+				return fmt.Errorf("%w: bad suffix length", ErrCorrupt)
+			}
+			end += n
+			if sl > uint64(len(payload)-end) {
+				return fmt.Errorf("%w: truncated prefix chunk", ErrCorrupt)
+			}
+			vlen := int(p) + int(sl)
+			if j > i && size+vlen > stringBackingBytes {
+				break
+			}
+			size += vlen
+			end += int(sl)
+			prevLen = vlen
+		}
+		var back strings.Builder
+		back.Grow(size)
+		for ; i < j; i++ {
+			p, n := binary.Uvarint(payload[off:])
+			off += n
+			sl, n := binary.Uvarint(payload[off:])
+			off += n
+			from := back.Len()
+			back.WriteString(prev[:p])
+			back.Write(payload[off : off+int(sl)])
+			off += int(sl)
+			prev = back.String()[from:]
+			dst[i] = prev
+		}
+	}
+	if off != len(payload) {
+		return fmt.Errorf("%w: trailing bytes in prefix chunk", ErrCorrupt)
+	}
+	return nil
 }
 
 // scanDictPayload validates a dict-codec chunk payload and splits it into
@@ -1038,11 +1098,8 @@ func scanDictPayload(hdr chunkHeader, payload []byte, wantValues bool) (dict []s
 	}
 	if wantValues {
 		dict = make([]string, card)
-		off := 4
-		for i := range dict {
-			n := int(binary.LittleEndian.Uint32(dictBytes[off:]))
-			dict[i] = string(dictBytes[off+4 : off+4+n])
-			off += 4 + n
+		if err := decodeRawStrings(dict, dictBytes[4:]); err != nil {
+			return nil, 0, nil, err
 		}
 	}
 	return dict, width, codes, nil

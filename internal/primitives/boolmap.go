@@ -1,5 +1,7 @@
 package primitives
 
+import "strings"
+
 // Boolean map primitives: comparison and logical primitives producing a
 // full bool result vector. These are the general fallback path for complex
 // predicates (disjunctions, CASE inputs); simple conjunctive predicates use
@@ -223,28 +225,21 @@ func MapNotCol(res, a []bool, sel []int32) {
 	}
 }
 
-// MapLikeColVal evaluates a SQL LIKE pattern (with % and _ wildcards)
-// against a string column.
-func MapLikeColVal(res []bool, in []string, pattern string, sel []int32) {
-	m := CompileLike(pattern)
-	if sel != nil {
-		for _, i := range sel {
-			res[i] = m.Match(in[i])
-		}
-		return
-	}
-	in = in[:len(res)]
-	for i := range res {
-		res[i] = m.Match(in[i])
-	}
-}
-
 // LikeMatcher is a compiled LIKE pattern: literal segments separated by %,
 // with _ matching any single byte.
 type LikeMatcher struct {
-	segments    []string // literal segments (may contain _)
-	prefixBound bool     // pattern does not start with %
-	suffixBound bool     // pattern does not end with %
+	segments    []likeSeg
+	prefixBound bool // pattern does not start with %
+	suffixBound bool // pattern does not end with %
+}
+
+// likeSeg is one literal segment of a LIKE pattern. A segment without _
+// is found with strings.Index (vectorized in the Go runtime) and checked
+// at a fixed position with a plain compare; only a segment with _ walks
+// the start positions one byte at a time.
+type likeSeg struct {
+	lit  string
+	wild bool // lit contains _
 }
 
 // CompileLike parses a SQL LIKE pattern into a matcher. Consecutive %
@@ -254,22 +249,16 @@ func CompileLike(pattern string) *LikeMatcher {
 		prefixBound: len(pattern) == 0 || pattern[0] != '%',
 		suffixBound: len(pattern) == 0 || pattern[len(pattern)-1] != '%',
 	}
-	start := 0
-	for i := 0; i < len(pattern); i++ {
-		if pattern[i] == '%' {
-			if i > start {
-				m.segments = append(m.segments, pattern[start:i])
-			}
-			start = i + 1
+	for _, lit := range strings.Split(pattern, "%") {
+		if lit != "" {
+			m.segments = append(m.segments, likeSeg{lit: lit, wild: strings.IndexByte(lit, '_') >= 0})
 		}
-	}
-	if start < len(pattern) {
-		m.segments = append(m.segments, pattern[start:])
 	}
 	return m
 }
 
-// Match reports whether s matches the pattern.
+// Match reports whether s matches the pattern. A middle segment takes its
+// leftmost match; the suffix segment must not overlap the previous match.
 func (m *LikeMatcher) Match(s string) bool {
 	segs := m.segments
 	pos := 0
@@ -281,10 +270,10 @@ func (m *LikeMatcher) Match(s string) bool {
 		return true
 	}
 	if m.prefixBound {
-		if !segMatchAt(s, 0, segs[0]) {
+		if !segs[0].at(s, 0) {
 			return false
 		}
-		pos = len(segs[0])
+		pos = len(segs[0].lit)
 		segs = segs[1:]
 		if len(segs) == 0 {
 			// Single segment: with a trailing % anything after it is fine,
@@ -292,42 +281,56 @@ func (m *LikeMatcher) Match(s string) bool {
 			return !m.suffixBound || pos == len(s)
 		}
 	}
-	var last string
+	var last likeSeg
 	if m.suffixBound {
 		last = segs[len(segs)-1]
 		segs = segs[:len(segs)-1]
 	}
 	for _, seg := range segs {
-		found := -1
-		for p := pos; p+len(seg) <= len(s); p++ {
-			if segMatchAt(s, p, seg) {
-				found = p
-				break
-			}
-		}
-		if found < 0 {
+		p := seg.index(s, pos)
+		if p < 0 {
 			return false
 		}
-		pos = found + len(seg)
+		pos = p + len(seg.lit)
 	}
 	if m.suffixBound {
-		p := len(s) - len(last)
-		return p >= pos && segMatchAt(s, p, last)
+		p := len(s) - len(last.lit)
+		return p >= pos && last.at(s, p)
 	}
 	return true
 }
 
-// segMatchAt matches a literal segment (with _ wildcards) at position p.
-func segMatchAt(s string, p int, seg string) bool {
-	if p+len(seg) > len(s) {
+// at reports whether the segment matches s at position p.
+func (g likeSeg) at(s string, p int) bool {
+	if p+len(g.lit) > len(s) {
 		return false
 	}
-	for i := 0; i < len(seg); i++ {
-		if seg[i] != '_' && s[p+i] != seg[i] {
+	if !g.wild {
+		return s[p:p+len(g.lit)] == g.lit
+	}
+	for i := 0; i < len(g.lit); i++ {
+		if g.lit[i] != '_' && s[p+i] != g.lit[i] {
 			return false
 		}
 	}
 	return true
+}
+
+// index returns the leftmost position at or after pos where the segment
+// matches s, or -1.
+func (g likeSeg) index(s string, pos int) int {
+	if !g.wild {
+		if i := strings.Index(s[pos:], g.lit); i >= 0 {
+			return pos + i
+		}
+		return -1
+	}
+	for p := pos; p+len(g.lit) <= len(s); p++ {
+		if g.at(s, p) {
+			return p
+		}
+	}
+	return -1
 }
 
 // MapSubstrCol extracts the 1-based [start, start+length) byte substring of

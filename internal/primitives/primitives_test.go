@@ -329,39 +329,65 @@ func TestHashConsistency(t *testing.T) {
 	}
 }
 
+// likeCases is the LIKE table shared by TestLikeMatcher and the seed corpus
+// of FuzzLikeMatch.
+var likeCases = []struct {
+	pattern string
+	s       string
+	want    bool
+}{
+	{"%BRASS", "LARGE POLISHED BRASS", true},
+	{"%BRASS", "BRASS PLATED TIN", false},
+	{"PROMO%", "PROMO BURNISHED COPPER", true},
+	{"PROMO%", "STANDARD PROMO", false},
+	{"PROMO%", "PROMO TIN", true},
+	{"PROMO%", "STANDARD TIN", false},
+	{"%green%", "slate green powder", true},
+	{"%green%", "greenish", true},
+	{"%green%", "gren", false},
+	{"%special%requests%", "the special final requests nag", true},
+	{"%special%requests%", "requests special", false},
+	{"MEDIUM POLISHED%", "MEDIUM POLISHED COPPER", true},
+	{"MEDIUM POLISHED%", "MEDIUM PLATED COPPER", false},
+	{"abc", "abc", true},
+	{"abc", "abcd", false},
+	{"a_c", "abc", true},
+	{"a_c", "ac", false},
+	{"_b%", "abc", true},
+	{"_b%", "bbc", true},
+	{"_b%", "bcb", false},
+	{"%", "anything", true},
+	{"%", "", true},
+	{"", "", true},
+	{"", "x", false},
+	{"%%", "x", true},
+	{"a%b%c", "aXbYc", true},
+	{"a%b%c", "acb", false},
+	// A later segment must not overlap an earlier match.
+	{"%aa%aa%", "aaa", false},
+	{"%aa%aa%", "aaaa", true},
+	{"%ab%b", "ab", false},
+	{"%ab%b", "abb", true},
+	{"a%a", "a", false},
+	{"a%a", "aa", true},
+	// _ next to %.
+	{"_%_", "a", false},
+	{"_%_", "ab", true},
+	{"%_a_%", "xay", true},
+	{"%_a_%", "ay", false},
+	{"%a_", "ab", true},
+	{"%a_", "ba", false},
+	// NUL bytes and multi-byte UTF-8: _ matches one byte.
+	{"a\x00%", "a\x00b", true},
+	{"%\x00", "\x00", true},
+	{"_", "é", false},
+	{"__", "é", true},
+	{"%é%", "café au lait", true},
+	{"caf_", "café", false},
+}
+
 func TestLikeMatcher(t *testing.T) {
-	cases := []struct {
-		pattern string
-		s       string
-		want    bool
-	}{
-		{"%BRASS", "LARGE POLISHED BRASS", true},
-		{"%BRASS", "BRASS PLATED TIN", false},
-		{"PROMO%", "PROMO BURNISHED COPPER", true},
-		{"PROMO%", "STANDARD PROMO", false},
-		{"%green%", "slate green powder", true},
-		{"%green%", "greenish", true},
-		{"%green%", "gren", false},
-		{"%special%requests%", "the special final requests nag", true},
-		{"%special%requests%", "requests special", false},
-		{"MEDIUM POLISHED%", "MEDIUM POLISHED COPPER", true},
-		{"MEDIUM POLISHED%", "MEDIUM PLATED COPPER", false},
-		{"abc", "abc", true},
-		{"abc", "abcd", false},
-		{"a_c", "abc", true},
-		{"a_c", "ac", false},
-		{"_b%", "abc", true},
-		{"_b%", "bbc", true},
-		{"_b%", "bcb", false},
-		{"%", "anything", true},
-		{"%", "", true},
-		{"", "", true},
-		{"", "x", false},
-		{"%%", "x", true},
-		{"a%b%c", "aXbYc", true},
-		{"a%b%c", "acb", false},
-	}
-	for _, tc := range cases {
+	for _, tc := range likeCases {
 		m := CompileLike(tc.pattern)
 		if got := m.Match(tc.s); got != tc.want {
 			t.Errorf("like(%q, %q) = %v, want %v", tc.s, tc.pattern, got, tc.want)
@@ -369,13 +395,52 @@ func TestLikeMatcher(t *testing.T) {
 	}
 }
 
-func TestMapLikeColVal(t *testing.T) {
-	in := []string{"PROMO TIN", "STANDARD TIN", "PROMO BRASS"}
-	res := make([]bool, 3)
-	MapLikeColVal(res, in, "PROMO%", nil)
-	if !res[0] || res[1] || !res[2] {
-		t.Fatalf("res=%v", res)
+// likeOracle is a byte-wise dynamic-programming LIKE reference:
+// m[j] reports whether the pattern prefix consumed so far matches s[:j].
+// It is O(len(s)·len(p)) and shares no code with LikeMatcher.
+func likeOracle(p, s string) bool {
+	m := make([]bool, len(s)+1)
+	m[0] = true
+	for i := 0; i < len(p); i++ {
+		next := make([]bool, len(s)+1)
+		switch p[i] {
+		case '%':
+			next[0] = m[0]
+			for j := 1; j <= len(s); j++ {
+				next[j] = m[j] || next[j-1]
+			}
+		default:
+			for j := 1; j <= len(s); j++ {
+				next[j] = m[j-1] && (p[i] == '_' || p[i] == s[j-1])
+			}
+		}
+		m = next
 	}
+	return m[len(s)]
+}
+
+// FuzzLikeMatch checks the compiled matcher against likeOracle.
+func FuzzLikeMatch(f *testing.F) {
+	for _, tc := range likeCases {
+		f.Add(tc.pattern, tc.s)
+	}
+	f.Add("", "")
+	f.Add("%", "")
+	f.Add("_", "")
+	f.Add("%%_%%", "")
+	f.Add("%ab_ba%ab", "abxbaab")
+	f.Add("%a_a%", "aaa")
+	f.Add("%_%_%", "\x00")
+	f.Add("%\x00_\x00%", "\x00\xff\x00")
+	f.Fuzz(func(t *testing.T, pattern, s string) {
+		if len(pattern)*len(s) > 1<<20 {
+			return
+		}
+		want := likeOracle(pattern, s)
+		if got := CompileLike(pattern).Match(s); got != want {
+			t.Fatalf("like(%q, %q) = %v, oracle says %v", s, pattern, got, want)
+		}
+	})
 }
 
 func TestSubstrAndCase(t *testing.T) {
