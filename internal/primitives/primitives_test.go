@@ -395,6 +395,28 @@ func TestLikeMatcher(t *testing.T) {
 	}
 }
 
+// TestMapLikeColVal applies one compiled matcher across a string column,
+// densely and under a selection vector, as the map_like_str_col primitive
+// does; positions outside the selection stay untouched.
+func TestMapLikeColVal(t *testing.T) {
+	in := []string{"PROMO TIN", "STANDARD TIN", "PROMO BRASS"}
+	m := CompileLike("PROMO%")
+	res := make([]bool, len(in))
+	for i := range res {
+		res[i] = m.Match(in[i])
+	}
+	if !res[0] || res[1] || !res[2] {
+		t.Fatalf("dense res=%v", res)
+	}
+	res = make([]bool, len(in))
+	for _, i := range []int32{1, 2} {
+		res[i] = m.Match(in[i])
+	}
+	if res[0] || res[1] || !res[2] {
+		t.Fatalf("selected res=%v", res)
+	}
+}
+
 // likeOracle is a byte-wise dynamic-programming LIKE reference:
 // m[j] reports whether the pattern prefix consumed so far matches s[:j].
 // It is O(len(s)·len(p)) and shares no code with LikeMatcher.
