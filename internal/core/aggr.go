@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"time"
+	"slices"
 
 	"x100/internal/algebra"
 	"x100/internal/expr"
@@ -46,6 +47,12 @@ type aggrOp struct {
 	hashBuf   []uint64
 	gidBuf    []int32
 	scratch   groupScratch
+	// sealing holds while the first group key of the live rows has never
+	// decreased. The groups below tableFrom have a smaller first key than
+	// a row already seen — sealed, since no later row can match them — and
+	// have been dropped from the table (reserveSlots).
+	sealing   bool
+	tableFrom int
 	// accumulators, one per aggregate, plus a hidden row counter used by
 	// avg finalization and direct-mode occupancy.
 	accs     []*accumulator
@@ -91,7 +98,16 @@ func growTo[T any](s []T, n int) []T {
 	if len(s) >= n {
 		return s
 	}
-	return append(s, make([]T, n-len(s))...)
+	if n > cap(s) {
+		// Double the capacity: append grows a large slice by 1.25x, which
+		// copies the accumulators of a growing group table about four
+		// times over instead of once.
+		s = slices.Grow(s, max(n, 2*cap(s))-len(s))
+	}
+	old := len(s)
+	s = s[:n]
+	clear(s[old:])
+	return s
 }
 
 // growFill extends s to length n, setting new cells to fill. Min/max
@@ -99,11 +115,8 @@ func growTo[T any](s []T, n int) []T {
 // -Inf/MinInt for max) so the branchless kernels can fold unconditionally
 // without consulting seen flags.
 func growFill[T any](s []T, n int, fill T) []T {
-	if len(s) >= n {
-		return s
-	}
 	old := len(s)
-	s = append(s, make([]T, n-len(s))...)
+	s = growTo(s, n)
 	for i := old; i < len(s); i++ {
 		s[i] = fill
 	}
@@ -508,6 +521,8 @@ func (op *aggrOp) open() error {
 	}
 	op.hashBuf = nil
 	op.gidBuf = nil
+	op.tableFrom = 0
+	op.sealing = op.mode == algebra.ModeHash && len(op.node.GroupBy) > 0 && orderable(op.schema[0].Type)
 	switch op.mode {
 	case algebra.ModeDirect:
 		// Open with one single-code plane (256 slots) and grow lazily from
@@ -565,7 +580,7 @@ func (op *aggrOp) Next() (*vector.Batch, error) {
 // integer aggregates are identical to one serial pass; float aggregates
 // agree up to summation order.
 func (op *aggrOp) run() error {
-	t0 := time.Now()
+	t0 := op.in.opts.Tracer.Now()
 	if err := op.in.runWorkers(len(op.parts), func(w int) error { return op.parts[w].consume() }); err != nil {
 		return err
 	}
@@ -578,7 +593,7 @@ func (op *aggrOp) run() error {
 		}
 	}
 	op.in.mergeTracers(op.in.opts.Tracer)
-	op.in.opts.Tracer.RecordOperator("Aggr(parallel-merge)", op.nGroups, time.Since(t0))
+	op.in.opts.Tracer.RecordOperatorSince("Aggr(parallel-merge)", op.nGroups, t0)
 	return nil
 }
 
@@ -596,7 +611,7 @@ func (op *aggrOp) consume() error {
 		if b == nil {
 			return nil
 		}
-		t0 := time.Now()
+		t0 := op.opts.Tracer.Now()
 		if b.N > len(op.gidBuf) {
 			op.hashBuf = make([]uint64, b.N)
 			op.gidBuf = make([]int32, b.N)
@@ -638,7 +653,7 @@ func (op *aggrOp) consume() error {
 		if !rowCounted {
 			primitives.AggrCount(op.rowCount, gids, b.Sel, b.N)
 		}
-		op.opts.Tracer.RecordOperator(op.name, b.Rows(), time.Since(t0))
+		op.opts.Tracer.RecordOperatorSince(op.name, b.Rows(), t0)
 	}
 }
 
@@ -691,7 +706,8 @@ func (op *aggrOp) assignDirect(b *vector.Batch) {
 
 // groupKeyVectors evaluates the group-by expressions for a batch.
 func (op *aggrOp) groupKeyVectors(b *vector.Batch) []*vector.Vector {
-	keys := make([]*vector.Vector, len(op.node.GroupBy))
+	keys := resize(op.scratch.keys, len(op.node.GroupBy))
+	op.scratch.keys = keys
 	for i := range op.node.GroupBy {
 		if pi := op.groupPass[i]; pi >= 0 {
 			keys[i] = b.Vecs[pi]
@@ -705,7 +721,9 @@ func (op *aggrOp) groupKeyVectors(b *vector.Batch) []*vector.Vector {
 // assignHash assigns the group ids of a batch through the hash table.
 // Only the first row of every run of equal keys is hashed (map_hash_*
 // primitives) and looked up; the rest of the run takes its group.
-// Clustered input — lineitem grouped by l_orderkey — has long runs.
+// Clustered input — lineitem grouped by l_orderkey — has long runs. The
+// first batch whose first key decreases ends sealing: every group is
+// indexed again, and the operator stays plain hash aggregation.
 func (op *aggrOp) assignHash(b *vector.Batch) error {
 	keys := op.groupKeyVectors(b)
 	pos, same := op.adjacentEqual(b, keys)
@@ -723,6 +741,9 @@ func (op *aggrOp) assignHash(b *vector.Batch) error {
 		heads = append(heads, p)
 	}
 	s.heads = heads
+	if op.sealing && !op.firstKeyAscends(keys[0], heads) {
+		op.unseal()
+	}
 	hashes := op.hashBuf[:b.N]
 	t0 := op.opts.Tracer.Now()
 	for i, k := range keys {
@@ -771,6 +792,7 @@ func (op *aggrOp) adjacentEqual(b *vector.Batch, keys []*vector.Vector) (pos, sa
 // groupScratch holds the per-batch buffers of the group-id assignment,
 // reused across batches.
 type groupScratch struct {
+	keys                 []*vector.Vector
 	livePos, same, heads []int32
 	slot                 []uint64
 	todo, gp, gg, cp, cq []int32
@@ -798,10 +820,6 @@ func (op *aggrOp) findOrInsert(keys []*vector.Vector, hashes []uint64, rows []in
 	for _, p := range rows {
 		slot[p] = hashes[p] & mask
 	}
-	gvecs := make([]*vector.Vector, len(op.groups))
-	for c, cb := range op.groups {
-		gvecs[c] = cb.vec()
-	}
 	todo := append(s.todo[:0], rows...)
 	gp, gg, cp, cq := s.gp, s.gg, s.cp, s.cq
 	claims := 0
@@ -823,7 +841,7 @@ func (op *aggrOp) findOrInsert(keys []*vector.Vector, hashes []uint64, rows []in
 		// both move to the next slot and form the next round.
 		s.sel = allPairs(s.sel, len(gp))
 		for c, k := range keys {
-			s.sel = keepEqual(s.sel, gvecs[c], gg, k, gp)
+			s.sel = op.groups[c].keepEqual(s.sel, gg, k, gp)
 		}
 		next := op.resolve(todo[:0], gp, gg, s.sel, slot, gids, false)
 		s.sel = allPairs(s.sel, len(cp))
@@ -889,27 +907,107 @@ func (op *aggrOp) resolve(next, ps, qs, match []int32, slot []uint64, gids []int
 	return next
 }
 
-// reserveSlots sizes the table so that the groups plus rows more (the most
-// a batch can add) stay under 0.7 load, which also leaves every probe an
-// empty slot to stop at. The table doubles, re-inserting the groups by
-// their stored hashes.
+// reserveSlots sizes the table so that the indexed groups plus rows more
+// (the most a batch can add) stay under 0.7 load, which also leaves every
+// probe an empty slot to stop at. While sealing, a full table first drops
+// the sealed groups, and is rebuilt at most half full, so that more new
+// groups than it holds arrive before the next rebuild: it then holds the
+// current first-key run plus about a batch of new groups. Otherwise the
+// table doubles. Either way it is rebuilt from the stored hashes.
 func (op *aggrOp) reserveSlots(rows int) {
 	n := max(len(op.buckets), 1024)
-	for (op.nGroups+rows)*10 >= n*7 {
+	if len(op.buckets) > 0 && (op.nGroups-op.tableFrom+rows)*10 < n*7 {
+		return
+	}
+	load := 10
+	if op.sealing {
+		op.tableFrom, load = op.runStart(), 20
+	}
+	for (op.nGroups-op.tableFrom+rows)*load >= n*7 {
 		n *= 2
 	}
 	if n == len(op.buckets) {
-		return
+		clear(op.buckets)
+	} else {
+		op.buckets = make([]int32, n)
+		op.mask = uint64(n - 1)
 	}
-	op.buckets = make([]int32, n)
-	op.mask = uint64(n - 1)
-	for g, h := range op.groupHash {
-		slot := uint64(h) & op.mask
+	for g := op.tableFrom; g < op.nGroups; g++ {
+		slot := uint64(op.groupHash[g]) & op.mask
 		for op.buckets[slot] != 0 {
 			slot = (slot + 1) & op.mask
 		}
 		op.buckets[slot] = int32(g) + 1
 	}
+}
+
+// runStart returns the first group whose first key equals the last
+// group's. While sealing, first keys never decrease in group order, so the
+// groups before it have a smaller first key than a row already seen.
+func (op *aggrOp) runStart() int {
+	g, last := op.nGroups, op.nGroups-1
+	for g > op.tableFrom && op.groups[0].equalRows(g-1, last) {
+		g--
+	}
+	return g
+}
+
+// unseal stops sealing: the input left first-key order, or a partial is
+// about to merge into op. A table that dropped sealed groups is discarded,
+// so that the next reserveSlots indexes every group again.
+func (op *aggrOp) unseal() {
+	op.sealing = false
+	if op.tableFrom > 0 {
+		op.tableFrom, op.buckets = 0, nil
+	}
+}
+
+// orderable reports whether a first group key of type t can seal: float64
+// cannot (NaN is unordered), nor can bool. Codes compare as numbers, which
+// suffices: in a non-decreasing sequence equal values are adjacent.
+func orderable(t vector.Type) bool {
+	switch t.Physical() {
+	case vector.UInt8, vector.UInt16, vector.Int32, vector.Int64, vector.String:
+		return true
+	}
+	return false
+}
+
+// firstKeyAscends reports whether the first key k, read at rows, never
+// decreases and starts no lower than the last group's first key.
+func (op *aggrOp) firstKeyAscends(k *vector.Vector, rows []int32) bool {
+	cb, last := op.groups[0], op.nGroups-1
+	switch k.Typ.Physical() {
+	case vector.UInt8:
+		return ascends(cb.u8, last, k.UInt8s(), rows)
+	case vector.UInt16:
+		return ascends(cb.u16, last, k.UInt16s(), rows)
+	case vector.Int32:
+		return ascends(cb.i32, last, k.Int32s(), rows)
+	case vector.Int64:
+		return ascends(cb.i64, last, k.Int64s(), rows)
+	case vector.String:
+		return ascends(cb.strs, last, k.Strings(), rows)
+	}
+	return false
+}
+
+// ascends is firstKeyAscends over typed values; last < 0 means no group.
+func ascends[T cmp.Ordered](groups []T, last int, v []T, rows []int32) bool {
+	if len(rows) == 0 {
+		return true
+	}
+	prev := v[rows[0]]
+	if last >= 0 {
+		prev = groups[last]
+	}
+	for _, p := range rows {
+		if v[p] < prev {
+			return false
+		}
+		prev = v[p]
+	}
+	return true
 }
 
 // assignOrdered assigns group ids assuming group members arrive
@@ -926,7 +1024,7 @@ func (op *aggrOp) assignOrdered(b *vector.Batch) {
 		first := []int32{0}
 		last := []int32{int32(op.nGroups - 1)}
 		for c, k := range keys {
-			first = keepEqual(first, op.groups[c].vec(), last, k, pos)
+			first = op.groups[c].keepEqual(first, last, k, pos)
 		}
 		firstNew = len(first) == 0
 	}
@@ -1045,6 +1143,7 @@ func (op *aggrOp) mergeFrom(src *aggrOp) error {
 			}
 			return nil
 		}
+		op.unseal()
 		for _, p := range []*aggrOp{op, src} {
 			if err := p.hashGroups(); err != nil {
 				return err

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"x100/internal/algebra"
 	"x100/internal/expr"
 	"x100/internal/vector"
@@ -46,14 +44,14 @@ func (s *selectOp) Next() (*vector.Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		t0 := time.Now()
+		t0 := s.opts.Tracer.Now()
 		sel := s.pred.Select(b)
 		if len(sel) == 0 {
-			s.opts.Tracer.RecordOperator("Select", 0, time.Since(t0))
+			s.opts.Tracer.RecordOperatorSince("Select", 0, t0)
 			continue // fully filtered batch; pull the next one
 		}
 		b.Sel = sel
-		s.opts.Tracer.RecordOperator("Select", len(sel), time.Since(t0))
+		s.opts.Tracer.RecordOperatorSince("Select", len(sel), t0)
 		return b, nil
 	}
 }
@@ -111,7 +109,7 @@ func (p *projectOp) Next() (*vector.Batch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	t0 := time.Now()
+	t0 := p.opts.Tracer.Now()
 	out := p.out
 	out.Sel = b.Sel
 	out.N = b.N
@@ -122,6 +120,6 @@ func (p *projectOp) Next() (*vector.Batch, error) {
 		}
 		out.Vecs[i] = p.progs[i].Run(b)
 	}
-	p.opts.Tracer.RecordOperator("Project", out.Rows(), time.Since(t0))
+	p.opts.Tracer.RecordOperatorSince("Project", out.Rows(), t0)
 	return out, nil
 }

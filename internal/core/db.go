@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"x100/internal/colstore"
@@ -465,7 +466,11 @@ func tailRecords(ds *delta.Store, snap *delta.Snapshot) []columnbm.WALRecord {
 // are removed once the last query reading them finishes. Summary indices,
 // enum dictionary mapping tables and derived range indices (DeriveRangeIndex)
 // are rebuilt at the cutover; positional join indices registered without a
-// recipe are NOT adjusted — callers re-derive them when row ids moved.
+// recipe are NOT adjusted — callers re-derive them when row ids moved. When
+// dropping deleted rows moves the row ids of a table that derived range
+// indices reference, those indices are dropped with their recipes and the
+// table's Reorganize returns ErrStaleRangeIndex: the fetched table's row-id
+// column still holds the old ids.
 func (db *Database) Reorganize(table string) error {
 	ds, err := db.Delta(table)
 	if err != nil {
@@ -479,18 +484,30 @@ func (db *Database) Reorganize(table string) error {
 		return err
 	}
 	db.snapMu.Lock()
-	err = func() error {
-		if err := ds.Reorganize(); err != nil {
-			return err
-		}
-		registerDictTables(db, t)
-		if err := db.refreshSummaries(table); err != nil {
-			return err
-		}
-		return db.rederiveRangeIndexes(table, true)
-	}()
-	db.snapMu.Unlock()
-	return err
+	defer db.snapMu.Unlock()
+	moved, err := ds.Reorganize()
+	if err != nil {
+		return err
+	}
+	registerDictTables(db, t)
+	if err := db.refreshSummaries(table); err != nil {
+		return err
+	}
+	return db.rederiveAfterMove(table, moved)
+}
+
+// rederiveAfterMove re-derives the range indices involving table after a
+// reorganize or compaction, first dropping those that reference it when
+// its row ids moved.
+func (db *Database) rederiveAfterMove(table string, moved bool) error {
+	var stale error
+	if moved {
+		stale = db.dropRangeIndexesOnto(table)
+	}
+	if err := db.rederiveRangeIndexes(table, true); err != nil {
+		return err
+	}
+	return stale
 }
 
 // compactTable rewrites a disk-attached table into a fresh chunk-file
@@ -561,8 +578,9 @@ func (db *Database) compactTable(table string, ds *delta.Store, att *diskAttachm
 		// overwritten by the next attempt.
 		return err
 	}
-	db.snapMu.Lock()
 	err = func() error {
+		db.snapMu.Lock()
+		defer db.snapMu.Unlock()
 		// Re-attach fragment-backed so the table keeps scanning off disk
 		// chunks within bounded memory. Same *Table identity: the delta
 		// store and catalog keep their pointers; the column-set swap is
@@ -582,9 +600,8 @@ func (db *Database) compactTable(table string, ds *delta.Store, att *diskAttachm
 		}
 		// Compaction moved row ids: derived range indices MUST be re-run
 		// here (the stale-index bug this path exists to fix).
-		return db.rederiveRangeIndexes(table, true)
+		return db.rederiveAfterMove(table, len(live) < snapTotal)
 	}()
-	db.snapMu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -743,6 +760,17 @@ func cloneWith[V any](m map[string]V, k string, v V) map[string]V {
 	return out
 }
 
+// cloneWithout is cloneWith's counterpart: a copy of m without key k.
+func cloneWithout[V any](m map[string]V, k string) map[string]V {
+	out := make(map[string]V, len(m))
+	for kk, vv := range m {
+		if kk != k {
+			out[kk] = vv
+		}
+	}
+	return out
+}
+
 // BuildSummaryIndex builds a summary index over a clustered column of a
 // table (paper Section 4.3). Supported column types: Date/Int32, Float64.
 func (db *Database) BuildSummaryIndex(table, column string, granule int) error {
@@ -856,13 +884,7 @@ func (db *Database) rederiveRangeIndexes(table string, mustSucceed bool) error {
 		if err != nil {
 			if mustSucceed {
 				db.mu.Lock()
-				m := make(map[string]*sindex.RangeIndex, len(db.rangeIdx[j.fetched]))
-				for k, v := range db.rangeIdx[j.fetched] {
-					if k != j.ref {
-						m[k] = v
-					}
-				}
-				db.rangeIdx[j.fetched] = m
+				db.rangeIdx[j.fetched] = cloneWithout(db.rangeIdx[j.fetched], j.ref)
 				db.mu.Unlock()
 				if firstErr == nil {
 					firstErr = fmt.Errorf("core: re-derive range index %s->%s: %w", j.fetched, j.ref, err)
@@ -875,6 +897,35 @@ func (db *Database) rederiveRangeIndexes(table string, mustSucceed bool) error {
 		db.mu.Unlock()
 	}
 	return firstErr
+}
+
+// ErrStaleRangeIndex is wrapped by the error of a Reorganize that moved the
+// row ids of a table a derived range index references: the index and its
+// recipe are dropped, since the fetched table's row-id column still holds
+// the old ids. Plans through the index fail until it is derived again from
+// a row-id column over the new ids.
+var ErrStaleRangeIndex = errors.New("core: range index references moved row ids")
+
+// dropRangeIndexesOnto drops every derived range index whose referenced
+// table is ref (but not ref's own), with its recipe, and reports them with
+// ErrStaleRangeIndex.
+func (db *Database) dropRangeIndexesOnto(ref string) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	var dropped []string
+	for fetched, m := range db.rangeRecipes {
+		if _, ok := m[ref]; !ok || fetched == ref {
+			continue
+		}
+		db.rangeRecipes[fetched] = cloneWithout(m, ref)
+		db.rangeIdx[fetched] = cloneWithout(db.rangeIdx[fetched], ref)
+		dropped = append(dropped, fetched)
+	}
+	if len(dropped) == 0 {
+		return nil
+	}
+	slices.Sort(dropped)
+	return fmt.Errorf("%w: dropped range index of %s onto %s", ErrStaleRangeIndex, strings.Join(dropped, ", "), ref)
 }
 
 // RangeIndex returns the range index of fetchedTable clustered by refTable.

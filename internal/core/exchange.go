@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"x100/internal/algebra"
 	"x100/internal/sched"
@@ -335,7 +334,7 @@ func (e *exchangeOp) worker(slot *sched.Slot, p Operator) {
 }
 
 func (e *exchangeOp) Next() (*vector.Batch, error) {
-	t0 := time.Now()
+	t0 := e.in.opts.Tracer.Now()
 	if e.cur != nil {
 		select {
 		case e.recycle <- e.cur:
@@ -355,7 +354,7 @@ func (e *exchangeOp) Next() (*vector.Batch, error) {
 		return nil, msg.err
 	}
 	e.cur = msg.b
-	e.in.opts.Tracer.RecordOperator("Exchange", msg.b.Rows(), time.Since(t0))
+	e.in.opts.Tracer.RecordOperatorSince("Exchange", msg.b.Rows(), t0)
 	return msg.b, nil
 }
 

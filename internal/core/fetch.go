@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"x100/internal/algebra"
 	"x100/internal/colstore"
@@ -174,7 +173,7 @@ func (op *fetch1JoinOp) Next() (*vector.Batch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	t0 := time.Now()
+	t0 := op.opts.Tracer.Now()
 	var ids []int32
 	if op.rowPass >= 0 {
 		ids = b.Vecs[op.rowPass].Int32s()
@@ -199,7 +198,7 @@ func (op *fetch1JoinOp) Next() (*vector.Batch, error) {
 		op.opts.Tracer.RecordPrimitiveSince(op.colTraces[ci], tr, b.Rows(), (4+col.Typ.Width())*b.Rows())
 		out.Vecs = append(out.Vecs, v)
 	}
-	op.opts.Tracer.RecordOperator(op.name, b.Rows(), time.Since(t0))
+	op.opts.Tracer.RecordOperatorSince(op.name, b.Rows(), t0)
 	return out, nil
 }
 
@@ -363,7 +362,7 @@ func (op *fetchNJoinOp) Open() error {
 func (op *fetchNJoinOp) Close() error { return op.input.Close() }
 
 func (op *fetchNJoinOp) Next() (*vector.Batch, error) {
-	t0 := time.Now()
+	t0 := op.opts.Tracer.Now()
 	bs := op.opts.batchSize()
 	op.leftIdx = op.leftIdx[:0]
 	op.fetchIdx = op.fetchIdx[:0]
@@ -435,6 +434,6 @@ func (op *fetchNJoinOp) Next() (*vector.Batch, error) {
 		v.Typ = col.Typ
 		out.Vecs[nl+i] = v
 	}
-	op.opts.Tracer.RecordOperator(op.name, k, time.Since(t0))
+	op.opts.Tracer.RecordOperatorSince(op.name, k, t0)
 	return out, nil
 }

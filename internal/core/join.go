@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"x100/internal/algebra"
 	"x100/internal/expr"
@@ -89,7 +88,7 @@ func (jb *joinBuild) run(opts ExecOptions) error {
 }
 
 func (jb *joinBuild) build(opts ExecOptions) error {
-	t0 := time.Now()
+	t0 := opts.Tracer.Now()
 	if err := jb.drain(); err != nil {
 		return err
 	}
@@ -104,7 +103,7 @@ func (jb *joinBuild) build(opts ExecOptions) error {
 		return err
 	}
 	jb.in.mergeTracers(opts.Tracer)
-	opts.Tracer.RecordOperator("HashJoin(build)", jb.nRight, time.Since(t0))
+	opts.Tracer.RecordOperatorSince("HashJoin(build)", jb.nRight, t0)
 	return nil
 }
 
@@ -468,7 +467,7 @@ func (op *hashJoinOp) Next() (*vector.Batch, error) {
 // pairs come in probe-row order, chain order within a row, with a
 // left-outer row that matched nothing emitted once, paired with -1.
 func (op *hashJoinOp) nextExpand() (*vector.Batch, error) {
-	t0 := time.Now()
+	t0 := op.opts.Tracer.Now()
 	bs := op.opts.batchSize()
 	outer := op.node.Kind == algebra.LeftOuter
 	op.leftIdx, op.rightIdx = op.leftIdx[:0], op.rightIdx[:0]
@@ -537,7 +536,7 @@ func (op *hashJoinOp) nextExpand() (*vector.Batch, error) {
 		out.Vecs[nl+c].Typ = op.schema[nl+c].Type
 	}
 	out.Sel, out.N = nil, len(op.leftIdx)
-	op.opts.Tracer.RecordOperator("HashJoin(probe)", out.N, time.Since(t0))
+	op.opts.Tracer.RecordOperatorSince("HashJoin(probe)", out.N, t0)
 	return out, nil
 }
 
@@ -549,7 +548,7 @@ func (op *hashJoinOp) nextExpand() (*vector.Batch, error) {
 func (op *hashJoinOp) nextFiltered() (*vector.Batch, error) {
 	next := op.bld.next
 	for {
-		t0 := time.Now()
+		t0 := op.opts.Tracer.Now()
 		if err := op.pull(); err != nil || op.cur == nil {
 			return nil, err
 		}
@@ -598,7 +597,7 @@ func (op *hashJoinOp) nextFiltered() (*vector.Batch, error) {
 			out.Vecs = append(out.Vecs, vector.FromBools(hit))
 		}
 		out.Sel, out.N = sel, b.N
-		op.opts.Tracer.RecordOperator(op.name, len(sel), time.Since(t0))
+		op.opts.Tracer.RecordOperatorSince(op.name, len(sel), t0)
 		return out, nil
 	}
 }

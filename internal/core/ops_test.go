@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"x100/internal/algebra"
@@ -200,6 +202,106 @@ func TestOrderedAggrAutoDetected(t *testing.T) {
 	}
 	if res3.NumRows() != 3 {
 		t.Fatalf("code-domain groups: %d", res3.NumRows())
+	}
+}
+
+// TestHashAggrSealsSortedInput pins run sealing by the size of the group
+// table, not by a timing: a hash aggregation whose first key arrives in
+// non-decreasing order keeps only the current first-key run plus about a
+// batch of new groups in its table (600k groups, four per first-key run).
+// The same rows shuffled or descending, and a float64 first key, which
+// never seals, index every group, as before.
+func TestHashAggrSealsSortedInput(t *testing.T) {
+	const n = 600_000
+	k1, k2 := make([]int64, n), make([]int32, n)
+	f1 := make([]float64, n)
+	for i := range k1 {
+		k1[i], k2[i], f1[i] = int64(i/4), int32(3-i%4), float64(i/4)
+	}
+	shuffled, shuffled2 := slices.Clone(k1), slices.Clone(k2) // a table keeps its slices
+	rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		shuffled2[i], shuffled2[j] = shuffled2[j], shuffled2[i]
+	})
+	desc := slices.Clone(k1)
+	slices.Reverse(desc)
+	db := NewDatabase()
+	for _, tc := range []struct {
+		name string
+		typ  vector.Type
+		k1   any
+		k2   []int32
+	}{
+		{"sorted", vector.Int64, k1, k2},
+		{"shuffled", vector.Int64, shuffled, shuffled2},
+		{"desc", vector.Int64, desc, k2},
+		{"float", vector.Float64, f1, k2},
+	} {
+		tab := colstore.NewTable(tc.name)
+		must(t, tab.AddColumn("k1", tc.typ, tc.k1))
+		must(t, tab.AddColumn("k2", vector.Int32, tc.k2))
+		db.AddTable(tab)
+	}
+	run := func(table string) *aggrOp {
+		t.Helper()
+		plan := algebra.NewAggr(algebra.NewScan(table, "k1", "k2"),
+			[]algebra.NamedExpr{algebra.NE("k1", expr.C("k1")), algebra.NE("k2", expr.C("k2"))},
+			[]algebra.AggExpr{algebra.Count("n")})
+		op, err := Build(db, plan, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Drain(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.NumRows() != n {
+			t.Fatalf("%s: %d groups, want %d", table, res.NumRows(), n)
+		}
+		return unwrapRoot(op).(*aggrOp)
+	}
+	// The table never shrinks, so its final size is its largest.
+	if op := run("sorted"); len(op.buckets) > 4096 || !op.sealing {
+		t.Fatalf("sorted input: %d buckets (sealing %v), want <= 4096 while sealing", len(op.buckets), op.sealing)
+	}
+	for _, table := range []string{"shuffled", "desc", "float"} {
+		if op := run(table); op.sealing || op.tableFrom != 0 || len(op.buckets)*7 <= n*10 {
+			t.Fatalf("%s input: %d buckets from group %d (sealing %v), want every group indexed under 0.7 load",
+				table, len(op.buckets), op.tableFrom, op.sealing)
+		}
+	}
+}
+
+// TestHashAggrUnsealAfterDrop breaks the key order right after the table
+// dropped its sealed groups, in a batch with fewer rows than the one that
+// made the drop, so the table still has room: the rows of a dropped group
+// must find it again, not start a second group of the same key.
+func TestHashAggrUnsealAfterDrop(t *testing.T) {
+	const bs = 1024
+	var k1, k2 []int64
+	for i := 0; i < 2*bs; i++ { // two batches of new first keys
+		k1, k2 = append(k1, int64(i)), append(k2, 0)
+	}
+	for i := 0; i < bs; i++ { // a batch of bs heads, one new group: drops
+		k1, k2 = append(k1, 2*bs-1), append(k2, int64(1-i%2))
+	}
+	k1, k2 = append(k1, 0), append(k2, 0) // a dropped group, one head
+	tab := colstore.NewTable("t")
+	must(t, tab.AddColumn("k1", vector.Int64, k1))
+	must(t, tab.AddColumn("k2", vector.Int64, k2))
+	db := NewDatabase()
+	db.AddTable(tab)
+	plan := algebra.NewAggr(algebra.NewScan("t", "k1", "k2"),
+		[]algebra.NamedExpr{algebra.NE("k1", expr.C("k1")), algebra.NE("k2", expr.C("k2"))},
+		[]algebra.AggExpr{algebra.Count("n")})
+	opts := DefaultOptions()
+	opts.BatchSize = bs
+	res := runPlan(t, db, plan, opts)
+	if want := 2*bs + 1; res.NumRows() != want {
+		t.Fatalf("%d groups, want %d", res.NumRows(), want)
+	}
+	if row := res.Row(0); row[2] != int64(2) {
+		t.Fatalf("first group %v, want count 2", row)
 	}
 }
 

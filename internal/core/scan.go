@@ -367,13 +367,13 @@ func (s *scanOp) Next() (*vector.Batch, error) {
 		clear(s.filled)
 		var t0 time.Time
 		if s.fullPred != nil {
-			t0 = time.Now()
+			t0 = s.opts.Tracer.Now()
 			var err error
 			if sel, err = s.filter(lo, hi, sel); err != nil {
 				return nil, err
 			}
 			if len(sel) == 0 {
-				s.opts.Tracer.RecordOperator("Select", 0, time.Since(t0))
+				s.opts.Tracer.RecordOperatorSince("Select", 0, t0)
 				continue
 			}
 		}
@@ -384,7 +384,7 @@ func (s *scanOp) Next() (*vector.Batch, error) {
 		}
 		b.Sel = sel
 		if s.fullPred != nil {
-			s.opts.Tracer.RecordOperator("Select", b.Rows(), time.Since(t0))
+			s.opts.Tracer.RecordOperatorSince("Select", b.Rows(), t0)
 		}
 		return b, nil
 	}

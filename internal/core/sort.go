@@ -143,7 +143,7 @@ func (op *orderOp) Next() (*vector.Batch, error) {
 // run sorts every pipeline into its run on the fragment's workers, then
 // k-way merges the runs when there are several.
 func (op *orderOp) run() error {
-	t0 := time.Now()
+	t0 := op.in.opts.Tracer.Now()
 	if err := op.in.runWorkers(len(op.runs), func(w int) error { return op.runs[w].consume() }); err != nil {
 		return err
 	}
@@ -156,7 +156,7 @@ func (op *orderOp) run() error {
 	if op.limit > 0 {
 		name = "TopN(parallel-merge)"
 	}
-	op.in.opts.Tracer.RecordOperator(name, len(op.merged), time.Since(t0))
+	op.in.opts.Tracer.RecordOperatorSince(name, len(op.merged), t0)
 	return nil
 }
 
@@ -254,7 +254,7 @@ func (op *orderOp) consume() error {
 			break
 		}
 		op.opts.life.reserve(batchBytes(len(in)+len(op.keys), b.Rows()))
-		t0 := time.Now()
+		t0 := op.opts.Tracer.Now()
 		for c, v := range b.Vecs {
 			op.cols[c].appendVec(v, b.Sel, b.N)
 		}
@@ -268,9 +268,11 @@ func (op *orderOp) consume() error {
 			op.keyCols[i].appendVec(kv, b.Sel, b.N)
 		}
 		op.maybePrune()
-		self += time.Since(t0)
+		if !t0.IsZero() {
+			self += time.Since(t0)
+		}
 	}
-	t1 := time.Now()
+	t1 := op.opts.Tracer.Now()
 	n := 0
 	if len(op.cols) > 0 {
 		n = op.cols[0].len()
@@ -287,7 +289,9 @@ func (op *orderOp) consume() error {
 	if op.limit > 0 {
 		name = "TopN"
 	}
-	op.opts.Tracer.RecordOperator(name, n, self+time.Since(t1))
+	// Self time is the batch work plus the sort: t1 moved back by the
+	// former (with tracing off both stay zero).
+	op.opts.Tracer.RecordOperatorSince(name, n, t1.Add(-self))
 	return nil
 }
 

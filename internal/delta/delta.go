@@ -658,16 +658,18 @@ func (sn *Snapshot) Parts(cols []*colstore.Column) (parts []any, done bool, err 
 // columns are re-encoded (dictionaries may have grown). The new column set
 // is assembled off to the side and swapped in as one slice assignment, so
 // callers that serialize Reorganize against snapshot capture (core does,
-// via its snapshot lock) never expose a half-rewritten table.
-func (s *Store) Reorganize() error {
+// via its snapshot lock) never expose a half-rewritten table. moved reports
+// whether row ids moved, which they do when a deleted row was dropped.
+func (s *Store) Reorganize() (moved bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.table
 	live := liveIDs(s.baseN+s.nIns, s.deleted)
 	cols, err := rebuildCols(t.Cols, s.ins, live, s.baseN)
 	if err != nil {
-		return fmt.Errorf("delta: reorganize %s: %w", t.Name, err)
+		return false, fmt.Errorf("delta: reorganize %s: %w", t.Name, err)
 	}
+	moved = len(s.deleted) > 0
 	t.Cols = cols
 	t.N = len(live)
 	// The rewrite leaves every column memory-resident in one fragment, so
@@ -679,7 +681,7 @@ func (s *Store) Reorganize() error {
 		s.ins[i] = deltaCol{name: s.ins[i].name, typ: s.ins[i].typ, physical: s.ins[i].physical}
 	}
 	s.nIns = 0
-	return nil
+	return moved, nil
 }
 
 // BuildCompacted builds a fully reorganized copy of a table from a frozen

@@ -97,8 +97,8 @@ func TestReorganize(t *testing.T) {
 	if err := s.Delete(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Reorganize(); err != nil {
-		t.Fatal(err)
+	if moved, err := s.Reorganize(); err != nil || !moved {
+		t.Fatalf("reorganize dropping row 0: moved %v, err %v", moved, err)
 	}
 	tab := s.Table()
 	if tab.N != 4 || s.NumDeltaRows() != 0 || s.NumDeleted() != 0 {
@@ -167,7 +167,7 @@ func TestReorganizeLinearization(t *testing.T) {
 				before = append(before, s.DeltaRow(int(id) - s.Table().N)[0])
 			}
 		}
-		if err := s.Reorganize(); err != nil {
+		if _, err := s.Reorganize(); err != nil {
 			return false
 		}
 		if s.Table().N != len(before) {

@@ -187,11 +187,15 @@ type RangeIndex struct {
 // BuildRangeIndex inverts a join index, requiring the referencing rows of
 // each referenced row to be contiguous and in referenced-row order (i.e. the
 // fact table is clustered with the dimension, as the paper keeps lineitem
-// clustered with orders).
+// clustered with orders). A row id outside [0, refN) is an error: the join
+// index was built against another row-id space of the referenced table.
 func BuildRangeIndex(ji *JoinIndex, refN int) (*RangeIndex, error) {
 	starts := make([]int32, refN+1)
 	prev := int32(-1)
 	for i, r := range ji.RowIDs {
+		if r < 0 || int(r) >= refN {
+			return nil, fmt.Errorf("sindex: table %s row %d references row %d of %s, which has %d rows", ji.From, i, r, ji.To, refN)
+		}
 		if r < prev {
 			return nil, fmt.Errorf("sindex: table %s is not clustered with %s at row %d", ji.From, ji.To, i)
 		}

@@ -124,6 +124,13 @@ func TestRangeIndex(t *testing.T) {
 	if _, err := BuildRangeIndex(&JoinIndex{RowIDs: []int32{1, 0}}, 2); err == nil {
 		t.Fatal("unclustered must fail")
 	}
+	// So are row ids outside the referenced table, at its last row id and
+	// far beyond it (row ids of a table that has since lost rows).
+	for _, ids := range [][]int32{{0, 1, 2}, {0, 5, 9}, {-1, 0}} {
+		if _, err := BuildRangeIndex(&JoinIndex{RowIDs: ids}, 2); err == nil {
+			t.Fatalf("row ids %v over 2 referenced rows must fail", ids)
+		}
+	}
 }
 
 // Property: for a clustered join index, every referencing row appears in

@@ -11,6 +11,7 @@ import (
 
 	"x100/internal/algebra"
 	"x100/internal/core"
+	"x100/internal/expr"
 )
 
 // rangeJoinPlan queries lineitem THROUGH the orders->lineitem range index:
@@ -100,6 +101,96 @@ func TestReorganizeRederivesRangeIndex(t *testing.T) {
 
 	restarted, _ := attachAll(t, dir, 8)
 	check("restart", restarted)
+
+	for _, n := range []int{1, 40} {
+		t.Run(fmt.Sprintf("orders-deleted=%d", n), func(t *testing.T) { reorganizeReferenced(t, n) })
+	}
+}
+
+// hashJoinPlan is rangeJoinPlan's answer through a hash join on the keys,
+// which no row-id column can make stale.
+func hashJoinPlan() algebra.Node {
+	return algebra.NewAggr(
+		algebra.NewJoin(algebra.NewScan("lineitem", "l_orderkey", "l_quantity", "l_extendedprice"),
+			algebra.NewScan("orders", "o_orderkey"), algebra.EquiCond{L: "l_orderkey", R: "o_orderkey"}),
+		nil, []algebra.AggExpr{algebra.Count("n"), algebra.Sum("q", expr.C("l_quantity")),
+			algebra.Sum("s", expr.C("l_extendedprice"))})
+}
+
+// reorganizeReferenced deletes n orders rows and reorganizes orders, the
+// table the range index references. That moves the orders row ids while
+// lineitem's l_orderrow keeps the old ones, so the index must not be served
+// again: Reorganize drops it and its recipe with ErrStaleRangeIndex, range
+// plans fail instead of answering wrongly, and deriving the index again
+// from the stale column after a cold re-attach is refused. The hash join
+// agrees with the range plan before, and across memory and disk after.
+func reorganizeReferenced(t *testing.T, n int) {
+	mem, err := Generate(Config{SF: 0.005})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	saveAll(t, mem, dir)
+	disk, _ := attachAll(t, dir, 8)
+	tw := twinDBs{mem: mem, disk: disk}
+	ot, err := mem.Table("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range rand.New(rand.NewSource(int64(n))).Perm(ot.N)[:n] {
+		tw.each(t, func(db *core.Database) error { return db.Delete("orders", int32(id)) })
+	}
+	rangePlan, hashPlan := rangeJoinPlan(t), hashJoinPlan()
+	run := func(db *core.Database, plan algebra.Node, p int) (*core.Result, error) {
+		opts := core.DefaultOptions()
+		opts.Parallelism = p
+		return core.Run(db, plan, opts)
+	}
+	want, err := run(mem, hashPlan, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, db *core.Database, withRange bool) {
+		t.Helper()
+		for _, p := range []int{1, 2} {
+			plans := map[string]algebra.Node{"hash": hashPlan}
+			if withRange {
+				plans["range"] = rangePlan
+			}
+			for name, plan := range plans {
+				got, err := run(db, plan, p)
+				if err != nil {
+					t.Fatalf("%s %s p=%d: %v", label, name, p, err)
+				}
+				sameRowMultisets(t, fmt.Sprintf("%s %s p=%d", label, name, p), want, got)
+			}
+			if !withRange {
+				if _, err := run(db, rangePlan, p); err == nil {
+					t.Fatalf("%s p=%d: range plan ran over moved orders row ids", label, p)
+				}
+			}
+		}
+	}
+	check("pre-reorganize mem", mem, true)
+	check("pre-reorganize disk", disk, true)
+	for label, db := range map[string]*core.Database{"mem": mem, "disk": disk} {
+		if err := db.Reorganize("orders"); !errors.Is(err, core.ErrStaleRangeIndex) {
+			t.Fatalf("%s: Reorganize(orders) = %v, want ErrStaleRangeIndex", label, err)
+		}
+		if db.RangeIndex("lineitem", "orders") != nil {
+			t.Fatalf("%s: stale range index still registered", label)
+		}
+		check("post-reorganize "+label, db, false)
+		// The recipe went with the index: reorganizing lineitem derives nothing.
+		if err := db.Reorganize("lineitem"); err != nil || db.RangeIndex("lineitem", "orders") != nil {
+			t.Fatalf("%s: Reorganize(lineitem) = %v, index %v", label, err, db.RangeIndex("lineitem", "orders"))
+		}
+	}
+	restarted, _ := attachTables(t, dir, 8)
+	if err := restarted.DeriveRangeIndex("lineitem", "orders", "l_orderrow"); err == nil {
+		t.Fatal("restart: range index derived from l_orderrow over moved orders row ids")
+	}
+	check("restart", restarted, false)
 }
 
 // TestScanSnapshotAcrossCheckpoint locks down snapshot isolation across

@@ -1,9 +1,11 @@
 package tpch
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"x100/internal/algebra"
@@ -110,12 +112,20 @@ func decoys(kt hashKeyType, x int) (y1, y2 int) {
 // prefix+"id" numbering the rows.
 func keyTable(t *testing.T, name, prefix string, kt hashKeyType, nKeys int, rows [][2]int) *colstore.Table {
 	t.Helper()
+	rowIDs := make([]int64, len(rows))
+	for i := range rowIDs {
+		rowIDs[i] = int64(i)
+	}
+	return keyTableIDs(t, name, prefix, kt, nKeys, rows, rowIDs)
+}
+
+// keyTableIDs is keyTable with the payload given.
+func keyTableIDs(t *testing.T, name, prefix string, kt hashKeyType, nKeys int, rows [][2]int, rowIDs []int64) *colstore.Table {
+	t.Helper()
 	tab := colstore.NewTable(name)
 	k1, k2 := make([]any, len(rows)), make([]any, len(rows))
-	rowIDs := make([]int64, len(rows))
 	for i, r := range rows {
 		k1[i], k2[i] = kt.value(r[0]), kt.value(r[1])
-		rowIDs[i] = int64(i)
 	}
 	if err := kt.add(tab, prefix+"k", k1); err != nil {
 		t.Fatal(err)
@@ -131,6 +141,115 @@ func keyTable(t *testing.T, name, prefix string, kt hashKeyType, nKeys int, rows
 	return tab
 }
 
+// orderShape is a group-by input built around the first key's order, the
+// property run sealing observes: base rows in scan order, base rows
+// deleted and rows inserted, both left pending.
+type orderShape struct {
+	name string
+	rows [][2]int
+	del  []int32
+	tail [][2]int
+}
+
+// orderShapes generates the key-order shapes of one key type. "asc" holds
+// up to 300 first keys in ascending physical order, in runs of 1-9 rows
+// and one of 1030 rows that spans a batch edge at every vector size; with
+// two keys a run cycles through three second keys. The others derive from
+// it: "desc" reverses it, "break@P" puts a row of the smallest first key
+// at position P (the first row of a batch at vector size 7 or 1024, or
+// mid-batch at both), "tail" leaves it sorted and breaks the order only in
+// pending inserts, and "del" deletes rows inside runs and one whole run.
+// Enum keys compare by code, assigned in order of first occurrence, so
+// "desc" is ascending for them.
+func orderShapes(kt hashKeyType, nKeys int) []orderShape {
+	ids := make([]int, min(kt.domain, 300)) // still 16-bit codes for "u16"
+	for i := range ids {
+		ids[i] = i
+	}
+	slices.SortFunc(ids, func(a, b int) int { return compareKeys(kt.value(a), kt.value(b)) })
+	var asc [][2]int
+	for i, x := range ids {
+		n := 1 + i*37%9
+		if i == len(ids)/2 {
+			n = 1030
+		}
+		for j := 0; j < n; j++ {
+			y := secondKey(x)
+			if nKeys == 2 {
+				y += j % 3
+			}
+			asc = append(asc, [2]int{x, y})
+		}
+	}
+	first := [2]int{ids[0], secondKey(ids[0])}
+	shapes := []orderShape{{name: "asc", rows: asc}, {name: "desc", rows: slices.Clone(asc)}}
+	slices.Reverse(shapes[1].rows)
+	for _, at := range []int{7, 1024, 1027} {
+		rows := slices.Concat(asc[:at], [][2]int{first}, asc[at:])
+		shapes = append(shapes, orderShape{name: fmt.Sprintf("break@%d", at), rows: rows})
+	}
+	third := [2]int{ids[len(ids)/3], secondKey(ids[len(ids)/3])}
+	shapes = append(shapes, orderShape{name: "tail", rows: asc, tail: [][2]int{asc[len(asc)-1], first, third, third}})
+	var del []int32
+	for i, r := range asc {
+		if i%3 == 1 || r[0] == ids[1] {
+			del = append(del, int32(i))
+		}
+	}
+	return append(shapes, orderShape{name: "del", rows: asc, del: del})
+}
+
+// compareKeys orders two key values of one type.
+func compareKeys(a, b any) int {
+	switch a := a.(type) {
+	case int32:
+		return cmp.Compare(a, b.(int32))
+	case int64:
+		return cmp.Compare(a, b.(int64))
+	case float64:
+		return cmp.Compare(a, b.(float64))
+	default:
+		return strings.Compare(a.(string), b.(string))
+	}
+}
+
+// addOrderShape adds the table of shape sh to db, with its deletions and
+// inserts pending, and returns the name of a table for MIL, which refuses
+// pending deltas: the same live rows in scan order, without deltas.
+func addOrderShape(t *testing.T, db *core.Database, kt hashKeyType, nKeys int, sh orderShape) string {
+	t.Helper()
+	name := "o-" + sh.name
+	db.AddTable(keyTable(t, name, "l", kt, nKeys, sh.rows))
+	if len(sh.del) == 0 && len(sh.tail) == 0 {
+		return name
+	}
+	var live [][2]int
+	var ids []int64
+	for i, r := range sh.rows {
+		if !slices.Contains(sh.del, int32(i)) {
+			live, ids = append(live, r), append(ids, int64(i))
+		}
+	}
+	for _, id := range sh.del {
+		if err := db.Delete(name, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j, r := range sh.tail {
+		id := int64(len(sh.rows) + j)
+		row := []any{kt.value(r[0])}
+		if nKeys == 2 {
+			row = append(row, kt.value(r[1]))
+		}
+		if _, err := db.Insert(name, append(row, id)); err != nil {
+			t.Fatal(err)
+		}
+		live, ids = append(live, r), append(ids, id)
+	}
+	db.AddTable(keyTableIDs(t, name+"-ref", "l", kt, nKeys, live, ids))
+	return name + "-ref"
+}
+
 // TestHashTableBoundaryShapes generates the edge shapes of both hash tables
 // instead of remembering a few: key types uint8/uint16 codes, int32, int64,
 // float64 and string, with one and two keys, at vector sizes {1, 7, 1024}.
@@ -139,11 +258,12 @@ func keyTable(t *testing.T, name, prefix string, kt hashKeyType, nKeys int, rows
 // bucket, unmatched probe keys, an empty build and an empty probe side, and
 // run every join kind. The aggregation shapes group the probe rows and
 // 716/717 distinct keys, one below and one above the 0.7-load doubling of
-// a 1024-bucket table. Every result is checked against MIL at parallelism
-// 1 and 2 (partial aggregations merge), and at parallelism 1 row for row
-// against the order the hash
-// tables promise: join pairs in probe-row order, build rows newest first
-// within a probe row, and groups in order of first occurrence.
+// a 1024-bucket table, and group the key-order shapes of orderShapes, which
+// seal and un-seal the group table. Every result is checked against MIL at
+// parallelism 1 and 2, aggregations also at 8 (partials merge), and at
+// parallelism 1 row for row against the order the hash tables promise:
+// join pairs in probe-row order, build rows newest first within a probe
+// row, and groups in order of first occurrence.
 func TestHashTableBoundaryShapes(t *testing.T) {
 	kinds := []algebra.JoinKind{algebra.Inner, algebra.LeftOuter, algebra.Semi, algebra.Anti, algebra.Mark}
 	for _, kt := range hashKeyTypes() {
@@ -217,6 +337,7 @@ func TestHashTableBoundaryShapes(t *testing.T) {
 				on = append(on, algebra.EquiCond{L: "lk2", R: "rk2"})
 			}
 			plans := map[string]algebra.Node{}
+			milTables := map[string]string{} // plan -> table MIL scans instead
 			for _, kind := range kinds {
 				for _, sides := range [][2]string{{"p", "b"}, {"p", "be"}, {"pe", "b"}} {
 					j := algebra.NewJoinKind(kind, algebra.NewScan(sides[0], cols("l")...), algebra.NewScan(sides[1], cols("r")...), on...)
@@ -226,20 +347,31 @@ func TestHashTableBoundaryShapes(t *testing.T) {
 					plans[fmt.Sprintf("%v %s⋈%s", kind, sides[0], sides[1])] = j
 				}
 			}
-			for _, g := range []string{"p", "pe", "g716", "g717"} {
-				if _, err := db.TableSchema(g); err != nil {
-					continue
-				}
+			aggr := func(table string) algebra.Node {
 				group := []algebra.NamedExpr{algebra.NE("gk", expr.C("lk"))}
 				if nKeys == 2 {
 					group = append(group, algebra.NE("gk2", expr.C("lk2")))
 				}
-				plans["aggr "+g] = algebra.NewAggr(algebra.NewScan(g, cols("l")...), group,
+				return algebra.NewAggr(algebra.NewScan(table, cols("l")...), group,
 					[]algebra.AggExpr{algebra.Count("n"), algebra.Sum("s", expr.C("lid"))}).WithMode(algebra.ModeHash)
+			}
+			for _, g := range []string{"p", "pe", "g716", "g717"} {
+				if _, err := db.TableSchema(g); err == nil {
+					plans["aggr "+g] = aggr(g)
+				}
+			}
+			for _, sh := range orderShapes(kt, nKeys) {
+				name := "aggr " + sh.name
+				plans[name] = aggr("o-" + sh.name)
+				milTables[name] = addOrderShape(t, db, kt, nKeys, sh)
 			}
 			for name, plan := range plans {
 				label := fmt.Sprintf("%s keys=%d %s", kt.name, nKeys, name)
-				res, err := mil.New(db).Run(plan)
+				milPlan := plan
+				if table, ok := milTables[name]; ok {
+					milPlan = aggr(table)
+				}
+				res, err := mil.New(db).Run(milPlan)
 				if err != nil {
 					t.Fatalf("%s: mil: %v", label, err)
 				}
@@ -248,8 +380,12 @@ func TestHashTableBoundaryShapes(t *testing.T) {
 				for _, row := range promisedOrder(t, db, plan) {
 					order = append(order, fmt.Sprint(row))
 				}
+				ps := []int{1, 2}
+				if _, ok := plan.(*algebra.Aggr); ok {
+					ps = append(ps, 8)
+				}
 				for _, vs := range []int{1, 7, 1024} {
-					for _, p := range []int{1, 2} {
+					for _, p := range ps {
 						opts := core.DefaultOptions()
 						opts.BatchSize, opts.Parallelism = vs, p
 						got, err := core.Run(db, plan, opts)

@@ -26,6 +26,14 @@ var mutTables = []string{"lineitem", "orders"}
 // orders->lineitem range index from the persisted join-index column.
 func attachAll(t *testing.T, dir string, poolChunks int) (*core.Database, *columnbm.Store) {
 	t.Helper()
+	db, store := attachTables(t, dir, poolChunks)
+	rebuildRangeIndex(t, db)
+	return db, store
+}
+
+// attachTables is attachAll without the range index.
+func attachTables(t *testing.T, dir string, poolChunks int) (*core.Database, *columnbm.Store) {
+	t.Helper()
 	store, err := columnbm.NewStore(dir, diskChunkRows, poolChunks)
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +44,6 @@ func attachAll(t *testing.T, dir string, poolChunks int) (*core.Database, *colum
 			t.Fatal(err)
 		}
 	}
-	rebuildRangeIndex(t, db)
 	return db, store
 }
 

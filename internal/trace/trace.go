@@ -151,6 +151,16 @@ func (c *Collector) RecordOperator(name string, n int, d time.Duration) {
 	c.record(c.ops, &c.opSeq, name, n, 0, d.Nanoseconds())
 }
 
+// RecordOperatorSince accumulates time attributed to an algebra operator
+// since t0 (obtained from Now); a zero t0, taken with tracing off, records
+// nothing, so untraced operators never read the clock.
+func (c *Collector) RecordOperatorSince(name string, n int, t0 time.Time) {
+	if c == nil || !c.Enabled || t0.IsZero() {
+		return
+	}
+	c.record(c.ops, &c.opSeq, name, n, 0, time.Since(t0).Nanoseconds())
+}
+
 func (c *Collector) record(m map[string]*Stat, seq *[]string, name string, n, bytes int, ns int64) {
 	s, ok := m[name]
 	if !ok {

@@ -227,6 +227,15 @@ var ErrCorrupt = columnbm.ErrCorrupt
 // persisted across retries escape with this mark.
 var ErrTransient = columnbm.ErrTransient
 
+// ErrStaleRangeIndex is wrapped by the error of a Reorganize that dropped
+// deleted rows of a table a derived range index references, such as
+// orders, referenced through lineitem's l_orderrow in GenerateTPCH's
+// database. The table is reorganized, but the index is dropped: the
+// referencing row-id column still holds the old row ids, so plans through
+// the index fail instead of answering wrongly. Test with
+// errors.Is(err, ErrStaleRangeIndex).
+var ErrStaleRangeIndex = core.ErrStaleRangeIndex
+
 // DB is a columnar database instance.
 type DB struct {
 	inner *core.Database
@@ -574,6 +583,8 @@ func (db *DB) DeltaFraction(table string) (float64, error) {
 // fresh generation of compressed chunk files committed by one atomic
 // manifest rename, compacting checkpointed deletions away — and re-attached
 // fragment-backed, so it keeps scanning off disk chunks in bounded memory.
+// Dropping rows of a table a range index references returns
+// ErrStaleRangeIndex.
 func (db *DB) Reorganize(table string) error {
 	return db.inner.Reorganize(table)
 }
