@@ -187,6 +187,9 @@ func FormatCompactionStatus(s CompactionStatus) string {
 	if s.LastError != nil {
 		out += fmt.Sprintf("last error: %v\n", s.LastError)
 	}
+	if s.DroppedIndex != nil {
+		out += fmt.Sprintf("dropped index: %v\n", s.DroppedIndex)
+	}
 	return out
 }
 

@@ -28,6 +28,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -229,11 +230,15 @@ func handleMeta(cmd string, db *x100.DB, engine *x100.Engine, vectorSize, parall
 			fmt.Println("usage: \\reorganize <table>")
 			break
 		}
-		if err := db.Reorganize(fields[1]); err != nil {
+		err := db.Reorganize(fields[1])
+		if err != nil && !errors.Is(err, x100.ErrStaleRangeIndex) {
 			fmt.Println(err)
 			break
 		}
 		fmt.Println("reorganized", fields[1])
+		if err != nil {
+			fmt.Println(err)
+		}
 	case "\\explain":
 		rest := strings.TrimSpace(strings.TrimPrefix(cmd, "\\explain"))
 		plan, err := x100.Parse(rest)

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"x100/internal/algebra"
 	"x100/internal/expr"
@@ -98,16 +97,7 @@ func growTo[T any](s []T, n int) []T {
 	if len(s) >= n {
 		return s
 	}
-	if n > cap(s) {
-		// Double the capacity: append grows a large slice by 1.25x, which
-		// copies the accumulators of a growing group table about four
-		// times over instead of once.
-		s = slices.Grow(s, max(n, 2*cap(s))-len(s))
-	}
-	old := len(s)
-	s = s[:n]
-	clear(s[old:])
-	return s
+	return append(s, make([]T, n-len(s))...)
 }
 
 // growFill extends s to length n, setting new cells to fill. Min/max
@@ -115,8 +105,11 @@ func growTo[T any](s []T, n int) []T {
 // -Inf/MinInt for max) so the branchless kernels can fold unconditionally
 // without consulting seen flags.
 func growFill[T any](s []T, n int, fill T) []T {
+	if len(s) >= n {
+		return s
+	}
 	old := len(s)
-	s = growTo(s, n)
+	s = append(s, make([]T, n-len(s))...)
 	for i := old; i < len(s); i++ {
 		s[i] = fill
 	}
@@ -513,6 +506,7 @@ func (op *aggrOp) open() error {
 	op.nGroups = 0
 	op.occupied = nil
 	op.groups = nil
+	op.scratch.gvecs = nil
 	op.rowCount = nil
 	op.buckets = nil
 	op.groupHash = nil
@@ -793,10 +787,27 @@ func (op *aggrOp) adjacentEqual(b *vector.Batch, keys []*vector.Vector) (pos, sa
 // reused across batches.
 type groupScratch struct {
 	keys                 []*vector.Vector
+	gvecs                []*vector.Vector
 	livePos, same, heads []int32
 	slot                 []uint64
 	todo, gp, gg, cp, cq []int32
 	sel, newRows         []int32
+}
+
+// groupVecs returns vector views of the group key builders. A view is
+// rebuilt only when its builder grew since the last call: builders only
+// append, so a view of the same length still holds the same values.
+func (op *aggrOp) groupVecs() []*vector.Vector {
+	s := &op.scratch
+	if len(s.gvecs) != len(op.groups) {
+		s.gvecs = make([]*vector.Vector, len(op.groups))
+	}
+	for c, cb := range op.groups {
+		if v := s.gvecs[c]; v == nil || v.Len() != cb.len() {
+			s.gvecs[c] = cb.vec()
+		}
+	}
+	return s.gvecs
 }
 
 // findOrInsert sets gids[p] to the group of row p of the key vectors for
@@ -821,6 +832,7 @@ func (op *aggrOp) findOrInsert(keys []*vector.Vector, hashes []uint64, rows []in
 		slot[p] = hashes[p] & mask
 	}
 	todo := append(s.todo[:0], rows...)
+	gvecs := op.groupVecs()
 	gp, gg, cp, cq := s.gp, s.gg, s.cp, s.cq
 	claims := 0
 	for len(todo) > 0 {
@@ -841,7 +853,7 @@ func (op *aggrOp) findOrInsert(keys []*vector.Vector, hashes []uint64, rows []in
 		// both move to the next slot and form the next round.
 		s.sel = allPairs(s.sel, len(gp))
 		for c, k := range keys {
-			s.sel = op.groups[c].keepEqual(s.sel, gg, k, gp)
+			s.sel = keepEqual(s.sel, gvecs[c], gg, k, gp)
 		}
 		next := op.resolve(todo[:0], gp, gg, s.sel, slot, gids, false)
 		s.sel = allPairs(s.sel, len(cp))
@@ -1023,8 +1035,9 @@ func (op *aggrOp) assignOrdered(b *vector.Batch) {
 	if !firstNew {
 		first := []int32{0}
 		last := []int32{int32(op.nGroups - 1)}
+		gvecs := op.groupVecs()
 		for c, k := range keys {
-			first = op.groups[c].keepEqual(first, last, k, pos)
+			first = keepEqual(first, gvecs[c], last, k, pos)
 		}
 		firstNew = len(first) == 0
 	}

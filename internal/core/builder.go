@@ -204,27 +204,6 @@ func keepEqual(sel []int32, a *vector.Vector, ia []int32, b *vector.Vector, ib [
 	}
 }
 
-// keepEqual is keepEqual with the accumulated values of cb as a, read in
-// place: only rows already appended may be named by ia.
-func (cb *colBuilder) keepEqual(sel []int32, ia []int32, b *vector.Vector, ib []int32) []int32 {
-	switch cb.typ.Physical() {
-	case vector.Bool:
-		return eqPairs(sel, cb.b, ia, b.Bools(), ib)
-	case vector.UInt8:
-		return eqPairs(sel, cb.u8, ia, b.UInt8s(), ib)
-	case vector.UInt16:
-		return eqPairs(sel, cb.u16, ia, b.UInt16s(), ib)
-	case vector.Int32:
-		return eqPairs(sel, cb.i32, ia, b.Int32s(), ib)
-	case vector.Int64:
-		return eqPairs(sel, cb.i64, ia, b.Int64s(), ib)
-	case vector.Float64:
-		return eqPairs(sel, cb.f64, ia, b.Float64s(), ib)
-	default:
-		return eqPairs(sel, cb.strs, ia, b.Strings(), ib)
-	}
-}
-
 // eqPairs narrows sel in place to the pairs k with a[ia[k]] == b[ib[k]].
 // Every k is written and kept by advancing n, which the compiler turns into
 // a conditional move where an append would branch on the data.

@@ -470,7 +470,8 @@ func tailRecords(ds *delta.Store, snap *delta.Snapshot) []columnbm.WALRecord {
 // dropping deleted rows moves the row ids of a table that derived range
 // indices reference, those indices are dropped with their recipes and the
 // table's Reorganize returns ErrStaleRangeIndex: the fetched table's row-id
-// column still holds the old ids.
+// column still holds the old ids. That error comes after the reorganize has
+// completed, the disk cutover included.
 func (db *Database) Reorganize(table string) error {
 	ds, err := db.Delta(table)
 	if err != nil {
@@ -578,6 +579,10 @@ func (db *Database) compactTable(table string, ds *delta.Store, att *diskAttachm
 		// overwritten by the next attempt.
 		return err
 	}
+	// A dropped stale range index is reported once the cutover has fully
+	// finished: the manifest is already committed, so the WAL rotation and
+	// the old generation's cleanup must still run.
+	var stale error
 	err = func() error {
 		db.snapMu.Lock()
 		defer db.snapMu.Unlock()
@@ -600,7 +605,11 @@ func (db *Database) compactTable(table string, ds *delta.Store, att *diskAttachm
 		}
 		// Compaction moved row ids: derived range indices MUST be re-run
 		// here (the stale-index bug this path exists to fix).
-		return db.rederiveAfterMove(table, len(live) < snapTotal)
+		err = db.rederiveAfterMove(table, len(live) < snapTotal)
+		if errors.Is(err, ErrStaleRangeIndex) {
+			stale, err = err, nil
+		}
+		return err
 	}()
 	if err != nil {
 		return err
@@ -614,7 +623,7 @@ func (db *Database) compactTable(table string, ds *delta.Store, att *diskAttachm
 	// that captured their view before the cutover; deletion waits for the
 	// last generation lease.
 	att.deferCleanup(func() { att.store.RemoveGeneration(old) })
-	return nil
+	return stale
 }
 
 // CheckpointAll checkpoints every disk-attached table, concurrently across

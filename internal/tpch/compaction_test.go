@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -124,6 +126,8 @@ func hashJoinPlan() algebra.Node {
 // plans fail instead of answering wrongly, and deriving the index again
 // from the stale column after a cold re-attach is refused. The hash join
 // agrees with the range plan before, and across memory and disk after.
+// The error is reported after a complete cutover: the old chunk generation
+// is removed, and writes acknowledged after it survive a cold re-attach.
 func reorganizeReferenced(t *testing.T, n int) {
 	mem, err := Generate(Config{SF: 0.005})
 	if err != nil {
@@ -131,7 +135,7 @@ func reorganizeReferenced(t *testing.T, n int) {
 	}
 	dir := t.TempDir()
 	saveAll(t, mem, dir)
-	disk, _ := attachAll(t, dir, 8)
+	disk, store := attachAll(t, dir, 8)
 	tw := twinDBs{mem: mem, disk: disk}
 	ot, err := mem.Table("orders")
 	if err != nil {
@@ -186,11 +190,82 @@ func reorganizeReferenced(t *testing.T, n int) {
 			t.Fatalf("%s: Reorganize(lineitem) = %v, index %v", label, err, db.RangeIndex("lineitem", "orders"))
 		}
 	}
+	m, err := store.ReadManifest("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks, err := filepath.Glob(filepath.Join(dir, "orders.*.chunk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range chunks {
+		if !strings.Contains(filepath.Base(f), fmt.Sprintf(".g%d.", m.Gen)) {
+			t.Fatalf("superseded orders chunk survives the cutover: %s (manifest gen %d)", f, m.Gen)
+		}
+	}
+
 	restarted, _ := attachTables(t, dir, 8)
 	if err := restarted.DeriveRangeIndex("lineitem", "orders", "l_orderrow"); err == nil {
 		t.Fatal("restart: range index derived from l_orderrow over moved orders row ids")
 	}
 	check("restart", restarted, false)
+
+	// Writes after the cutover go to the rotated WAL and survive restart.
+	tmpl := lastRowTemplate(t, mem, "orders")
+	tw.each(t, func(db *core.Database) error {
+		if _, err := db.Insert("orders", tmpl); err != nil {
+			return err
+		}
+		return db.Delete("orders", 0)
+	})
+	if want, err = run(mem, hashPlan, 1); err != nil {
+		t.Fatal(err)
+	}
+	ordersPlan := algebra.NewAggr(algebra.NewScan("orders", "o_orderkey"), nil,
+		[]algebra.AggExpr{algebra.Count("n"), algebra.Sum("k", expr.C("o_orderkey"))})
+	wantOrders, err := run(mem, ordersPlan, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted, _ = attachTables(t, dir, 8)
+	check("restart after writes", restarted, false)
+	gotOrders, err := run(restarted, ordersPlan, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRowMultisets(t, "restart after writes orders", wantOrders, gotOrders)
+}
+
+// TestCompactorCountsStaleIndexDrop runs the background compactor over an
+// orders table past its delete threshold. The compaction drops the
+// orders->lineitem range index; the compactor counts it as a completed
+// compaction and reports the dropped index, not a failure.
+func TestCompactorCountsStaleIndexDrop(t *testing.T) {
+	mem, err := Generate(Config{SF: 0.005})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	saveAll(t, mem, dir)
+	disk, _ := attachAll(t, dir, 8)
+	for id := int32(0); id < 40; id++ {
+		if err := disk.Delete("orders", id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	comp := core.StartCompactor(disk, core.CompactorOptions{Interval: 2 * time.Millisecond, DeleteFraction: 0.001})
+	settle(t, "orders compaction", func() bool { return comp.Status().Compactions > 0 })
+	comp.Stop()
+	st := comp.Status()
+	if st.Errors != 0 || st.LastError != nil {
+		t.Fatalf("compactor: %d errors, last: %v", st.Errors, st.LastError)
+	}
+	if !errors.Is(st.DroppedIndex, core.ErrStaleRangeIndex) {
+		t.Fatalf("compactor DroppedIndex = %v, want ErrStaleRangeIndex", st.DroppedIndex)
+	}
+	if disk.RangeIndex("lineitem", "orders") != nil {
+		t.Fatal("stale range index still registered after background compaction")
+	}
 }
 
 // TestScanSnapshotAcrossCheckpoint locks down snapshot isolation across

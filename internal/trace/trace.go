@@ -143,14 +143,6 @@ func (c *Collector) RecordCounter(name string, n int64) {
 	ctr.Value += n
 }
 
-// RecordOperator accumulates time attributed to an algebra operator.
-func (c *Collector) RecordOperator(name string, n int, d time.Duration) {
-	if c == nil || !c.Enabled {
-		return
-	}
-	c.record(c.ops, &c.opSeq, name, n, 0, d.Nanoseconds())
-}
-
 // RecordOperatorSince accumulates time attributed to an algebra operator
 // since t0 (obtained from Now); a zero t0, taken with tracing off, records
 // nothing, so untraced operators never read the clock.

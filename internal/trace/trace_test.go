@@ -12,7 +12,7 @@ func TestDisabledCollectorIsNoop(t *testing.T) {
 		t.Fatal("nil collector Now must be zero")
 	}
 	c.RecordPrimitiveSince("x", time.Now(), 1, 1) // must not panic
-	c.RecordOperator("x", 1, time.Second)
+	c.RecordOperatorSince("x", 1, time.Now())
 	c.Begin()
 	c.End()
 	zero := &Collector{} // disabled
@@ -31,7 +31,8 @@ func TestCollectAndRender(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	c.RecordPrimitiveSince("map_add_flt_col_flt_col", t0, 1000, 24000)
 	c.RecordPrimitiveSince("map_add_flt_col_flt_col", c.Now(), 500, 12000)
-	c.RecordOperator("Select", 1500, 2*time.Millisecond)
+	c.RecordOperatorSince("Select", 1500, t0)
+	c.RecordOperatorSince("Select", 1500, time.Time{}) // untraced start: ignored
 	c.End()
 
 	prims := c.Primitives()

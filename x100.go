@@ -584,7 +584,7 @@ func (db *DB) DeltaFraction(table string) (float64, error) {
 // manifest rename, compacting checkpointed deletions away — and re-attached
 // fragment-backed, so it keeps scanning off disk chunks in bounded memory.
 // Dropping rows of a table a range index references returns
-// ErrStaleRangeIndex.
+// ErrStaleRangeIndex once the reorganize has completed.
 func (db *DB) Reorganize(table string) error {
 	return db.inner.Reorganize(table)
 }
