@@ -17,6 +17,7 @@ import (
 	"x100/internal/colstore"
 	"x100/internal/columnbm"
 	"x100/internal/delta"
+	"x100/internal/expr"
 	"x100/internal/sched"
 	"x100/internal/sindex"
 	"x100/internal/vector"
@@ -70,10 +71,10 @@ type Database struct {
 	// rangeIdx: fetched-table -> referenced-table -> range index. Same
 	// copy-on-write discipline as the summary maps.
 	rangeIdx map[string]map[string]*sindex.RangeIndex
-	// rangeRecipes: fetched-table -> referenced-table -> row-id column the
-	// range index was derived from (DeriveRangeIndex); cutovers that move
-	// row ids re-run the recipe so indices never go stale.
-	rangeRecipes map[string]map[string]string
+	// joinRefs: fetched-table -> referenced-table -> the positional
+	// reference registered by RegisterJoinIndex or DeriveRangeIndex.
+	// Copy-on-write like the index maps.
+	joinRefs map[string]map[string]joinRef
 	// disk: tables attached from a ColumnBM directory, with the store they
 	// came from (the checkpoint write-back target) and how many deletions
 	// the committed manifest already records.
@@ -116,13 +117,13 @@ type diskAttachment struct {
 // NewDatabase creates a database over an empty catalog.
 func NewDatabase() *Database {
 	return &Database{
-		Catalog:      colstore.NewCatalog(),
-		deltas:       make(map[string]*delta.Store),
-		sumI32:       make(map[string]map[string]*sindex.Summary[int32]),
-		sumF64:       make(map[string]map[string]*sindex.Summary[float64]),
-		rangeIdx:     make(map[string]map[string]*sindex.RangeIndex),
-		rangeRecipes: make(map[string]map[string]string),
-		disk:         make(map[string]*diskAttachment),
+		Catalog:  colstore.NewCatalog(),
+		deltas:   make(map[string]*delta.Store),
+		sumI32:   make(map[string]map[string]*sindex.Summary[int32]),
+		sumF64:   make(map[string]map[string]*sindex.Summary[float64]),
+		rangeIdx: make(map[string]map[string]*sindex.RangeIndex),
+		joinRefs: make(map[string]map[string]joinRef),
+		disk:     make(map[string]*diskAttachment),
 	}
 }
 
@@ -465,13 +466,13 @@ func tailRecords(ds *delta.Store, snap *delta.Snapshot) []columnbm.WALRecord {
 // over with one atomic manifest rename; the superseded generation's files
 // are removed once the last query reading them finishes. Summary indices,
 // enum dictionary mapping tables and derived range indices (DeriveRangeIndex)
-// are rebuilt at the cutover; positional join indices registered without a
-// recipe are NOT adjusted — callers re-derive them when row ids moved. When
-// dropping deleted rows moves the row ids of a table that derived range
-// indices reference, those indices are dropped with their recipes and the
-// table's Reorganize returns ErrStaleRangeIndex: the fetched table's row-id
-// column still holds the old ids. That error comes after the reorganize has
-// completed, the disk cutover included.
+// are rebuilt at the cutover. Join-index columns are NOT adjusted: when
+// dropping deleted rows moves the row ids of a table that join indices
+// reference, every one of them is marked stale (Fetch1Joins through it fail
+// to build), the range indices derived from them are dropped, and when
+// there were such range indices Reorganize returns ErrStaleRangeIndex. That
+// error comes after the reorganize has completed, the disk cutover
+// included.
 func (db *Database) Reorganize(table string) error {
 	ds, err := db.Delta(table)
 	if err != nil {
@@ -503,7 +504,7 @@ func (db *Database) Reorganize(table string) error {
 func (db *Database) rederiveAfterMove(table string, moved bool) error {
 	var stale error
 	if moved {
-		stale = db.dropRangeIndexesOnto(table)
+		stale = db.staleRefsOnto(table)
 	}
 	if err := db.rederiveRangeIndexes(table, true); err != nil {
 		return err
@@ -821,23 +822,71 @@ func (db *Database) RegisterRangeIndex(fetchedTable, refTable string, ri *sindex
 	db.mu.Unlock()
 }
 
-// DeriveRangeIndex builds and registers the range index of fetchedTable
-// clustered by refTable from the fetched table's row-id column (an int32
-// positional-join column such as "l_orderrow"), and records the recipe:
-// whenever a Checkpoint or Reorganize of either table changes what the
-// index must cover, it is re-derived automatically from the same column,
-// so FetchNJoin plans never run against stale row ids. The row-id column
-// must be ascending (the fetched table clustered with the referenced one).
+// joinRef is a positional reference: an int32 column of the fetched table
+// (a join index such as "l_orderrow") holding row ids of the referenced
+// table. Writers supply its values for the rows they insert; -1 means the
+// row references nothing, and a Fetch1Join drops it.
+type joinRef struct {
+	col string
+	// ranged: DeriveRangeIndex keeps a range index derived from col, which
+	// checkpoints and reorganizes re-derive.
+	ranged bool
+	// stale: a Reorganize or compaction moved the referenced table's row
+	// ids after registration, so col holds ids of rows that moved. A
+	// Fetch1Join through col fails to build with ErrStaleRangeIndex.
+	stale bool
+}
+
+// RegisterJoinIndex registers the int32 column rowIDCol of fetchedTable as
+// a positional reference to refTable's row ids. Registering (again) marks
+// the column valid for the referenced table's current row ids. When a
+// Reorganize or compaction of refTable moves its row ids, the reference is
+// marked stale and Fetch1Joins through the column fail to build with
+// ErrStaleRangeIndex instead of fetching the wrong rows. A reorganize of
+// fetchedTable moves the column's values with their rows and leaves the
+// reference valid.
+func (db *Database) RegisterJoinIndex(fetchedTable, refTable, rowIDCol string) error {
+	return db.registerJoinIndex(fetchedTable, refTable, rowIDCol, nil)
+}
+
+// registerJoinIndex registers the reference and, with ri, the range index
+// derived from it.
+func (db *Database) registerJoinIndex(fetchedTable, refTable, rowIDCol string, ri *sindex.RangeIndex) error {
+	ft, err := db.Table(fetchedTable)
+	if err != nil {
+		return err
+	}
+	if c := ft.Col(rowIDCol); c == nil || c.Typ.Physical() != vector.Int32 {
+		return fmt.Errorf("core: join index %s.%s: no int32 column", fetchedTable, rowIDCol)
+	}
+	if _, err := db.Table(refTable); err != nil {
+		return err
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	// Registering a range index's column again keeps the index derived.
+	old, ok := db.joinRefs[fetchedTable][refTable]
+	ranged := ri != nil || ok && old.ranged && old.col == rowIDCol
+	db.joinRefs[fetchedTable] = cloneWith(db.joinRefs[fetchedTable], refTable, joinRef{col: rowIDCol, ranged: ranged})
+	if ri != nil {
+		db.rangeIdx[fetchedTable] = cloneWith(db.rangeIdx[fetchedTable], refTable, ri)
+	}
+	return nil
+}
+
+// DeriveRangeIndex registers rowIDCol as a join index (RegisterJoinIndex)
+// and builds and registers from it the range index of fetchedTable
+// clustered by refTable. Whenever a Checkpoint or Reorganize of either
+// table changes what the index must cover, it is re-derived automatically
+// from the same column, so FetchNJoin plans never run against stale row
+// ids. The row-id column must be ascending (the fetched table clustered
+// with the referenced one).
 func (db *Database) DeriveRangeIndex(fetchedTable, refTable, rowIDCol string) error {
 	ri, err := db.buildRangeIndexFromCol(fetchedTable, refTable, rowIDCol)
 	if err != nil {
 		return err
 	}
-	db.mu.Lock()
-	db.rangeIdx[fetchedTable] = cloneWith(db.rangeIdx[fetchedTable], refTable, ri)
-	db.rangeRecipes[fetchedTable] = cloneWith(db.rangeRecipes[fetchedTable], refTable, rowIDCol)
-	db.mu.Unlock()
-	return nil
+	return db.registerJoinIndex(fetchedTable, refTable, rowIDCol, ri)
 }
 
 // buildRangeIndexFromCol derives a range index from a fetched table's
@@ -868,21 +917,21 @@ func (db *Database) buildRangeIndexFromCol(fetchedTable, refTable, rowIDCol stri
 	return sindex.BuildRangeIndex(&sindex.JoinIndex{From: fetchedTable, To: refTable, RowIDs: ids}, refN)
 }
 
-// rederiveRangeIndexes re-runs every DeriveRangeIndex recipe that involves
-// the given table (as fetched or referenced side). When mustSucceed is
-// false (checkpoints: row ids preserved) a failed derivation keeps the old
-// index, which remains valid for the rows it covered; when true
-// (reorganize/compaction: row ids moved) a failed derivation drops the
-// index — a loud plan error beats silently wrong join results — and the
-// error is returned.
+// rederiveRangeIndexes re-derives every range index (DeriveRangeIndex)
+// that involves the given table (as fetched or referenced side). When
+// mustSucceed is false (checkpoints: row ids preserved) a failed
+// derivation keeps the old index, which remains valid for the rows it
+// covered; when true (reorganize/compaction: row ids moved) a failed
+// derivation drops the index — a loud plan error beats silently wrong join
+// results — and the error is returned.
 func (db *Database) rederiveRangeIndexes(table string, mustSucceed bool) error {
 	type recipe struct{ fetched, ref, col string }
 	db.mu.RLock()
 	var jobs []recipe
-	for fetched, m := range db.rangeRecipes {
-		for ref, col := range m {
-			if fetched == table || ref == table {
-				jobs = append(jobs, recipe{fetched, ref, col})
+	for fetched, m := range db.joinRefs {
+		for ref, r := range m {
+			if r.ranged && (fetched == table || ref == table) {
+				jobs = append(jobs, recipe{fetched, ref, r.col})
 			}
 		}
 	}
@@ -909,32 +958,55 @@ func (db *Database) rederiveRangeIndexes(table string, mustSucceed bool) error {
 }
 
 // ErrStaleRangeIndex is wrapped by the error of a Reorganize that moved the
-// row ids of a table a derived range index references: the index and its
-// recipe are dropped, since the fetched table's row-id column still holds
-// the old ids. Plans through the index fail until it is derived again from
-// a row-id column over the new ids.
-var ErrStaleRangeIndex = errors.New("core: range index references moved row ids")
+// row ids of a table a derived range index references (the index is
+// dropped, since the fetched table's row-id column still holds the old
+// ids), and by the build error of a Fetch1Join through a join index whose
+// referenced table's row ids moved. Plans through the index or the column
+// fail until it is registered again over the new ids.
+var ErrStaleRangeIndex = errors.New("core: join index references moved row ids")
 
-// dropRangeIndexesOnto drops every derived range index whose referenced
-// table is ref (but not ref's own), with its recipe, and reports them with
-// ErrStaleRangeIndex.
-func (db *Database) dropRangeIndexesOnto(ref string) error {
+// staleRefsOnto marks every join index onto ref (but not ref's own) stale
+// and drops the range indices derived from them. Dropped range indices are
+// reported with ErrStaleRangeIndex.
+func (db *Database) staleRefsOnto(ref string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	var dropped []string
-	for fetched, m := range db.rangeRecipes {
-		if _, ok := m[ref]; !ok || fetched == ref {
+	for fetched, m := range db.joinRefs {
+		r, ok := m[ref]
+		if !ok || fetched == ref {
 			continue
 		}
-		db.rangeRecipes[fetched] = cloneWithout(m, ref)
-		db.rangeIdx[fetched] = cloneWithout(db.rangeIdx[fetched], ref)
-		dropped = append(dropped, fetched)
+		if r.ranged {
+			db.rangeIdx[fetched] = cloneWithout(db.rangeIdx[fetched], ref)
+			dropped = append(dropped, fetched)
+		}
+		db.joinRefs[fetched] = cloneWith(m, ref, joinRef{col: r.col, stale: true})
 	}
 	if len(dropped) == 0 {
 		return nil
 	}
 	slices.Sort(dropped)
 	return fmt.Errorf("%w: dropped range index of %s onto %s", ErrStaleRangeIndex, strings.Join(dropped, ", "), ref)
+}
+
+// CheckJoinIndex returns an error wrapping ErrStaleRangeIndex when rowID,
+// the row-id expression of a Fetch1Join into target, is a column
+// registered as a join index onto target that has gone stale. Every engine
+// calls it when it builds a Fetch1Join.
+func (db *Database) CheckJoinIndex(target string, rowID expr.Expr) error {
+	c, ok := rowID.(*expr.Col)
+	if !ok {
+		return nil
+	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	for fetched, m := range db.joinRefs {
+		if r, ok := m[target]; ok && r.stale && r.col == c.Name {
+			return fmt.Errorf("%w: %s.%s onto %s", ErrStaleRangeIndex, fetched, r.col, target)
+		}
+	}
+	return nil
 }
 
 // RangeIndex returns the range index of fetchedTable clustered by refTable.

@@ -28,6 +28,9 @@ type fetchCols struct {
 	baseSel, tailSel, tailIDs []int32
 }
 
+// total is the number of row ids the view addresses: base and insert tail.
+func (f *fetchCols) total() int { return f.view.n + f.view.delta.NumDeltaRows() }
+
 // add resolves a fetched column of the view by name, with its insert tail.
 func (f *fetchCols) add(name string) (*colstore.Column, error) {
 	ti := f.view.colIndex(name)
@@ -52,12 +55,13 @@ func (f *fetchCols) open() {
 }
 
 // split sorts the live positions of ids (sel, else [0,n)) into base and
-// tail positions for the gathers of one batch.
-func (f *fetchCols) split(ids, sel []int32, n int) {
+// tail positions for the gathers of one batch. An id past the tail's end
+// is an error.
+func (f *fetchCols) split(ids, sel []int32, n int) error {
 	if f.tails == nil {
-		return
+		return nil
 	}
-	baseN := int32(f.view.n)
+	baseN, end := int32(f.view.n), int32(f.total())
 	if len(f.tailIDs) < n {
 		f.tailIDs = make([]int32, n)
 	}
@@ -71,13 +75,17 @@ func (f *fetchCols) split(ids, sel []int32, n int) {
 		if sel != nil {
 			i = sel[j]
 		}
-		if id := ids[i]; id < baseN {
+		switch id := ids[i]; {
+		case id < baseN:
 			f.baseSel = append(f.baseSel, i)
-		} else {
+		case id < end:
 			f.tailSel = append(f.tailSel, i)
 			f.tailIDs[i] = id - baseN
+		default:
+			return fmt.Errorf("core: fetch from %s: row id %d out of range [0, %d)", f.view.name, id, end)
 		}
 	}
+	return nil
 }
 
 // gather fills dst with column ci's values at ids for the live positions
@@ -98,7 +106,9 @@ func (f *fetchCols) gather(ci int, dst *vector.Vector, ids, sel []int32, n int) 
 // fetch1JoinOp fetches columns of a referenced table positionally by row id
 // (Section 4.1.2): the vectorized inner loop is a gather through the row-id
 // vector. Enum columns decode through their dictionary in the same pass
-// (double indirection: dict[codes[rowid]]).
+// (double indirection: dict[codes[rowid]]). It is an inner join: an input
+// row whose row id is negative (a reference with no match) or addresses a
+// row deleted in the target's snapshot is dropped.
 type fetch1JoinOp struct {
 	fetchCols
 	input   Operator
@@ -108,18 +118,31 @@ type fetch1JoinOp struct {
 	opts    ExecOptions
 	schema  vector.Schema
 	bufs    []*vector.Vector
+	// deleted marks the target's deleted row ids, one bit each; nil when
+	// the snapshot has no deletions.
+	deleted []uint64
+	liveSel []int32 // dropDead's narrowed selection for the current batch
 	// trace names, fixed at build: the operator's and each column's gather.
 	name      string
 	colTraces []string
 }
 
 func newFetch1JoinOp(db *Database, input Operator, node *algebra.Fetch1Join, opts ExecOptions) (*fetch1JoinOp, error) {
+	if err := db.CheckJoinIndex(node.Table, node.RowID); err != nil {
+		return nil, err
+	}
 	v, err := opts.snaps.view(node.Table)
 	if err != nil {
 		return nil, err
 	}
 	op := &fetch1JoinOp{fetchCols: fetchCols{view: v}, input: input, node: node, opts: opts, rowPass: -1,
 		name: "Fetch1Join(" + node.Table + ")"}
+	if del := v.delta.SortedDeleted(); len(del) > 0 {
+		op.deleted = make([]uint64, (op.total()+63)/64)
+		for _, id := range del {
+			op.deleted[id>>6] |= 1 << (id & 63)
+		}
+	}
 	in := input.Schema()
 	if c, ok := node.RowID.(*expr.Col); ok {
 		if i := in.ColIndex(c.Name); i >= 0 && in[i].Type.Physical() == vector.Int32 {
@@ -169,37 +192,84 @@ func (op *fetch1JoinOp) Open() error {
 func (op *fetch1JoinOp) Close() error { return op.input.Close() }
 
 func (op *fetch1JoinOp) Next() (*vector.Batch, error) {
-	b, err := op.input.Next()
-	if err != nil || b == nil {
-		return nil, err
-	}
-	t0 := op.opts.Tracer.Now()
-	var ids []int32
-	if op.rowPass >= 0 {
-		ids = b.Vecs[op.rowPass].Int32s()
-	} else {
-		ids = op.prog.Run(b).Int32s()
-	}
-	out := &vector.Batch{Schema: op.schema, Vecs: make([]*vector.Vector, 0, len(op.schema)), Sel: b.Sel, N: b.N}
-	out.Vecs = append(out.Vecs, b.Vecs...)
-	op.split(ids, b.Sel, b.N)
-	for ci, col := range op.cols {
-		dst := op.bufs[ci]
-		if dst.Len() < b.N {
-			dst = vector.New(col.Typ, b.N)
-			op.bufs[ci] = dst
-		}
-		v := dst.Slice(0, b.N)
-		v.Typ = col.Typ
-		tr := op.opts.Tracer.Now()
-		if err := op.gather(ci, v, ids, b.Sel, b.N); err != nil {
+	for {
+		b, err := op.input.Next()
+		if err != nil || b == nil {
 			return nil, err
 		}
-		op.opts.Tracer.RecordPrimitiveSince(op.colTraces[ci], tr, b.Rows(), (4+col.Typ.Width())*b.Rows())
-		out.Vecs = append(out.Vecs, v)
+		t0 := op.opts.Tracer.Now()
+		var ids []int32
+		if op.rowPass >= 0 {
+			ids = b.Vecs[op.rowPass].Int32s()
+		} else {
+			ids = op.prog.Run(b).Int32s()
+		}
+		sel := op.dropDead(ids, b.Sel, b.N)
+		if sel != nil && len(sel) == 0 {
+			op.opts.Tracer.RecordOperatorSince(op.name, 0, t0)
+			continue // every row's target is gone; pull the next batch
+		}
+		out := &vector.Batch{Schema: op.schema, Vecs: make([]*vector.Vector, 0, len(op.schema)), Sel: sel, N: b.N}
+		out.Vecs = append(out.Vecs, b.Vecs...)
+		if err := op.split(ids, sel, b.N); err != nil {
+			return nil, err
+		}
+		for ci, col := range op.cols {
+			dst := op.bufs[ci]
+			if dst.Len() < b.N {
+				dst = vector.New(col.Typ, b.N)
+				op.bufs[ci] = dst
+			}
+			v := dst.Slice(0, b.N)
+			v.Typ = col.Typ
+			tr := op.opts.Tracer.Now()
+			if err := op.gather(ci, v, ids, sel, b.N); err != nil {
+				return nil, err
+			}
+			op.opts.Tracer.RecordPrimitiveSince(op.colTraces[ci], tr, out.Rows(), (4+col.Typ.Width())*out.Rows())
+			out.Vecs = append(out.Vecs, v)
+		}
+		op.opts.Tracer.RecordOperatorSince(op.name, out.Rows(), t0)
+		return out, nil
 	}
-	op.opts.Tracer.RecordOperatorSince(op.name, b.Rows(), t0)
-	return out, nil
+}
+
+// dropDead narrows the live positions of a batch (sel, else [0,n)) to the
+// rows whose row id addresses a live target row: a negative id and the id
+// of a row deleted in the target's snapshot drop their row. Without
+// deletions in the target the only cost is one pass looking for a negative
+// id, and sel comes back unchanged when nothing drops. Ids past the
+// target's end are kept, for the gather to reject.
+func (op *fetch1JoinOp) dropDead(ids, sel []int32, n int) []int32 {
+	if op.deleted == nil && !anyNegative(ids, sel, n) {
+		return sel
+	}
+	live := op.liveSel[:0]
+	if live == nil {
+		live = make([]int32, 0, n) // non-nil: a nil selection means every row
+	}
+	keep := func(id int32) bool {
+		if id < 0 {
+			return false
+		}
+		w := int(id >> 6)
+		return w >= len(op.deleted) || op.deleted[w]&(1<<(id&63)) == 0
+	}
+	if sel != nil {
+		for _, i := range sel {
+			if keep(ids[i]) {
+				live = append(live, i)
+			}
+		}
+	} else {
+		for i, id := range ids[:n] {
+			if keep(id) {
+				live = append(live, int32(i))
+			}
+		}
+	}
+	op.liveSel = live
+	return live
 }
 
 // FetchColumn gathers col values (decoding enums) at the given row ids into
@@ -273,6 +343,25 @@ func enumGather[T any, C uint8 | uint16](dst []T, base []T, codes []C, ids []int
 	for i := 0; i < n; i++ {
 		dst[i] = base[codes[ids[i]]]
 	}
+}
+
+// anyNegative reports whether a live position (sel, else [0,n)) holds a
+// negative id.
+func anyNegative(ids, sel []int32, n int) bool {
+	if sel != nil {
+		for _, i := range sel {
+			if ids[i] < 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for _, id := range ids[:n] {
+		if id < 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // fetchNJoinOp expands each input row into the contiguous range of
@@ -425,7 +514,9 @@ func (op *fetchNJoinOp) Next() (*vector.Batch, error) {
 		v.Typ = op.schema[c].Type
 		out.Vecs[c] = v
 	}
-	op.split(op.fetchIdx, nil, k)
+	if err := op.split(op.fetchIdx, nil, k); err != nil {
+		return nil, err
+	}
 	for i, col := range op.cols {
 		v := vector.New(col.Typ, k)
 		if err := op.gather(i, v, op.fetchIdx, nil, k); err != nil {

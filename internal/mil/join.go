@@ -246,8 +246,14 @@ func (e *Engine) filterRel(in *rel, pred expr.Expr) (*rel, error) {
 }
 
 // evalFetch1Join materializes a positional fetch: one join statement per
-// fetched column.
+// fetched column. Like the vectorized operator it is an inner join: rows
+// whose row id is negative or addresses a deleted target row drop. The
+// target's base columns are all MIL reads, so an id past the base is an
+// error.
 func (e *Engine) evalFetch1Join(n *algebra.Fetch1Join) (*rel, error) {
+	if err := e.DB.CheckJoinIndex(n.Table, n.RowID); err != nil {
+		return nil, err
+	}
 	in, err := e.eval(n.Input)
 	if err != nil {
 		return nil, err
@@ -256,9 +262,32 @@ func (e *Engine) evalFetch1Join(n *algebra.Fetch1Join) (*rel, error) {
 	if err != nil {
 		return nil, err
 	}
-	ids, _, err := e.evalExpr(in, n.RowID)
+	ds, err := e.DB.Delta(n.Table)
 	if err != nil {
 		return nil, err
+	}
+	idv, _, err := e.evalExpr(in, n.RowID)
+	if err != nil {
+		return nil, err
+	}
+	ids := idv.Int32s()[:in.n]
+	snap := ds.Snapshot()
+	var live []int32
+	for i, id := range ids {
+		if int(id) >= t.N {
+			return nil, fmt.Errorf("mil: fetch from %s: row id %d out of range [0, %d)", n.Table, id, t.N)
+		}
+		if id >= 0 && !snap.IsDeleted(id) {
+			live = append(live, int32(i))
+		}
+	}
+	if len(live) < in.n {
+		in = in.take(live)
+		g := make([]int32, len(live))
+		for j, i := range live {
+			g[j] = ids[i]
+		}
+		ids = g
 	}
 	out := &rel{schema: in.schema.Clone(), cols: append([]*vector.Vector{}, in.cols...), n: in.n}
 	for i, cname := range n.Cols {
@@ -272,7 +301,7 @@ func (e *Engine) evalFetch1Join(n *algebra.Fetch1Join) (*rel, error) {
 		}
 		t0 := time.Now()
 		g := vector.New(col.Typ, in.n)
-		if err := fetchBaseColumn(g, col, ids.Int32s()); err != nil {
+		if err := fetchBaseColumn(g, col, ids); err != nil {
 			return nil, err
 		}
 		e.Trace.record(fmt.Sprintf("%s := join(%s,%s.%s)", e.Trace.name("s"), n.RowID, n.Table, cname),

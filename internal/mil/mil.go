@@ -89,6 +89,18 @@ type rel struct {
 	n      int
 }
 
+// take returns the rows of r at the given positions.
+func (r *rel) take(pos []int32) *rel {
+	out := &rel{schema: r.schema, n: len(pos)}
+	for _, v := range r.cols {
+		g := vector.New(v.Typ, len(pos))
+		g.Gather(v, pos)
+		g.Typ = v.Typ
+		out.cols = append(out.cols, g)
+	}
+	return out
+}
+
 func (r *rel) bytes() int64 {
 	var total int64
 	for _, v := range r.cols {

@@ -79,12 +79,41 @@ func TestReorganizeRederivesRangeIndex(t *testing.T) {
 		}
 	}
 	check("pre-reorganize", disk)
+	// Reorganizing lineitem, the table holding the join indices, moves
+	// their values with their rows: every query answers as before.
+	answers := make([]*core.Result, NumQueries+1)
+	for q := 1; q <= NumQueries; q++ {
+		plan, err := Query(q, 0.005)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if answers[q], err = core.Run(mem, plan, core.DefaultOptions()); err != nil {
+			t.Fatalf("Q%d pre-reorganize: %v", q, err)
+		}
+	}
 
 	oldIdx := disk.RangeIndex("lineitem", "orders")
 	if oldIdx == nil {
 		t.Fatal("no orders->lineitem range index registered")
 	}
 	tw.each(t, func(db *core.Database) error { return db.Reorganize("lineitem") })
+	for q := 1; q <= NumQueries; q++ {
+		plan, err := Query(q, 0.005)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for label, db := range map[string]*core.Database{"mem": mem, "disk": disk} {
+			for _, p := range []int{1, 2} {
+				opts := core.DefaultOptions()
+				opts.Parallelism = p
+				got, err := core.Run(db, plan, opts)
+				if err != nil {
+					t.Fatalf("Q%d post-reorganize %s p=%d: %v", q, label, p, err)
+				}
+				sameRowMultisets(t, fmt.Sprintf("Q%d post-reorganize %s p=%d", q, label, p), answers[q], got)
+			}
+		}
+	}
 	newIdx := disk.RangeIndex("lineitem", "orders")
 	if newIdx == nil {
 		t.Fatal("range index dropped by Reorganize")
@@ -124,8 +153,10 @@ func hashJoinPlan() algebra.Node {
 // lineitem's l_orderrow keeps the old ones, so the index must not be served
 // again: Reorganize drops it and its recipe with ErrStaleRangeIndex, range
 // plans fail instead of answering wrongly, and deriving the index again
-// from the stale column after a cold re-attach is refused. The hash join
-// agrees with the range plan before, and across memory and disk after.
+// from the stale column after a cold re-attach is refused. The l_orderrow
+// join index goes stale with it: Q12, which fetches orders through it,
+// fails to build with ErrStaleRangeIndex and returns no rows. The hash
+// join agrees with the range plan before, and across memory and disk after.
 // The error is reported after a complete cutover: the old chunk generation
 // is removed, and writes acknowledged after it survive a cold re-attach.
 func reorganizeReferenced(t *testing.T, n int) {
@@ -185,6 +216,15 @@ func reorganizeReferenced(t *testing.T, n int) {
 			t.Fatalf("%s: stale range index still registered", label)
 		}
 		check("post-reorganize "+label, db, false)
+		q12, err := Query(12, 0.005)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 2} {
+			if res, err := run(db, q12, p); !errors.Is(err, core.ErrStaleRangeIndex) || res != nil {
+				t.Fatalf("%s p=%d: Q12 through stale l_orderrow = %v, %v; want ErrStaleRangeIndex and no rows", label, p, res, err)
+			}
+		}
 		// The recipe went with the index: reorganizing lineitem derives nothing.
 		if err := db.Reorganize("lineitem"); err != nil || db.RangeIndex("lineitem", "orders") != nil {
 			t.Fatalf("%s: Reorganize(lineitem) = %v, index %v", label, err, db.RangeIndex("lineitem", "orders"))
@@ -714,7 +754,7 @@ func TestUpdateRecoveryWithCompaction(t *testing.T) {
 				memDS.NumRows(), memDS.NumDeltaRows(), diskDS.NumRows(), diskDS.NumDeltaRows())
 		}
 	}
-	rebuildRangeIndex(t, mem)
+	mustRegisterJoinIndices(t, mem)
 
 	restarted, _ := attachAll(t, dir, 8)
 	for q := 1; q <= NumQueries; q++ {

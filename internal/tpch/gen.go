@@ -448,13 +448,50 @@ func Generate(cfg Config) (*core.Database, error) {
 	must(db.BuildSummaryIndex("orders", "o_orderdate", 0))
 	must(db.BuildSummaryIndex("lineitem", "l_shipdate", 0))
 
-	// orders -> lineitem range index (lineitem clustered with orders),
-	// derived with a recipe so checkpoints and reorganizes that move row
-	// ids re-derive it automatically instead of leaving it stale.
-	if err := db.DeriveRangeIndex("lineitem", "orders", "l_orderrow"); err != nil {
+	if err := registerJoinIndices(db); err != nil {
 		return nil, err
 	}
 	return db, nil
+}
+
+// joinIndex describes one generated join-index column: col of table from
+// holds, for each row, the row id in table to of the row whose toKey equals
+// the row's fromKey.
+type joinIndex struct {
+	from, fromKey, col, to, toKey string
+}
+
+// joinIndices lists the join indices over all foreign-key paths that
+// Generate writes.
+var joinIndices = []joinIndex{
+	{"lineitem", "l_orderkey", "l_orderrow", "orders", "o_orderkey"},
+	{"lineitem", "l_partkey", "l_partrow", "part", "p_partkey"},
+	{"lineitem", "l_suppkey", "l_supprow", "supplier", "s_suppkey"},
+	{"orders", "o_custkey", "o_custrow", "customer", "c_custkey"},
+	{"partsupp", "ps_partkey", "ps_partrow", "part", "p_partkey"},
+	{"partsupp", "ps_suppkey", "ps_supprow", "supplier", "s_suppkey"},
+	{"customer", "c_nationkey", "c_nationrow", "nation", "n_nationkey"},
+	{"supplier", "s_nationkey", "s_nationrow", "nation", "n_nationkey"},
+	{"nation", "n_regionkey", "n_regionrow", "region", "r_regionkey"},
+}
+
+// registerJoinIndices registers every join index of joinIndices with db as
+// a positional reference (core.Database.RegisterJoinIndex), so a
+// reorganize that moves a referenced table's row ids makes the plans
+// fetching through it fail instead of answering wrongly. l_orderrow also
+// derives the orders -> lineitem range index (lineitem is clustered with
+// orders), which checkpoints and reorganizes re-derive.
+func registerJoinIndices(db *core.Database) error {
+	for _, ji := range joinIndices {
+		register := db.RegisterJoinIndex
+		if ji.col == "l_orderrow" {
+			register = db.DeriveRangeIndex
+		}
+		if err := register(ji.from, ji.to, ji.col); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func must(err error) {

@@ -101,27 +101,30 @@ func TestClustering(t *testing.T) {
 	}
 }
 
-// TestJoinIndexColumns checks the materialized join-index row ids resolve
-// to the right key values.
+// TestJoinIndexColumns checks that every row of each generated join-index
+// column (joinIndices) holds the row id of the referenced row whose key
+// equals the row's foreign key.
 func TestJoinIndexColumns(t *testing.T) {
 	db := getDB(t)
-	li, _ := db.Table("lineitem")
-	ord, _ := db.Table("orders")
-	lOrderKey := li.Col("l_orderkey").Data().([]int32)
-	lOrderRow := li.Col("l_orderrow").Data().([]int32)
-	oKey := ord.Col("o_orderkey").Data().([]int32)
-	for i := 0; i < li.N; i += 97 {
-		if oKey[lOrderRow[i]] != lOrderKey[i] {
-			t.Fatalf("join index broken at %d", i)
-		}
+	if len(joinIndices) != 9 {
+		t.Fatalf("%d join indices, want all nine foreign-key paths", len(joinIndices))
 	}
-	cust, _ := db.Table("customer")
-	oCustKey := ord.Col("o_custkey").Data().([]int32)
-	oCustRow := ord.Col("o_custrow").Data().([]int32)
-	cKey := cust.Col("c_custkey").Data().([]int32)
-	for i := 0; i < ord.N; i += 53 {
-		if cKey[oCustRow[i]] != oCustKey[i] {
-			t.Fatalf("customer join index broken at %d", i)
+	for _, ji := range joinIndices {
+		from, err := db.Table(ji.from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		to, err := db.Table(ji.to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fk := from.Col(ji.fromKey).Data().([]int32)
+		rows := from.Col(ji.col).Data().([]int32)
+		keys := to.Col(ji.toKey).Data().([]int32)
+		for i, r := range rows {
+			if r < 0 || int(r) >= to.N || keys[r] != fk[i] {
+				t.Fatalf("%s.%s row %d: row id %d, want the %s row with %s = %d", ji.from, ji.col, i, r, ji.to, ji.toKey, fk[i])
+			}
 		}
 	}
 }

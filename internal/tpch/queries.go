@@ -75,6 +75,15 @@ func d(s string) *expr.Const                     { return expr.DateConst(dateuti
 func str(s string) *expr.Const                   { return expr.Str(s) }
 func ne(a string, e expr.Expr) algebra.NamedExpr { return algebra.NE(a, e) }
 
+// fetch is the positional foreign-key join of the paper's TPC-H plans
+// (Section 4.1.2): each input row fetches cols of the referenced table at
+// the row id its join-index column rowCol holds. Joined with a Select on
+// the fetched columns it replaces a hash join whose build side is a Scan
+// of the referenced table.
+func fetch(in algebra.Node, table, rowCol string, cols ...string) *algebra.Fetch1Join {
+	return algebra.NewFetch1Join(in, table, c(rowCol), cols...)
+}
+
 // revenue is the ubiquitous l_extendedprice * (1 - l_discount).
 func revenue() expr.Expr {
 	return expr.MulE(expr.SubE(f(1), c("l_discount")), c("l_extendedprice"))
@@ -171,18 +180,14 @@ func Q2() algebra.Node {
 
 // Q3 — Shipping Priority.
 func Q3() algebra.Node {
-	cust := algebra.NewSelect(
-		algebra.NewScan("customer", "c_custkey", "c_mktsegment"),
-		expr.EQE(c("c_mktsegment"), str("BUILDING")))
-	ord := algebra.NewSelect(
-		algebra.NewScan("orders", "o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"),
-		expr.LTE(c("o_orderdate"), d("1995-03-15")))
-	oj := algebra.NewJoin(ord, cust, algebra.EquiCond{L: "o_custkey", R: "c_custkey"})
 	li := algebra.NewSelect(
-		algebra.NewScan("lineitem", "l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"),
+		algebra.NewScan("lineitem", "l_orderkey", "l_orderrow", "l_extendedprice", "l_discount", "l_shipdate"),
 		expr.GTE(c("l_shipdate"), d("1995-03-15")))
-	lj := algebra.NewJoin(li, oj, algebra.EquiCond{L: "l_orderkey", R: "o_orderkey"})
-	aggr := algebra.NewAggr(lj,
+	ord := algebra.NewSelect(fetch(li, "orders", "l_orderrow", "o_custrow", "o_orderdate", "o_shippriority"),
+		expr.LTE(c("o_orderdate"), d("1995-03-15")))
+	cust := algebra.NewSelect(fetch(ord, "customer", "o_custrow", "c_mktsegment"),
+		expr.EQE(c("c_mktsegment"), str("BUILDING")))
+	aggr := algebra.NewAggr(cust,
 		[]algebra.NamedExpr{
 			ne("l_orderkey", c("l_orderkey")),
 			ne("o_orderdate", c("o_orderdate")),
@@ -213,28 +218,18 @@ func Q4() algebra.Node {
 
 // Q5 — Local Supplier Volume.
 func Q5() algebra.Node {
-	r := algebra.NewSelect(algebra.NewScan("region", "r_regionkey", "r_name"),
-		expr.EQE(c("r_name"), str("ASIA")))
-	n := algebra.NewJoin(
-		algebra.NewScan("nation", "n_nationkey", "n_name", "n_regionkey"),
-		r, algebra.EquiCond{L: "n_regionkey", R: "r_regionkey"})
-	cust := algebra.NewJoin(
-		algebra.NewScan("customer", "c_custkey", "c_nationkey"),
-		n, algebra.EquiCond{L: "c_nationkey", R: "n_nationkey"})
-	ord := algebra.NewSelect(
-		algebra.NewScan("orders", "o_orderkey", "o_custkey", "o_orderdate"),
+	li := algebra.NewScan("lineitem", "l_orderrow", "l_supprow", "l_extendedprice", "l_discount")
+	ord := algebra.NewSelect(fetch(li, "orders", "l_orderrow", "o_custrow", "o_orderdate"),
 		expr.AndE(
 			expr.GEE(c("o_orderdate"), d("1994-01-01")),
 			expr.LTE(c("o_orderdate"), d("1995-01-01")),
 		))
-	oj := algebra.NewJoin(ord, cust, algebra.EquiCond{L: "o_custkey", R: "c_custkey"})
-	li := algebra.NewScan("lineitem", "l_orderkey", "l_suppkey", "l_extendedprice", "l_discount")
-	lj := algebra.NewJoin(li, oj, algebra.EquiCond{L: "l_orderkey", R: "o_orderkey"})
-	sj := algebra.NewJoin(lj,
-		algebra.NewScan("supplier", "s_suppkey", "s_nationkey"),
-		algebra.EquiCond{L: "l_suppkey", R: "s_suppkey"},
-		algebra.EquiCond{L: "c_nationkey", R: "s_nationkey"})
-	aggr := algebra.NewAggr(sj,
+	cs := fetch(fetch(ord, "customer", "o_custrow", "c_nationkey"),
+		"supplier", "l_supprow", "s_nationkey", "s_nationrow")
+	local := algebra.NewSelect(cs, expr.EQE(c("c_nationkey"), c("s_nationkey")))
+	nr := fetch(fetch(local, "nation", "s_nationrow", "n_name", "n_regionrow"), "region", "n_regionrow", "r_name")
+	asia := algebra.NewSelect(nr, expr.EQE(c("r_name"), str("ASIA")))
+	aggr := algebra.NewAggr(asia,
 		[]algebra.NamedExpr{ne("n_name", c("n_name"))},
 		[]algebra.AggExpr{algebra.Sum("revenue", revenue())})
 	return algebra.NewOrder(aggr, algebra.Desc(c("revenue")))
@@ -258,27 +253,18 @@ func Q6() algebra.Node {
 
 // Q7 — Volume Shipping (nation pair France/Germany).
 func Q7() algebra.Node {
-	n1 := algebra.NewProject(algebra.NewScan("nation", "n_nationkey", "n_name"),
-		ne("sn_key", c("n_nationkey")), ne("supp_nation", c("n_name")))
-	n2 := algebra.NewProject(algebra.NewScan("nation", "n_nationkey", "n_name"),
-		ne("cn_key", c("n_nationkey")), ne("cust_nation", c("n_name")))
 	li := algebra.NewSelect(
-		algebra.NewScan("lineitem", "l_orderkey", "l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"),
+		algebra.NewScan("lineitem", "l_orderrow", "l_supprow", "l_shipdate", "l_extendedprice", "l_discount"),
 		expr.AndE(
 			expr.GEE(c("l_shipdate"), d("1995-01-01")),
 			expr.LEE(c("l_shipdate"), d("1996-12-31")),
 		))
-	sj := algebra.NewJoin(li,
-		algebra.NewScan("supplier", "s_suppkey", "s_nationkey"),
-		algebra.EquiCond{L: "l_suppkey", R: "s_suppkey"})
-	sn := algebra.NewJoin(sj, n1, algebra.EquiCond{L: "s_nationkey", R: "sn_key"})
-	oj := algebra.NewJoin(sn,
-		algebra.NewScan("orders", "o_orderkey", "o_custkey"),
-		algebra.EquiCond{L: "l_orderkey", R: "o_orderkey"})
-	cj := algebra.NewJoin(oj,
-		algebra.NewScan("customer", "c_custkey", "c_nationkey"),
-		algebra.EquiCond{L: "o_custkey", R: "c_custkey"})
-	cn := algebra.NewJoin(cj, n2, algebra.EquiCond{L: "c_nationkey", R: "cn_key"})
+	sn := fetch(fetch(li, "supplier", "l_supprow", "s_nationrow"), "nation", "s_nationrow", "n_name").
+		Renamed("supp_nation")
+	// Implied by the pair predicate below; it runs before the orders fetch.
+	supp := algebra.NewSelect(sn, expr.InE(c("supp_nation"), str("FRANCE"), str("GERMANY")))
+	oc := fetch(fetch(supp, "orders", "l_orderrow", "o_custrow"), "customer", "o_custrow", "c_nationrow")
+	cn := fetch(oc, "nation", "c_nationrow", "n_name").Renamed("cust_nation")
 	filt := algebra.NewSelect(cn, expr.OrE(
 		expr.AndE(expr.EQE(c("supp_nation"), str("FRANCE")), expr.EQE(c("cust_nation"), str("GERMANY"))),
 		expr.AndE(expr.EQE(c("supp_nation"), str("GERMANY")), expr.EQE(c("cust_nation"), str("FRANCE"))),
@@ -303,32 +289,20 @@ func Q7() algebra.Node {
 func Q8() algebra.Node {
 	parts := algebra.NewSelect(algebra.NewScan("part", "p_partkey", "p_type"),
 		expr.EQE(c("p_type"), str("ECONOMY ANODIZED STEEL")))
-	li := algebra.NewScan("lineitem", "l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount")
+	li := algebra.NewScan("lineitem", "l_orderrow", "l_partkey", "l_supprow", "l_extendedprice", "l_discount")
 	pj := algebra.NewJoin(li, parts, algebra.EquiCond{L: "l_partkey", R: "p_partkey"})
-	n2 := algebra.NewProject(algebra.NewScan("nation", "n_nationkey", "n_name"),
-		ne("sn_key", c("n_nationkey")), ne("supp_nation", c("n_name")))
-	sj := algebra.NewJoin(pj,
-		algebra.NewScan("supplier", "s_suppkey", "s_nationkey"),
-		algebra.EquiCond{L: "l_suppkey", R: "s_suppkey"})
-	sn := algebra.NewJoin(sj, n2, algebra.EquiCond{L: "s_nationkey", R: "sn_key"})
-	ord := algebra.NewSelect(
-		algebra.NewScan("orders", "o_orderkey", "o_custkey", "o_orderdate"),
+	ord := algebra.NewSelect(fetch(pj, "orders", "l_orderrow", "o_custrow", "o_orderdate"),
 		expr.AndE(
 			expr.GEE(c("o_orderdate"), d("1995-01-01")),
 			expr.LEE(c("o_orderdate"), d("1996-12-31")),
 		))
-	oj := algebra.NewJoin(sn, ord, algebra.EquiCond{L: "l_orderkey", R: "o_orderkey"})
-	cj := algebra.NewJoin(oj,
-		algebra.NewScan("customer", "c_custkey", "c_nationkey"),
-		algebra.EquiCond{L: "o_custkey", R: "c_custkey"})
 	// Customer nation must lie in AMERICA.
-	n1 := algebra.NewJoin(
-		algebra.NewScan("nation", "n_nationkey", "n_regionkey"),
-		algebra.NewSelect(algebra.NewScan("region", "r_regionkey", "r_name"),
-			expr.EQE(c("r_name"), str("AMERICA"))),
-		algebra.EquiCond{L: "n_regionkey", R: "r_regionkey"})
-	rj := algebra.NewJoin(cj, n1, algebra.EquiCond{L: "c_nationkey", R: "n_nationkey"})
-	proj := algebra.NewProject(rj,
+	cn := fetch(fetch(ord, "customer", "o_custrow", "c_nationrow"), "nation", "c_nationrow", "n_regionrow")
+	america := algebra.NewSelect(fetch(cn, "region", "n_regionrow", "r_name"),
+		expr.EQE(c("r_name"), str("AMERICA")))
+	sn := fetch(fetch(america, "supplier", "l_supprow", "s_nationrow"), "nation", "s_nationrow", "n_name").
+		Renamed("supp_nation")
+	proj := algebra.NewProject(sn,
 		ne("o_year", expr.YearE(c("o_orderdate"))),
 		ne("volume", revenue()),
 		ne("brazil_volume", expr.CaseE(
@@ -350,22 +324,14 @@ func Q9() algebra.Node {
 	parts := algebra.NewSelect(algebra.NewScan("part", "p_partkey", "p_name"),
 		expr.LikeE(c("p_name"), "%green%"))
 	li := algebra.NewScan("lineitem",
-		"l_orderkey", "l_partkey", "l_suppkey", "l_quantity", "l_extendedprice", "l_discount")
+		"l_orderrow", "l_partkey", "l_suppkey", "l_supprow", "l_quantity", "l_extendedprice", "l_discount")
 	pj := algebra.NewJoin(li, parts, algebra.EquiCond{L: "l_partkey", R: "p_partkey"})
-	sj := algebra.NewJoin(pj,
-		algebra.NewScan("supplier", "s_suppkey", "s_nationkey"),
-		algebra.EquiCond{L: "l_suppkey", R: "s_suppkey"})
-	nj := algebra.NewJoin(sj,
-		algebra.NewScan("nation", "n_nationkey", "n_name"),
-		algebra.EquiCond{L: "s_nationkey", R: "n_nationkey"})
+	nj := fetch(fetch(pj, "supplier", "l_supprow", "s_nationrow"), "nation", "s_nationrow", "n_name")
 	psj := algebra.NewJoin(nj,
 		algebra.NewScan("partsupp", "ps_partkey", "ps_suppkey", "ps_supplycost"),
 		algebra.EquiCond{L: "l_partkey", R: "ps_partkey"},
 		algebra.EquiCond{L: "l_suppkey", R: "ps_suppkey"})
-	oj := algebra.NewJoin(psj,
-		algebra.NewScan("orders", "o_orderkey", "o_orderdate"),
-		algebra.EquiCond{L: "l_orderkey", R: "o_orderkey"})
-	proj := algebra.NewProject(oj,
+	proj := algebra.NewProject(fetch(psj, "orders", "l_orderrow", "o_orderdate"),
 		ne("nation", c("n_name")),
 		ne("o_year", expr.YearE(c("o_orderdate"))),
 		ne("amount", expr.SubE(revenue(),
@@ -376,34 +342,29 @@ func Q9() algebra.Node {
 	return algebra.NewOrder(aggr, algebra.Asc(c("nation")), algebra.Desc(c("o_year")))
 }
 
-// Q10 — Returned Item Reporting.
+// Q10 — Returned Item Reporting. The customer columns it groups by are all
+// functions of the customer row, so it groups by o_custrow and fetches them
+// once per group.
 func Q10() algebra.Node {
-	ord := algebra.NewSelect(
-		algebra.NewScan("orders", "o_orderkey", "o_custkey", "o_orderdate"),
+	li := algebra.NewSelect(
+		algebra.NewScan("lineitem", "l_orderrow", "l_returnflag", "l_extendedprice", "l_discount"),
+		expr.EQE(c("l_returnflag"), str("R")))
+	ord := algebra.NewSelect(fetch(li, "orders", "l_orderrow", "o_custrow", "o_orderdate"),
 		expr.AndE(
 			expr.GEE(c("o_orderdate"), d("1993-10-01")),
 			expr.LTE(c("o_orderdate"), d("1994-01-01")),
 		))
-	li := algebra.NewSelect(
-		algebra.NewScan("lineitem", "l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"),
-		expr.EQE(c("l_returnflag"), str("R")))
-	lj := algebra.NewJoin(li, ord, algebra.EquiCond{L: "l_orderkey", R: "o_orderkey"})
-	cj := algebra.NewJoin(lj,
-		algebra.NewScan("customer",
-			"c_custkey", "c_name", "c_acctbal", "c_phone", "c_nationkey", "c_address", "c_comment"),
-		algebra.EquiCond{L: "o_custkey", R: "c_custkey"})
-	nj := algebra.NewJoin(cj,
-		algebra.NewScan("nation", "n_nationkey", "n_name"),
-		algebra.EquiCond{L: "c_nationkey", R: "n_nationkey"})
-	aggr := algebra.NewAggr(nj,
-		[]algebra.NamedExpr{
-			ne("c_custkey", c("c_custkey")), ne("c_name", c("c_name")),
-			ne("c_acctbal", c("c_acctbal")), ne("c_phone", c("c_phone")),
-			ne("n_name", c("n_name")), ne("c_address", c("c_address")),
-			ne("c_comment", c("c_comment")),
-		},
+	aggr := algebra.NewAggr(ord,
+		[]algebra.NamedExpr{ne("o_custrow", c("o_custrow"))},
 		[]algebra.AggExpr{algebra.Sum("revenue", revenue())})
-	return algebra.NewTopN(aggr, 20, algebra.Desc(c("revenue")), algebra.Asc(c("c_custkey")))
+	cust := fetch(aggr, "customer", "o_custrow",
+		"c_custkey", "c_name", "c_acctbal", "c_phone", "c_address", "c_comment", "c_nationrow")
+	proj := algebra.NewProject(fetch(cust, "nation", "c_nationrow", "n_name"),
+		ne("c_custkey", c("c_custkey")), ne("c_name", c("c_name")),
+		ne("c_acctbal", c("c_acctbal")), ne("c_phone", c("c_phone")),
+		ne("n_name", c("n_name")), ne("c_address", c("c_address")),
+		ne("c_comment", c("c_comment")), ne("revenue", c("revenue")))
+	return algebra.NewTopN(proj, 20, algebra.Desc(c("revenue")), algebra.Asc(c("c_custkey")))
 }
 
 // Q11 — Important Stock Identification (scalar subquery -> CartProd).
@@ -435,7 +396,7 @@ func Q11(sf float64) algebra.Node {
 func Q12() algebra.Node {
 	li := algebra.NewSelect(
 		algebra.NewScan("lineitem",
-			"l_orderkey", "l_shipmode", "l_commitdate", "l_receiptdate", "l_shipdate"),
+			"l_orderrow", "l_shipmode", "l_commitdate", "l_receiptdate", "l_shipdate"),
 		expr.AndE(
 			expr.InE(c("l_shipmode"), str("MAIL"), str("SHIP")),
 			expr.LTE(c("l_commitdate"), c("l_receiptdate")),
@@ -443,10 +404,7 @@ func Q12() algebra.Node {
 			expr.GEE(c("l_receiptdate"), d("1994-01-01")),
 			expr.LTE(c("l_receiptdate"), d("1994-12-31")),
 		))
-	oj := algebra.NewJoin(li,
-		algebra.NewScan("orders", "o_orderkey", "o_orderpriority"),
-		algebra.EquiCond{L: "l_orderkey", R: "o_orderkey"})
-	proj := algebra.NewProject(oj,
+	proj := algebra.NewProject(fetch(li, "orders", "l_orderrow", "o_orderpriority"),
 		ne("l_shipmode", c("l_shipmode")),
 		ne("high", expr.CaseE(
 			expr.InE(c("o_orderpriority"), str("1-URGENT"), str("2-HIGH")),
@@ -484,15 +442,12 @@ func Q13() algebra.Node {
 // Q14 — Promotion Effect.
 func Q14() algebra.Node {
 	li := algebra.NewSelect(
-		algebra.NewScan("lineitem", "l_partkey", "l_shipdate", "l_extendedprice", "l_discount"),
+		algebra.NewScan("lineitem", "l_partrow", "l_shipdate", "l_extendedprice", "l_discount"),
 		expr.AndE(
 			expr.GEE(c("l_shipdate"), d("1995-09-01")),
 			expr.LTE(c("l_shipdate"), d("1995-09-30")),
 		))
-	pj := algebra.NewJoin(li,
-		algebra.NewScan("part", "p_partkey", "p_type"),
-		algebra.EquiCond{L: "l_partkey", R: "p_partkey"})
-	proj := algebra.NewProject(pj,
+	proj := algebra.NewProject(fetch(li, "part", "l_partrow", "p_type"),
 		ne("rev", revenue()),
 		ne("promo_rev", expr.CaseE(expr.LikeE(c("p_type"), "PROMO%"), revenue(), f(0))))
 	aggr := algebra.NewAggr(proj, nil, []algebra.AggExpr{
@@ -594,12 +549,9 @@ func Q18() algebra.Node {
 			[]algebra.AggExpr{algebra.Sum("sum_l_qty", c("l_quantity"))}),
 		expr.GTE(c("sum_l_qty"), f(300)))
 	oj := algebra.NewJoin(
-		algebra.NewScan("orders", "o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"),
+		algebra.NewScan("orders", "o_orderkey", "o_custrow", "o_orderdate", "o_totalprice"),
 		bigOrders, algebra.EquiCond{L: "o_orderkey", R: "bo_key"})
-	cj := algebra.NewJoin(oj,
-		algebra.NewScan("customer", "c_custkey", "c_name"),
-		algebra.EquiCond{L: "o_custkey", R: "c_custkey"})
-	aggr := algebra.NewAggr(cj,
+	aggr := algebra.NewAggr(fetch(oj, "customer", "o_custrow", "c_custkey", "c_name"),
 		[]algebra.NamedExpr{
 			ne("c_name", c("c_name")), ne("c_custkey", c("c_custkey")),
 			ne("o_orderkey", c("o_orderkey")), ne("o_orderdate", c("o_orderdate")),
@@ -615,14 +567,12 @@ func Q18() algebra.Node {
 func Q19() algebra.Node {
 	li := algebra.NewSelect(
 		algebra.NewScan("lineitem",
-			"l_partkey", "l_quantity", "l_extendedprice", "l_discount", "l_shipmode", "l_shipinstruct"),
+			"l_partrow", "l_quantity", "l_extendedprice", "l_discount", "l_shipmode", "l_shipinstruct"),
 		expr.AndE(
 			expr.InE(c("l_shipmode"), str("AIR"), str("REG AIR")),
 			expr.EQE(c("l_shipinstruct"), str("DELIVER IN PERSON")),
 		))
-	pj := algebra.NewJoin(li,
-		algebra.NewScan("part", "p_partkey", "p_brand", "p_container", "p_size"),
-		algebra.EquiCond{L: "l_partkey", R: "p_partkey"})
+	pj := fetch(li, "part", "l_partrow", "p_brand", "p_container", "p_size")
 	branch := func(brand string, containers []string, qlo, qhi float64, smax int32) expr.Expr {
 		var cs []*expr.Const
 		for _, x := range containers {
@@ -670,11 +620,10 @@ func Q20() algebra.Node {
 		expr.MulE(f(0.5), c("sum_qty"))))
 	supHit := algebra.NewAggr(filt,
 		[]algebra.NamedExpr{ne("hit_supp", c("ps_suppkey"))}, nil)
-	nj := algebra.NewJoin(
-		algebra.NewScan("supplier", "s_suppkey", "s_name", "s_address", "s_nationkey"),
-		algebra.NewSelect(algebra.NewScan("nation", "n_nationkey", "n_name"),
-			expr.EQE(c("n_name"), str("CANADA"))),
-		algebra.EquiCond{L: "s_nationkey", R: "n_nationkey"})
+	nj := algebra.NewSelect(
+		fetch(algebra.NewScan("supplier", "s_suppkey", "s_name", "s_address", "s_nationrow"),
+			"nation", "s_nationrow", "n_name"),
+		expr.EQE(c("n_name"), str("CANADA")))
 	semi := algebra.NewJoinKind(algebra.Semi, nj, supHit,
 		algebra.EquiCond{L: "s_suppkey", R: "hit_supp"})
 	proj := algebra.NewProject(semi, ne("s_name", c("s_name")), ne("s_address", c("s_address")))
@@ -702,19 +651,13 @@ func Q21() algebra.Node {
 		[]algebra.AggExpr{algebra.Count("nlate")})
 
 	l1 := algebra.NewSelect(
-		algebra.NewScan("lineitem", "l_orderkey", "l_suppkey", "l_receiptdate", "l_commitdate"),
+		algebra.NewScan("lineitem", "l_orderkey", "l_orderrow", "l_supprow", "l_receiptdate", "l_commitdate"),
 		expr.GTE(c("l_receiptdate"), c("l_commitdate")))
-	oj := algebra.NewJoin(l1,
-		algebra.NewSelect(algebra.NewScan("orders", "o_orderkey", "o_orderstatus"),
-			expr.EQE(c("o_orderstatus"), str("F"))),
-		algebra.EquiCond{L: "l_orderkey", R: "o_orderkey"})
-	sj := algebra.NewJoin(oj,
-		algebra.NewJoin(
-			algebra.NewScan("supplier", "s_suppkey", "s_name", "s_nationkey"),
-			algebra.NewSelect(algebra.NewScan("nation", "n_nationkey", "n_name"),
-				expr.EQE(c("n_name"), str("SAUDI ARABIA"))),
-			algebra.EquiCond{L: "s_nationkey", R: "n_nationkey"}),
-		algebra.EquiCond{L: "l_suppkey", R: "s_suppkey"})
+	sn := fetch(fetch(l1, "supplier", "l_supprow", "s_nationrow"), "nation", "s_nationrow", "n_name")
+	saudi := algebra.NewSelect(sn, expr.EQE(c("n_name"), str("SAUDI ARABIA")))
+	oj := algebra.NewSelect(fetch(saudi, "orders", "l_orderrow", "o_orderstatus"),
+		expr.EQE(c("o_orderstatus"), str("F")))
+	sj := fetch(oj, "supplier", "l_supprow", "s_name")
 	withAll := algebra.NewJoin(sj, nSupp, algebra.EquiCond{L: "l_orderkey", R: "ns_key"})
 	withLate := algebra.NewJoin(withAll, nLate, algebra.EquiCond{L: "l_orderkey", R: "nl_key"})
 	filt := algebra.NewSelect(withLate, expr.AndE(

@@ -27,7 +27,7 @@ var mutTables = []string{"lineitem", "orders"}
 func attachAll(t *testing.T, dir string, poolChunks int) (*core.Database, *columnbm.Store) {
 	t.Helper()
 	db, store := attachTables(t, dir, poolChunks)
-	rebuildRangeIndex(t, db)
+	mustRegisterJoinIndices(t, db)
 	return db, store
 }
 
@@ -47,12 +47,13 @@ func attachTables(t *testing.T, dir string, poolChunks int) (*core.Database, *co
 	return db, store
 }
 
-// rebuildRangeIndex derives the orders->lineitem range index from the
-// l_orderrow join-index column and records the recipe, so later
-// checkpoints and compactions re-derive it automatically.
-func rebuildRangeIndex(t *testing.T, db *core.Database) {
+// mustRegisterJoinIndices registers the join indices as Generate does: it
+// derives the orders->lineitem range index from the l_orderrow join-index
+// column, so later checkpoints and compactions re-derive it automatically,
+// and registers the other join indices as positional references.
+func mustRegisterJoinIndices(t *testing.T, db *core.Database) {
 	t.Helper()
-	if err := db.DeriveRangeIndex("lineitem", "orders", "l_orderrow"); err != nil {
+	if err := registerJoinIndices(db); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -256,7 +257,7 @@ func TestUpdateRecoveryDifferential(t *testing.T) {
 	}
 	// The range indices moved underneath the inserts; re-derive them on
 	// both twins the same way so FetchNJoin plans see identical indexes.
-	rebuildRangeIndex(t, mem)
+	mustRegisterJoinIndices(t, mem)
 
 	// "Restart": a cold store over the same directory, fresh database,
 	// fresh (small) buffer pool. The attach must recover every
@@ -392,10 +393,10 @@ func TestReadOnlyAttachCheckpointNoop(t *testing.T) {
 // pruning at parallelism 1, 2 and 8 over a disk-attached table with the
 // delta pending, against the MIL engine over a reorganized in-memory twin.
 // At vector sizes {1, 7, 1024} it also fetches from the table with its
-// delta pending: a Fetch1Join whose row ids hit base and tail rows in
-// scrambled order, and a FetchNJoin whose ranges run into the tail, against
-// the same plans over an in-memory twin checkpointed in place (which keeps
-// row ids).
+// delta pending: a Fetch1Join whose row ids hit base, tail and deleted rows
+// in scrambled order (the deleted targets drop), and a FetchNJoin whose
+// ranges run into the tail, against the same plans over an in-memory twin
+// checkpointed in place (which keeps row ids).
 func TestDeltaScanBoundaryShapes(t *testing.T) {
 	const chunkRows = 64
 	const baseN = 3*chunkRows + 5 // three full chunks and a short fourth
@@ -540,6 +541,19 @@ func TestDeltaScanBoundaryShapes(t *testing.T) {
 					want, err := core.Run(fetchTwin, plan, core.DefaultOptions())
 					if err != nil {
 						t.Fatalf("%s %s: twin: %v", label, name, err)
+					}
+					if name == "fetch1" {
+						// Fetch1Join is an inner join: a ref row whose
+						// target is deleted drops.
+						total, live := baseN+nIns, 0
+						for j := range total {
+							if j%3 != 1 && !slices.Contains(dels, int32(j*37%total)) {
+								live++
+							}
+						}
+						if want.NumRows() != live {
+							t.Fatalf("%s fetch1: %d rows, want %d live targets", label, want.NumRows(), live)
+						}
 					}
 					for _, p := range []int{1, 2, 8} {
 						opts := core.DefaultOptions()

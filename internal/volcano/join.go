@@ -5,6 +5,7 @@ import (
 
 	"x100/internal/algebra"
 	"x100/internal/core"
+	"x100/internal/delta"
 	"x100/internal/vector"
 )
 
@@ -187,17 +188,28 @@ func (j *joinOp) Next() (Row, bool, error) {
 }
 
 // fetch1Op fetches referenced-table columns by row id, one tuple at a time.
+// It is an inner join: a row whose row id is negative or addresses a
+// deleted target row drops. Only the target's base rows are fetchable.
 type fetch1Op struct {
 	eng    *Engine
 	input  Operator
 	node   *algebra.Fetch1Join
 	rowID  *item
 	cols   []func(int) any
+	snap   *delta.Snapshot
+	n      int // the target's base rows
 	schema vector.Schema
 }
 
 func newFetch1(e *Engine, in Operator, n *algebra.Fetch1Join) (*fetch1Op, error) {
+	if err := e.DB.CheckJoinIndex(n.Table, n.RowID); err != nil {
+		return nil, err
+	}
 	t, err := e.DB.Table(n.Table)
+	if err != nil {
+		return nil, err
+	}
+	ds, err := e.DB.Delta(n.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +217,7 @@ func newFetch1(e *Engine, in Operator, n *algebra.Fetch1Join) (*fetch1Op, error)
 	if err != nil {
 		return nil, err
 	}
-	op := &fetch1Op{eng: e, input: in, node: n, rowID: it, schema: in.Schema().Clone()}
+	op := &fetch1Op{eng: e, input: in, node: n, rowID: it, snap: ds.Snapshot(), n: t.N, schema: in.Schema().Clone()}
 	for i, cname := range n.Cols {
 		col := t.Col(cname)
 		if col == nil {
@@ -230,11 +242,22 @@ func (f *fetch1Op) Open() error           { return f.input.Open() }
 func (f *fetch1Op) Close() error          { return f.input.Close() }
 
 func (f *fetch1Op) Next() (Row, bool, error) {
-	row, ok, err := f.input.Next()
-	if err != nil || !ok {
-		return nil, false, err
+	var row Row
+	var id int
+	for {
+		r, ok, err := f.input.Next()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		id32 := f.rowID.eval(r).(int32)
+		if int(id32) >= f.n {
+			return nil, false, fmt.Errorf("volcano: fetch from %s: row id %d out of range [0, %d)", f.node.Table, id32, f.n)
+		}
+		if id32 >= 0 && !f.snap.IsDeleted(id32) {
+			row, id = r, int(id32)
+			break
+		}
 	}
-	id := int(f.rowID.eval(row).(int32))
 	out := make(Row, 0, len(f.schema))
 	out = append(out, row...)
 	p := f.eng.Profile
