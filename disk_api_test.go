@@ -1,9 +1,11 @@
 package x100_test
 
 import (
+	"errors"
 	"testing"
 
 	"x100"
+	"x100/internal/columnbm"
 )
 
 // TestCreateDiskTableAndAttach covers the public disk-table API:
@@ -204,4 +206,99 @@ func TestDiskTableDurableUpdates(t *testing.T) {
 	if len(cols) != 2 || cols[0].Chunks < 1 || cols[0].Codecs["memory"] != 0 {
 		t.Fatalf("storage after reorganize: %+v", cols)
 	}
+}
+
+// TestAttachDiskJoinIndicesGoStale checks that a TPC-H directory attached
+// through AttachDisk gets the join-index guard of a generated database:
+// the fetch plans answer as on the generated database until an Update or
+// a Reorganize moves orders row ids, and then the plans fetching orders
+// through l_orderrow fail with ErrStaleRangeIndex, while a plan fetching
+// only part still answers.
+func TestAttachDiskJoinIndicesGoStale(t *testing.T) {
+	const sf = 0.002
+	gen, err := x100.GenerateTPCH(sf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func(q int) x100.Node {
+		plan, err := x100.TPCHQuery(q, sf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
+	}
+	want := map[int]*x100.Result{}
+	for _, q := range []int{3, 12, 14} {
+		if want[q], err = gen.Exec(query(q)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	attach := func() *x100.DB {
+		t.Helper()
+		dir := t.TempDir()
+		st, err := columnbm.NewStore(dir, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"region", "nation", "supplier", "customer", "part", "partsupp", "orders", "lineitem"} {
+			tab, err := gen.Internal().Table(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.SaveTable(tab); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db := x100.NewDB()
+		t.Cleanup(func() { db.Close() })
+		if err := db.AttachDisk(dir); err != nil {
+			t.Fatal(err)
+		}
+		for q, w := range want {
+			got, err := db.Exec(query(q))
+			if err != nil {
+				t.Fatalf("attached Q%d: %v", q, err)
+			}
+			sameRowSets(t, w, got)
+		}
+		return db
+	}
+	stale := func(label string, db *x100.DB) {
+		t.Helper()
+		for _, q := range []int{3, 12} {
+			if res, err := db.Exec(query(q)); !errors.Is(err, x100.ErrStaleRangeIndex) || res != nil {
+				t.Fatalf("%s: Q%d = %v, %v; want ErrStaleRangeIndex and no rows", label, q, res, err)
+			}
+		}
+		got, err := db.Exec(query(14))
+		if err != nil {
+			t.Fatalf("%s: Q14: %v", label, err)
+		}
+		sameRowSets(t, want[14], got)
+	}
+
+	updated := attach()
+	orders, err := gen.Internal().Table("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]any, len(orders.Cols))
+	for i, c := range orders.Cols {
+		row[i] = c.DecodedValue(0)
+	}
+	if err := updated.Update("orders", 0, row...); err != nil {
+		t.Fatal(err)
+	}
+	stale("update", updated)
+
+	reorganized := attach()
+	for id := int32(0); id < 10; id++ {
+		if err := reorganized.Delete("orders", id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := reorganized.Reorganize("orders"); err != nil {
+		t.Fatal(err)
+	}
+	stale("reorganize", reorganized)
 }

@@ -202,7 +202,11 @@ func (db *Database) Delete(table string, rowID int32) error {
 
 // Update deletes rowID and inserts row (the paper's delete+insert update),
 // logged as one atomic write-ahead record: a replay applies both halves or
-// neither.
+// neither. The row moves to a new row id while the join indices of other
+// tables still hold the old one, so every join index onto table is marked
+// stale before the update applies: a Fetch1Join through it then fails with
+// ErrStaleRangeIndex instead of dropping the rows that referenced the old
+// id.
 func (db *Database) Update(table string, rowID int32, row []any) (int32, error) {
 	ds, err := db.Delta(table)
 	if err != nil {
@@ -214,6 +218,7 @@ func (db *Database) Update(table string, rowID int32, row []any) (int32, error) 
 	if err := ds.CheckRow(row); err != nil {
 		return 0, err
 	}
+	db.staleRefsOnto(table, false)
 	if att := db.attachment(table); att != nil {
 		att.tailMu.RLock()
 		defer att.tailMu.RUnlock()
@@ -504,7 +509,7 @@ func (db *Database) Reorganize(table string) error {
 func (db *Database) rederiveAfterMove(table string, moved bool) error {
 	var stale error
 	if moved {
-		stale = db.staleRefsOnto(table)
+		stale = db.staleRefsOnto(table, true)
 	}
 	if err := db.rederiveRangeIndexes(table, true); err != nil {
 		return err
@@ -832,19 +837,20 @@ type joinRef struct {
 	// checkpoints and reorganizes re-derive.
 	ranged bool
 	// stale: a Reorganize or compaction moved the referenced table's row
-	// ids after registration, so col holds ids of rows that moved. A
-	// Fetch1Join through col fails to build with ErrStaleRangeIndex.
+	// ids after registration, or an Update moved one of its rows, so col
+	// may hold ids of rows that moved. A Fetch1Join through col fails to
+	// build with ErrStaleRangeIndex.
 	stale bool
 }
 
 // RegisterJoinIndex registers the int32 column rowIDCol of fetchedTable as
 // a positional reference to refTable's row ids. Registering (again) marks
 // the column valid for the referenced table's current row ids. When a
-// Reorganize or compaction of refTable moves its row ids, the reference is
-// marked stale and Fetch1Joins through the column fail to build with
-// ErrStaleRangeIndex instead of fetching the wrong rows. A reorganize of
-// fetchedTable moves the column's values with their rows and leaves the
-// reference valid.
+// Reorganize, compaction or Update of refTable moves its row ids, the
+// reference is marked stale and Fetch1Joins through the column fail to
+// build with ErrStaleRangeIndex instead of fetching the wrong rows. A
+// reorganize of fetchedTable moves the column's values with their rows and
+// leaves the reference valid.
 func (db *Database) RegisterJoinIndex(fetchedTable, refTable, rowIDCol string) error {
 	return db.registerJoinIndex(fetchedTable, refTable, rowIDCol, nil)
 }
@@ -965,10 +971,10 @@ func (db *Database) rederiveRangeIndexes(table string, mustSucceed bool) error {
 // fail until it is registered again over the new ids.
 var ErrStaleRangeIndex = errors.New("core: join index references moved row ids")
 
-// staleRefsOnto marks every join index onto ref (but not ref's own) stale
-// and drops the range indices derived from them. Dropped range indices are
-// reported with ErrStaleRangeIndex.
-func (db *Database) staleRefsOnto(ref string) error {
+// staleRefsOnto marks every join index onto ref (but not ref's own)
+// stale. With dropRanges it also drops the range indices derived from them
+// and reports those with ErrStaleRangeIndex.
+func (db *Database) staleRefsOnto(ref string, dropRanges bool) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	var dropped []string
@@ -977,17 +983,27 @@ func (db *Database) staleRefsOnto(ref string) error {
 		if !ok || fetched == ref {
 			continue
 		}
-		if r.ranged {
+		r.stale = true
+		if r.ranged && dropRanges {
 			db.rangeIdx[fetched] = cloneWithout(db.rangeIdx[fetched], ref)
+			r.ranged = false
 			dropped = append(dropped, fetched)
 		}
-		db.joinRefs[fetched] = cloneWith(m, ref, joinRef{col: r.col, stale: true})
+		db.joinRefs[fetched] = cloneWith(m, ref, r)
 	}
 	if len(dropped) == 0 {
 		return nil
 	}
 	slices.Sort(dropped)
 	return fmt.Errorf("%w: dropped range index of %s onto %s", ErrStaleRangeIndex, strings.Join(dropped, ", "), ref)
+}
+
+// JoinIndex returns the column registered as the join index of
+// fetchedTable onto refTable, or "" when none is.
+func (db *Database) JoinIndex(fetchedTable, refTable string) string {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.joinRefs[fetchedTable][refTable].col
 }
 
 // CheckJoinIndex returns an error wrapping ErrStaleRangeIndex when rowID,

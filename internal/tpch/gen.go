@@ -494,6 +494,32 @@ func registerJoinIndices(db *core.Database) error {
 	return nil
 }
 
+// RegisterJoinIndices registers as positional references the join indices
+// of joinIndices that db holds: both tables are present, the fetched table
+// carries the int32 row-id column, and no reference is registered yet for
+// the pair (registering again would clear a stale mark). Attaching a TPC-H
+// chunk directory calls it, so the plans fetching through an attached
+// table fail, as on a generated database, once a reorganize, compaction or
+// update moves a referenced table's row ids. It derives no range index.
+func RegisterJoinIndices(db *core.Database) error {
+	for _, ji := range joinIndices {
+		ft, err := db.Table(ji.from)
+		if err != nil {
+			continue
+		}
+		if c := ft.Col(ji.col); c == nil || c.Typ.Physical() != vector.Int32 {
+			continue
+		}
+		if _, err := db.Table(ji.to); err != nil || db.JoinIndex(ji.from, ji.to) != "" {
+			continue
+		}
+		if err := db.RegisterJoinIndex(ji.from, ji.to, ji.col); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func must(err error) {
 	if err != nil {
 		panic(err)

@@ -232,7 +232,9 @@ var ErrTransient = columnbm.ErrTransient
 // orders, referenced through lineitem's l_orderrow in GenerateTPCH's
 // database. The table is reorganized, but the index is dropped: the
 // referencing row-id column still holds the old row ids, so plans through
-// the index fail instead of answering wrongly. Test with
+// the index fail instead of answering wrongly. It also wraps the error of
+// a Fetch1Join through a join-index column whose referenced table's row
+// ids a Reorganize, compaction or Update moved. Test with
 // errors.Is(err, ErrStaleRangeIndex).
 var ErrStaleRangeIndex = core.ErrStaleRangeIndex
 
@@ -416,7 +418,12 @@ func (db *DB) store(dir string) (*columnbm.Store, error) {
 // decompress one chunk per column at a time through the directory's buffer
 // pool instead of loading columns into memory. With no table names given,
 // every manifest in the directory is attached. Enum dictionaries register
-// their "<column>#dict" mapping tables automatically.
+// their "<column>#dict" mapping tables automatically, and so do the TPC-H
+// join-index columns (such as l_orderrow) once both of their tables are
+// attached: a Reorganize, compaction or Update that moves the referenced
+// table's row ids makes Fetch1Joins through them fail with
+// ErrStaleRangeIndex. The mark is kept in memory only: a new DB that
+// attaches the directory registers the columns as valid.
 func (db *DB) AttachDisk(dir string, tables ...string) error {
 	s, err := db.store(dir)
 	if err != nil {
@@ -444,7 +451,7 @@ func (db *DB) AttachDisk(dir string, tables ...string) error {
 		}
 		db.diskSrc[name] = s
 	}
-	return nil
+	return tpch.RegisterJoinIndices(db.inner)
 }
 
 // GenerateTPCH creates a database pre-loaded with the deterministic TPC-H
@@ -548,7 +555,9 @@ func (db *DB) Delete(table string, rowID int32) error {
 }
 
 // Update replaces a row (a delete plus an insert, per the paper), logged
-// as one atomic write-ahead record.
+// as one atomic write-ahead record. The row gets a new row id, so the join
+// indices of other tables onto table go stale: Fetch1Joins through them
+// fail with ErrStaleRangeIndex.
 func (db *DB) Update(table string, rowID int32, row ...any) error {
 	_, err := db.inner.Update(table, rowID, row)
 	return err
@@ -584,7 +593,9 @@ func (db *DB) DeltaFraction(table string) (float64, error) {
 // manifest rename, compacting checkpointed deletions away — and re-attached
 // fragment-backed, so it keeps scanning off disk chunks in bounded memory.
 // Dropping rows of a table a range index references returns
-// ErrStaleRangeIndex once the reorganize has completed.
+// ErrStaleRangeIndex once the reorganize has completed; moving the row ids
+// of a table other join indices reference makes Fetch1Joins through them
+// fail with ErrStaleRangeIndex.
 func (db *DB) Reorganize(table string) error {
 	return db.inner.Reorganize(table)
 }
