@@ -1,10 +1,12 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation.
 // Each benchmark name carries the paper artifact it reproduces; run
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
 //
-// for the full sweep, or cmd/x100bench for the formatted renditions at
-// larger scale factors.
+// for the full sweep. The printed renditions are examples/tpch_q1
+// (Tables 2, 3 and 5) and examples/vectorsize (Figure 10); the per-kernel
+// table is BenchmarkKernels in internal/primitives, and the numbers
+// tracked across versions come from benchmark/run.sh.
 package x100_test
 
 import (
@@ -12,7 +14,10 @@ import (
 	"sync"
 	"testing"
 
+	"x100/internal/algebra"
+	"x100/internal/columnbm"
 	"x100/internal/core"
+	"x100/internal/expr"
 	"x100/internal/mil"
 	"x100/internal/primitives"
 	"x100/internal/tpch"
@@ -346,5 +351,69 @@ func BenchmarkAblation_SummaryIndex(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// --- Section 4.3 ablation: code-domain execution ---
+
+// BenchmarkAblation_CodeDomain runs a string predicate and a string
+// group-by over a disk-attached, enum-free lineitem, whose low-cardinality
+// string columns land as dictionary-coded chunks, with code-domain
+// execution on and off (off is the decode-first baseline of
+// x100.WithoutCodeDomain). The chunks stay in the buffer pool after the
+// first run, so this measures decode and engine work, not I/O.
+func BenchmarkAblation_CodeDomain(b *testing.B) {
+	mem, err := tpch.Generate(tpch.Config{SF: benchSF, Seed: 1, PlainColumns: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lt, err := mem.Table("lineitem")
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	store, err := columnbm.NewStore(dir, 1<<13, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := store.SaveTable(lt); err != nil {
+		b.Fatal(err)
+	}
+	db := core.NewDatabase()
+	if _, err := core.AttachDiskTable(db, store, "lineitem"); err != nil {
+		b.Fatal(err)
+	}
+	c := expr.C
+	plans := []struct {
+		name string
+		plan algebra.Node
+	}{
+		{"strpred_eq", algebra.NewAggr(
+			algebra.NewSelect(
+				algebra.NewScan("lineitem", "l_shipinstruct", "l_extendedprice"),
+				expr.EQE(c("l_shipinstruct"), expr.Str("DELIVER IN PERSON"))),
+			nil,
+			[]algebra.AggExpr{algebra.Count("n"), algebra.Sum("s", c("l_extendedprice"))})},
+		{"strgroup_shipmode", algebra.NewAggr(
+			algebra.NewScan("lineitem", "l_shipmode", "l_extendedprice"),
+			[]algebra.NamedExpr{algebra.NE("l_shipmode", c("l_shipmode"))},
+			[]algebra.AggExpr{algebra.Sum("s", c("l_extendedprice")), algebra.Count("n")})},
+	}
+	for _, p := range plans {
+		for _, off := range []bool{false, true} {
+			name := p.name + "/on"
+			if off {
+				name = p.name + "/off"
+			}
+			b.Run(name, func(b *testing.B) {
+				opts := core.DefaultOptions()
+				opts.NoCodeDomain = off
+				for i := 0; i < b.N; i++ {
+					if _, err := core.Run(db, p.plan, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

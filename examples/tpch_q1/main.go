@@ -1,6 +1,13 @@
 // tpch_q1 runs the paper's flagship microbenchmark — TPC-H Query 1 — on
-// all three execution architectures and prints the per-primitive trace of
-// the vectorized run (the Table 5 experience at laptop scale).
+// all three execution architectures and prints one profile per engine at
+// laptop scale: the gprof-style profile of the tuple-at-a-time run (Table
+// 2), the per-statement trace of the column-at-a-time run (Table 3) and
+// the per-primitive trace of the vectorized run (Table 5).
+//
+//	go run ./examples/tpch_q1 -sf 0.05
+//
+// Table 3 contrasts a working set larger than the CPU caches with a
+// cache-resident one; run again with -sf 0.001 for the cache-resident half.
 package main
 
 import (
@@ -43,6 +50,20 @@ func main() {
 
 	fmt.Println("\nresult:")
 	fmt.Print(res.Format(10))
+
+	prof := x100.NewProfile()
+	if _, err := db.Exec(plan, x100.WithEngine(x100.Volcano), x100.WithProfile(prof)); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("\ntuple-at-a-time profile (paper Table 2 format):")
+	fmt.Print(prof.Render())
+
+	milTrace := x100.NewMILTrace()
+	if _, err := db.Exec(plan, x100.WithEngine(x100.MIL), x100.WithMILTrace(milTrace)); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("\ncolumn-at-a-time statement trace (paper Table 3 format):")
+	fmt.Print(milTrace.Render())
 
 	tr := x100.NewTracer()
 	if _, err := db.Exec(plan, x100.WithTracer(tr)); err != nil {

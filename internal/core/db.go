@@ -343,10 +343,10 @@ func (db *Database) Checkpoint(table string) (bool, error) {
 	done, err := ds.Checkpoint()
 	if done && err == nil {
 		err = db.refreshSummaries(table)
-		// Row ids are preserved, so a failed re-derivation (e.g. inserts
-		// broke the clustering) safely keeps the old index: it covers the
-		// rows it always covered.
-		db.rederiveRangeIndexes(table, false)
+		// A range index that no longer derives (inserts broke the
+		// clustering) is dropped; FetchNJoins through it then fail with
+		// ErrStaleRangeIndex instead of missing the new rows.
+		db.rederiveRangeIndexes(table)
 	}
 	db.snapMu.Unlock()
 	return done, err
@@ -429,7 +429,7 @@ func (db *Database) checkpointDisk(table string, ds *delta.Store, att *diskAttac
 		if err := db.refreshSummaries(table); err != nil {
 			return err
 		}
-		db.rederiveRangeIndexes(table, false)
+		db.rederiveRangeIndexes(table)
 		return nil
 	}()
 	db.snapMu.Unlock()
@@ -511,7 +511,7 @@ func (db *Database) rederiveAfterMove(table string, moved bool) error {
 	if moved {
 		stale = db.staleRefsOnto(table, true)
 	}
-	if err := db.rederiveRangeIndexes(table, true); err != nil {
+	if err := db.rederiveRangeIndexes(table); err != nil {
 		return err
 	}
 	return stale
@@ -841,6 +841,10 @@ type joinRef struct {
 	// may hold ids of rows that moved. A Fetch1Join through col fails to
 	// build with ErrStaleRangeIndex.
 	stale bool
+	// dropped: the range index derived from col was dropped, so a
+	// FetchNJoin into the fetched table fails with ErrStaleRangeIndex
+	// (RangeIndexError) until DeriveRangeIndex registers it again.
+	dropped bool
 }
 
 // RegisterJoinIndex registers the int32 column rowIDCol of fetchedTable as
@@ -924,13 +928,11 @@ func (db *Database) buildRangeIndexFromCol(fetchedTable, refTable, rowIDCol stri
 }
 
 // rederiveRangeIndexes re-derives every range index (DeriveRangeIndex)
-// that involves the given table (as fetched or referenced side). When
-// mustSucceed is false (checkpoints: row ids preserved) a failed
-// derivation keeps the old index, which remains valid for the rows it
-// covered; when true (reorganize/compaction: row ids moved) a failed
-// derivation drops the index — a loud plan error beats silently wrong join
-// results — and the error is returned.
-func (db *Database) rederiveRangeIndexes(table string, mustSucceed bool) error {
+// that involves the given table (as fetched or referenced side). A failed
+// derivation drops the index and returns the error: the old index no longer
+// covers the table's rows, and a FetchNJoin without one fails with
+// ErrStaleRangeIndex, where the old one would answer short.
+func (db *Database) rederiveRangeIndexes(table string) error {
 	type recipe struct{ fetched, ref, col string }
 	db.mu.RLock()
 	var jobs []recipe
@@ -945,30 +947,52 @@ func (db *Database) rederiveRangeIndexes(table string, mustSucceed bool) error {
 	var firstErr error
 	for _, j := range jobs {
 		ri, err := db.buildRangeIndexFromCol(j.fetched, j.ref, j.col)
-		if err != nil {
-			if mustSucceed {
-				db.mu.Lock()
-				db.rangeIdx[j.fetched] = cloneWithout(db.rangeIdx[j.fetched], j.ref)
-				db.mu.Unlock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("core: re-derive range index %s->%s: %w", j.fetched, j.ref, err)
-				}
-			}
-			continue
-		}
 		db.mu.Lock()
-		db.rangeIdx[j.fetched] = cloneWith(db.rangeIdx[j.fetched], j.ref, ri)
+		if err != nil {
+			db.dropRangeIndex(j.fetched, j.ref)
+			if firstErr == nil {
+				firstErr = fmt.Errorf("core: re-derive range index %s->%s: %w", j.fetched, j.ref, err)
+			}
+		} else {
+			db.rangeIdx[j.fetched] = cloneWith(db.rangeIdx[j.fetched], j.ref, ri)
+		}
 		db.mu.Unlock()
 	}
 	return firstErr
 }
 
+// dropRangeIndex drops the range index of fetched onto ref and its recipe,
+// and remembers the drop for RangeIndexError. Callers hold db.mu.
+func (db *Database) dropRangeIndex(fetched, ref string) {
+	db.rangeIdx[fetched] = cloneWithout(db.rangeIdx[fetched], ref)
+	r := db.joinRefs[fetched][ref]
+	r.ranged, r.dropped = false, true
+	db.joinRefs[fetched] = cloneWith(db.joinRefs[fetched], ref, r)
+}
+
+// RangeIndexError is the build error of a FetchNJoin into fetchedTable
+// that finds no range index. It wraps ErrStaleRangeIndex when one was
+// derived and then dropped: the referenced table's row ids moved, or a
+// checkpoint broke the clustering of the row-id column. Every engine calls
+// it when it builds a FetchNJoin without an index.
+func (db *Database) RangeIndexError(fetchedTable string) error {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	for ref, r := range db.joinRefs[fetchedTable] {
+		if r.dropped {
+			return fmt.Errorf("%w: range index of %s onto %s was dropped", ErrStaleRangeIndex, fetchedTable, ref)
+		}
+	}
+	return fmt.Errorf("no range index registered for table %s", fetchedTable)
+}
+
 // ErrStaleRangeIndex is wrapped by the error of a Reorganize that moved the
 // row ids of a table a derived range index references (the index is
 // dropped, since the fetched table's row-id column still holds the old
-// ids), and by the build error of a Fetch1Join through a join index whose
-// referenced table's row ids moved. Plans through the index or the column
-// fail until it is registered again over the new ids.
+// ids), by the build error of a Fetch1Join through a join index whose
+// referenced table's row ids moved, and by the build error of a FetchNJoin
+// whose range index was dropped (RangeIndexError). Plans through the index
+// or the column fail until it is registered again over the new ids.
 var ErrStaleRangeIndex = errors.New("core: join index references moved row ids")
 
 // staleRefsOnto marks every join index onto ref (but not ref's own)
@@ -984,12 +1008,11 @@ func (db *Database) staleRefsOnto(ref string, dropRanges bool) error {
 			continue
 		}
 		r.stale = true
+		db.joinRefs[fetched] = cloneWith(m, ref, r)
 		if r.ranged && dropRanges {
-			db.rangeIdx[fetched] = cloneWithout(db.rangeIdx[fetched], ref)
-			r.ranged = false
+			db.dropRangeIndex(fetched, ref)
 			dropped = append(dropped, fetched)
 		}
-		db.joinRefs[fetched] = cloneWith(m, ref, r)
 	}
 	if len(dropped) == 0 {
 		return nil

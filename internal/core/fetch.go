@@ -408,7 +408,7 @@ func newFetchNJoinOp(db *Database, input Operator, node *algebra.FetchNJoin, opt
 	}
 	ri := v.rangeIndexAny()
 	if ri == nil {
-		return nil, fmt.Errorf("core: no range index registered for table %s", node.Table)
+		return nil, fmt.Errorf("core: fetchnjoin: %w", db.RangeIndexError(node.Table))
 	}
 	in := input.Schema()
 	rc := in.ColIndex(node.RangeOf)

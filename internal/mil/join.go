@@ -327,7 +327,7 @@ func (e *Engine) evalFetchNJoin(n *algebra.FetchNJoin) (*rel, error) {
 	}
 	ri := e.DB.RangeIndexAny(n.Table)
 	if ri == nil {
-		return nil, fmt.Errorf("mil: no range index registered for table %s", n.Table)
+		return nil, fmt.Errorf("mil: fetchnjoin: %w", e.DB.RangeIndexError(n.Table))
 	}
 	rc := in.col(n.RangeOf)
 	if rc == nil {

@@ -6,8 +6,9 @@ package primitives
 // single-function primitives, because intermediate results stay in CPU
 // registers instead of being stored to and re-loaded from a vector.
 //
-// The expression compiler pattern-matches these shapes; the ablation bench
-// (x100bench -exp ablation-compound) measures fused vs unfused directly.
+// The expression compiler pattern-matches these shapes; the root
+// BenchmarkAblation_Mahalanobis* and BenchmarkAblation_Q1* benchmarks
+// measure fused vs unfused directly.
 
 // FusedSubMulValColCol computes res[i] = (v - a[i]) * b[i], the
 // discountprice = (1 - l_discount) * l_extendedprice kernel of Query 1.

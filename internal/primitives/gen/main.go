@@ -30,20 +30,17 @@ type width struct {
 	T   string // Go element type
 }
 
+// The widths are the element types of internal/vector (the Number and
+// Ordered constraints): a kernel for any other width would be unreachable.
 var selWidths = []width{
-	{"U8", "uint8"}, {"U16", "uint16"}, {"U32", "uint32"}, {"U64", "uint64"},
-	{"I32", "int32"}, {"I64", "int64"}, {"F64", "float64"},
+	{"U8", "uint8"}, {"U16", "uint16"}, {"I32", "int32"}, {"I64", "int64"}, {"F64", "float64"},
 }
 
 var hashWidths = []width{
-	{"U8", "uint8"}, {"U16", "uint16"}, {"U32", "uint32"}, {"U64", "uint64"},
-	{"I32", "int32"}, {"I64", "int64"},
+	{"U8", "uint8"}, {"U16", "uint16"}, {"I32", "int32"}, {"I64", "int64"},
 }
 
-var sumFrom = []width{
-	{"U8", "uint8"}, {"U16", "uint16"}, {"U32", "uint32"}, {"U64", "uint64"},
-	{"I32", "int32"}, {"I64", "int64"},
-}
+var sumFrom = hashWidths
 
 var minMaxWidths = []width{{"I32", "int32"}, {"I64", "int64"}, {"F64", "float64"}}
 
@@ -346,28 +343,6 @@ func hashCombineColDense$W(res []uint64, vals []$T) {
 	for i := range res {
 		res[i] = rotl27(res[i]) ^ xmx(uint64(vals[i])+hashSeed)
 	}
-}
-
-func hash2ColDense$W(res []uint64, a, b []$T) {
-	n := len(res)
-	a = a[:n]
-	b = b[:n]
-	for len(res) >= 4 && len(a) >= 4 && len(b) >= 4 {
-		h0 := xmx(uint64(a[0]) + hashSeed)
-		h1 := xmx(uint64(a[1]) + hashSeed)
-		h2 := xmx(uint64(a[2]) + hashSeed)
-		h3 := xmx(uint64(a[3]) + hashSeed)
-		res[0] = rotl27(h0) ^ xmx(uint64(b[0])+hashSeed)
-		res[1] = rotl27(h1) ^ xmx(uint64(b[1])+hashSeed)
-		res[2] = rotl27(h2) ^ xmx(uint64(b[2])+hashSeed)
-		res[3] = rotl27(h3) ^ xmx(uint64(b[3])+hashSeed)
-		res, a, b = res[4:], a[4:], b[4:]
-	}
-	a = a[:len(res)]
-	b = b[:len(res)]
-	for i := range res {
-		res[i] = rotl27(xmx(uint64(a[i])+hashSeed)) ^ xmx(uint64(b[i])+hashSeed)
-	}
 }`, "$W", w.Suf, "$T", w.T)
 	}
 	t(buf, `
@@ -624,18 +599,6 @@ func HashCombineCol$W(res []uint64, vals []$T, sel []int32) {
 	}
 	for _, i := range sel {
 		res[i] = rotl27(res[i]) ^ xmx(uint64(vals[i])+hashSeed)
-	}
-}
-
-// Hash2Col$W hashes two same-width key columns in one fused pass,
-// equivalent to HashCol$W followed by HashCombineCol$W.
-func Hash2Col$W(res []uint64, a, b []$T, sel []int32) {
-	if sel == nil {
-		hash2ColDense$W(res, a, b)
-		return
-	}
-	for _, i := range sel {
-		res[i] = rotl27(xmx(uint64(a[i])+hashSeed)) ^ xmx(uint64(b[i])+hashSeed)
 	}
 }`, "$W", w.Suf, "$T", w.T)
 	}

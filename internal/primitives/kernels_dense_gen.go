@@ -468,366 +468,6 @@ func selectNEColValDenseU16(res []int32, in []uint16, v uint16) int {
 	return k
 }
 
-func selectLTColValDenseU32(res []int32, in []uint32, v uint32) int {
-	n := len(in)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(in) >= 4 {
-		x0, x1, x2, x3 := in[0], in[1], in[2], in[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 < v)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 < v)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 < v)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 < v)
-		in = in[4:]
-		base += 4
-	}
-	for _, x := range in {
-		storeIdx(rp, k, int32(base))
-		k += b2i(x < v)
-		base++
-	}
-	return k
-}
-
-func selectLEColValDenseU32(res []int32, in []uint32, v uint32) int {
-	n := len(in)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(in) >= 4 {
-		x0, x1, x2, x3 := in[0], in[1], in[2], in[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 <= v)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 <= v)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 <= v)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 <= v)
-		in = in[4:]
-		base += 4
-	}
-	for _, x := range in {
-		storeIdx(rp, k, int32(base))
-		k += b2i(x <= v)
-		base++
-	}
-	return k
-}
-
-func selectGTColValDenseU32(res []int32, in []uint32, v uint32) int {
-	n := len(in)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(in) >= 4 {
-		x0, x1, x2, x3 := in[0], in[1], in[2], in[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 > v)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 > v)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 > v)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 > v)
-		in = in[4:]
-		base += 4
-	}
-	for _, x := range in {
-		storeIdx(rp, k, int32(base))
-		k += b2i(x > v)
-		base++
-	}
-	return k
-}
-
-func selectGEColValDenseU32(res []int32, in []uint32, v uint32) int {
-	n := len(in)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(in) >= 4 {
-		x0, x1, x2, x3 := in[0], in[1], in[2], in[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 >= v)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 >= v)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 >= v)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 >= v)
-		in = in[4:]
-		base += 4
-	}
-	for _, x := range in {
-		storeIdx(rp, k, int32(base))
-		k += b2i(x >= v)
-		base++
-	}
-	return k
-}
-
-func selectEQColValDenseU32(res []int32, in []uint32, v uint32) int {
-	n := len(in)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(in) >= 4 {
-		x0, x1, x2, x3 := in[0], in[1], in[2], in[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 == v)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 == v)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 == v)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 == v)
-		in = in[4:]
-		base += 4
-	}
-	for _, x := range in {
-		storeIdx(rp, k, int32(base))
-		k += b2i(x == v)
-		base++
-	}
-	return k
-}
-
-func selectNEColValDenseU32(res []int32, in []uint32, v uint32) int {
-	n := len(in)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(in) >= 4 {
-		x0, x1, x2, x3 := in[0], in[1], in[2], in[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 != v)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 != v)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 != v)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 != v)
-		in = in[4:]
-		base += 4
-	}
-	for _, x := range in {
-		storeIdx(rp, k, int32(base))
-		k += b2i(x != v)
-		base++
-	}
-	return k
-}
-
-func selectLTColValDenseU64(res []int32, in []uint64, v uint64) int {
-	n := len(in)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(in) >= 4 {
-		x0, x1, x2, x3 := in[0], in[1], in[2], in[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 < v)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 < v)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 < v)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 < v)
-		in = in[4:]
-		base += 4
-	}
-	for _, x := range in {
-		storeIdx(rp, k, int32(base))
-		k += b2i(x < v)
-		base++
-	}
-	return k
-}
-
-func selectLEColValDenseU64(res []int32, in []uint64, v uint64) int {
-	n := len(in)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(in) >= 4 {
-		x0, x1, x2, x3 := in[0], in[1], in[2], in[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 <= v)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 <= v)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 <= v)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 <= v)
-		in = in[4:]
-		base += 4
-	}
-	for _, x := range in {
-		storeIdx(rp, k, int32(base))
-		k += b2i(x <= v)
-		base++
-	}
-	return k
-}
-
-func selectGTColValDenseU64(res []int32, in []uint64, v uint64) int {
-	n := len(in)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(in) >= 4 {
-		x0, x1, x2, x3 := in[0], in[1], in[2], in[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 > v)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 > v)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 > v)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 > v)
-		in = in[4:]
-		base += 4
-	}
-	for _, x := range in {
-		storeIdx(rp, k, int32(base))
-		k += b2i(x > v)
-		base++
-	}
-	return k
-}
-
-func selectGEColValDenseU64(res []int32, in []uint64, v uint64) int {
-	n := len(in)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(in) >= 4 {
-		x0, x1, x2, x3 := in[0], in[1], in[2], in[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 >= v)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 >= v)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 >= v)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 >= v)
-		in = in[4:]
-		base += 4
-	}
-	for _, x := range in {
-		storeIdx(rp, k, int32(base))
-		k += b2i(x >= v)
-		base++
-	}
-	return k
-}
-
-func selectEQColValDenseU64(res []int32, in []uint64, v uint64) int {
-	n := len(in)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(in) >= 4 {
-		x0, x1, x2, x3 := in[0], in[1], in[2], in[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 == v)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 == v)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 == v)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 == v)
-		in = in[4:]
-		base += 4
-	}
-	for _, x := range in {
-		storeIdx(rp, k, int32(base))
-		k += b2i(x == v)
-		base++
-	}
-	return k
-}
-
-func selectNEColValDenseU64(res []int32, in []uint64, v uint64) int {
-	n := len(in)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(in) >= 4 {
-		x0, x1, x2, x3 := in[0], in[1], in[2], in[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 != v)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 != v)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 != v)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 != v)
-		in = in[4:]
-		base += 4
-	}
-	for _, x := range in {
-		storeIdx(rp, k, int32(base))
-		k += b2i(x != v)
-		base++
-	}
-	return k
-}
-
 func selectLTColValDenseI32(res []int32, in []int32, v int32) int {
 	n := len(in)
 	if n == 0 {
@@ -1752,390 +1392,6 @@ func selectNEColColDenseU16(res []int32, a, b []uint16) int {
 	return k
 }
 
-func selectLTColColDenseU32(res []int32, a, b []uint32) int {
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	b = b[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(a) >= 4 && len(b) >= 4 {
-		x0, x1, x2, x3 := a[0], a[1], a[2], a[3]
-		y0, y1, y2, y3 := b[0], b[1], b[2], b[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 < y0)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 < y1)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 < y2)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 < y3)
-		a, b = a[4:], b[4:]
-		base += 4
-	}
-	b = b[:len(a)]
-	for i, x := range a {
-		storeIdx(rp, k, int32(base+i))
-		k += b2i(x < b[i])
-	}
-	return k
-}
-
-func selectLEColColDenseU32(res []int32, a, b []uint32) int {
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	b = b[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(a) >= 4 && len(b) >= 4 {
-		x0, x1, x2, x3 := a[0], a[1], a[2], a[3]
-		y0, y1, y2, y3 := b[0], b[1], b[2], b[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 <= y0)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 <= y1)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 <= y2)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 <= y3)
-		a, b = a[4:], b[4:]
-		base += 4
-	}
-	b = b[:len(a)]
-	for i, x := range a {
-		storeIdx(rp, k, int32(base+i))
-		k += b2i(x <= b[i])
-	}
-	return k
-}
-
-func selectGTColColDenseU32(res []int32, a, b []uint32) int {
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	b = b[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(a) >= 4 && len(b) >= 4 {
-		x0, x1, x2, x3 := a[0], a[1], a[2], a[3]
-		y0, y1, y2, y3 := b[0], b[1], b[2], b[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 > y0)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 > y1)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 > y2)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 > y3)
-		a, b = a[4:], b[4:]
-		base += 4
-	}
-	b = b[:len(a)]
-	for i, x := range a {
-		storeIdx(rp, k, int32(base+i))
-		k += b2i(x > b[i])
-	}
-	return k
-}
-
-func selectGEColColDenseU32(res []int32, a, b []uint32) int {
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	b = b[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(a) >= 4 && len(b) >= 4 {
-		x0, x1, x2, x3 := a[0], a[1], a[2], a[3]
-		y0, y1, y2, y3 := b[0], b[1], b[2], b[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 >= y0)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 >= y1)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 >= y2)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 >= y3)
-		a, b = a[4:], b[4:]
-		base += 4
-	}
-	b = b[:len(a)]
-	for i, x := range a {
-		storeIdx(rp, k, int32(base+i))
-		k += b2i(x >= b[i])
-	}
-	return k
-}
-
-func selectEQColColDenseU32(res []int32, a, b []uint32) int {
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	b = b[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(a) >= 4 && len(b) >= 4 {
-		x0, x1, x2, x3 := a[0], a[1], a[2], a[3]
-		y0, y1, y2, y3 := b[0], b[1], b[2], b[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 == y0)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 == y1)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 == y2)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 == y3)
-		a, b = a[4:], b[4:]
-		base += 4
-	}
-	b = b[:len(a)]
-	for i, x := range a {
-		storeIdx(rp, k, int32(base+i))
-		k += b2i(x == b[i])
-	}
-	return k
-}
-
-func selectNEColColDenseU32(res []int32, a, b []uint32) int {
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	b = b[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(a) >= 4 && len(b) >= 4 {
-		x0, x1, x2, x3 := a[0], a[1], a[2], a[3]
-		y0, y1, y2, y3 := b[0], b[1], b[2], b[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 != y0)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 != y1)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 != y2)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 != y3)
-		a, b = a[4:], b[4:]
-		base += 4
-	}
-	b = b[:len(a)]
-	for i, x := range a {
-		storeIdx(rp, k, int32(base+i))
-		k += b2i(x != b[i])
-	}
-	return k
-}
-
-func selectLTColColDenseU64(res []int32, a, b []uint64) int {
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	b = b[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(a) >= 4 && len(b) >= 4 {
-		x0, x1, x2, x3 := a[0], a[1], a[2], a[3]
-		y0, y1, y2, y3 := b[0], b[1], b[2], b[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 < y0)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 < y1)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 < y2)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 < y3)
-		a, b = a[4:], b[4:]
-		base += 4
-	}
-	b = b[:len(a)]
-	for i, x := range a {
-		storeIdx(rp, k, int32(base+i))
-		k += b2i(x < b[i])
-	}
-	return k
-}
-
-func selectLEColColDenseU64(res []int32, a, b []uint64) int {
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	b = b[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(a) >= 4 && len(b) >= 4 {
-		x0, x1, x2, x3 := a[0], a[1], a[2], a[3]
-		y0, y1, y2, y3 := b[0], b[1], b[2], b[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 <= y0)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 <= y1)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 <= y2)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 <= y3)
-		a, b = a[4:], b[4:]
-		base += 4
-	}
-	b = b[:len(a)]
-	for i, x := range a {
-		storeIdx(rp, k, int32(base+i))
-		k += b2i(x <= b[i])
-	}
-	return k
-}
-
-func selectGTColColDenseU64(res []int32, a, b []uint64) int {
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	b = b[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(a) >= 4 && len(b) >= 4 {
-		x0, x1, x2, x3 := a[0], a[1], a[2], a[3]
-		y0, y1, y2, y3 := b[0], b[1], b[2], b[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 > y0)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 > y1)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 > y2)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 > y3)
-		a, b = a[4:], b[4:]
-		base += 4
-	}
-	b = b[:len(a)]
-	for i, x := range a {
-		storeIdx(rp, k, int32(base+i))
-		k += b2i(x > b[i])
-	}
-	return k
-}
-
-func selectGEColColDenseU64(res []int32, a, b []uint64) int {
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	b = b[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(a) >= 4 && len(b) >= 4 {
-		x0, x1, x2, x3 := a[0], a[1], a[2], a[3]
-		y0, y1, y2, y3 := b[0], b[1], b[2], b[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 >= y0)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 >= y1)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 >= y2)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 >= y3)
-		a, b = a[4:], b[4:]
-		base += 4
-	}
-	b = b[:len(a)]
-	for i, x := range a {
-		storeIdx(rp, k, int32(base+i))
-		k += b2i(x >= b[i])
-	}
-	return k
-}
-
-func selectEQColColDenseU64(res []int32, a, b []uint64) int {
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	b = b[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(a) >= 4 && len(b) >= 4 {
-		x0, x1, x2, x3 := a[0], a[1], a[2], a[3]
-		y0, y1, y2, y3 := b[0], b[1], b[2], b[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 == y0)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 == y1)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 == y2)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 == y3)
-		a, b = a[4:], b[4:]
-		base += 4
-	}
-	b = b[:len(a)]
-	for i, x := range a {
-		storeIdx(rp, k, int32(base+i))
-		k += b2i(x == b[i])
-	}
-	return k
-}
-
-func selectNEColColDenseU64(res []int32, a, b []uint64) int {
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	b = b[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(a) >= 4 && len(b) >= 4 {
-		x0, x1, x2, x3 := a[0], a[1], a[2], a[3]
-		y0, y1, y2, y3 := b[0], b[1], b[2], b[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 != y0)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 != y1)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 != y2)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 != y3)
-		a, b = a[4:], b[4:]
-		base += 4
-	}
-	b = b[:len(a)]
-	for i, x := range a {
-		storeIdx(rp, k, int32(base+i))
-		k += b2i(x != b[i])
-	}
-	return k
-}
-
 func selectLTColColDenseI32(res []int32, a, b []int32) int {
 	n := len(a)
 	if n == 0 {
@@ -2772,66 +2028,6 @@ func selectBetweenColValDenseU16(res []int32, in []uint16, lo, hi uint16) int {
 	return k
 }
 
-func selectBetweenColValDenseU32(res []int32, in []uint32, lo, hi uint32) int {
-	n := len(in)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(in) >= 4 {
-		x0, x1, x2, x3 := in[0], in[1], in[2], in[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 >= lo && x0 <= hi)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 >= lo && x1 <= hi)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 >= lo && x2 <= hi)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 >= lo && x3 <= hi)
-		in = in[4:]
-		base += 4
-	}
-	for _, x := range in {
-		storeIdx(rp, k, int32(base))
-		k += b2i(x >= lo && x <= hi)
-		base++
-	}
-	return k
-}
-
-func selectBetweenColValDenseU64(res []int32, in []uint64, lo, hi uint64) int {
-	n := len(in)
-	if n == 0 {
-		return 0
-	}
-	res = res[:n]
-	rp := unsafe.Pointer(unsafe.SliceData(res))
-	k := 0
-	base := 0
-	for len(in) >= 4 {
-		x0, x1, x2, x3 := in[0], in[1], in[2], in[3]
-		storeIdx(rp, k, int32(base))
-		k += b2i(x0 >= lo && x0 <= hi)
-		storeIdx(rp, k, int32(base+1))
-		k += b2i(x1 >= lo && x1 <= hi)
-		storeIdx(rp, k, int32(base+2))
-		k += b2i(x2 >= lo && x2 <= hi)
-		storeIdx(rp, k, int32(base+3))
-		k += b2i(x3 >= lo && x3 <= hi)
-		in = in[4:]
-		base += 4
-	}
-	for _, x := range in {
-		storeIdx(rp, k, int32(base))
-		k += b2i(x >= lo && x <= hi)
-		base++
-	}
-	return k
-}
-
 func selectBetweenColValDenseI32(res []int32, in []int32, lo, hi int32) int {
 	n := len(in)
 	if n == 0 {
@@ -2952,28 +2148,6 @@ func hashCombineColDenseU8(res []uint64, vals []uint8) {
 	}
 }
 
-func hash2ColDenseU8(res []uint64, a, b []uint8) {
-	n := len(res)
-	a = a[:n]
-	b = b[:n]
-	for len(res) >= 4 && len(a) >= 4 && len(b) >= 4 {
-		h0 := xmx(uint64(a[0]) + hashSeed)
-		h1 := xmx(uint64(a[1]) + hashSeed)
-		h2 := xmx(uint64(a[2]) + hashSeed)
-		h3 := xmx(uint64(a[3]) + hashSeed)
-		res[0] = rotl27(h0) ^ xmx(uint64(b[0])+hashSeed)
-		res[1] = rotl27(h1) ^ xmx(uint64(b[1])+hashSeed)
-		res[2] = rotl27(h2) ^ xmx(uint64(b[2])+hashSeed)
-		res[3] = rotl27(h3) ^ xmx(uint64(b[3])+hashSeed)
-		res, a, b = res[4:], a[4:], b[4:]
-	}
-	a = a[:len(res)]
-	b = b[:len(res)]
-	for i := range res {
-		res[i] = rotl27(xmx(uint64(a[i])+hashSeed)) ^ xmx(uint64(b[i])+hashSeed)
-	}
-}
-
 func hashColDenseU16(res []uint64, vals []uint16) {
 	vals = vals[:len(res)]
 	for len(res) >= 4 && len(vals) >= 4 {
@@ -3001,132 +2175,6 @@ func hashCombineColDenseU16(res []uint64, vals []uint16) {
 	vals = vals[:len(res)]
 	for i := range res {
 		res[i] = rotl27(res[i]) ^ xmx(uint64(vals[i])+hashSeed)
-	}
-}
-
-func hash2ColDenseU16(res []uint64, a, b []uint16) {
-	n := len(res)
-	a = a[:n]
-	b = b[:n]
-	for len(res) >= 4 && len(a) >= 4 && len(b) >= 4 {
-		h0 := xmx(uint64(a[0]) + hashSeed)
-		h1 := xmx(uint64(a[1]) + hashSeed)
-		h2 := xmx(uint64(a[2]) + hashSeed)
-		h3 := xmx(uint64(a[3]) + hashSeed)
-		res[0] = rotl27(h0) ^ xmx(uint64(b[0])+hashSeed)
-		res[1] = rotl27(h1) ^ xmx(uint64(b[1])+hashSeed)
-		res[2] = rotl27(h2) ^ xmx(uint64(b[2])+hashSeed)
-		res[3] = rotl27(h3) ^ xmx(uint64(b[3])+hashSeed)
-		res, a, b = res[4:], a[4:], b[4:]
-	}
-	a = a[:len(res)]
-	b = b[:len(res)]
-	for i := range res {
-		res[i] = rotl27(xmx(uint64(a[i])+hashSeed)) ^ xmx(uint64(b[i])+hashSeed)
-	}
-}
-
-func hashColDenseU32(res []uint64, vals []uint32) {
-	vals = vals[:len(res)]
-	for len(res) >= 4 && len(vals) >= 4 {
-		res[0] = xmx(uint64(vals[0]) + hashSeed)
-		res[1] = xmx(uint64(vals[1]) + hashSeed)
-		res[2] = xmx(uint64(vals[2]) + hashSeed)
-		res[3] = xmx(uint64(vals[3]) + hashSeed)
-		res, vals = res[4:], vals[4:]
-	}
-	vals = vals[:len(res)]
-	for i := range res {
-		res[i] = xmx(uint64(vals[i]) + hashSeed)
-	}
-}
-
-func hashCombineColDenseU32(res []uint64, vals []uint32) {
-	vals = vals[:len(res)]
-	for len(res) >= 4 && len(vals) >= 4 {
-		res[0] = rotl27(res[0]) ^ xmx(uint64(vals[0])+hashSeed)
-		res[1] = rotl27(res[1]) ^ xmx(uint64(vals[1])+hashSeed)
-		res[2] = rotl27(res[2]) ^ xmx(uint64(vals[2])+hashSeed)
-		res[3] = rotl27(res[3]) ^ xmx(uint64(vals[3])+hashSeed)
-		res, vals = res[4:], vals[4:]
-	}
-	vals = vals[:len(res)]
-	for i := range res {
-		res[i] = rotl27(res[i]) ^ xmx(uint64(vals[i])+hashSeed)
-	}
-}
-
-func hash2ColDenseU32(res []uint64, a, b []uint32) {
-	n := len(res)
-	a = a[:n]
-	b = b[:n]
-	for len(res) >= 4 && len(a) >= 4 && len(b) >= 4 {
-		h0 := xmx(uint64(a[0]) + hashSeed)
-		h1 := xmx(uint64(a[1]) + hashSeed)
-		h2 := xmx(uint64(a[2]) + hashSeed)
-		h3 := xmx(uint64(a[3]) + hashSeed)
-		res[0] = rotl27(h0) ^ xmx(uint64(b[0])+hashSeed)
-		res[1] = rotl27(h1) ^ xmx(uint64(b[1])+hashSeed)
-		res[2] = rotl27(h2) ^ xmx(uint64(b[2])+hashSeed)
-		res[3] = rotl27(h3) ^ xmx(uint64(b[3])+hashSeed)
-		res, a, b = res[4:], a[4:], b[4:]
-	}
-	a = a[:len(res)]
-	b = b[:len(res)]
-	for i := range res {
-		res[i] = rotl27(xmx(uint64(a[i])+hashSeed)) ^ xmx(uint64(b[i])+hashSeed)
-	}
-}
-
-func hashColDenseU64(res []uint64, vals []uint64) {
-	vals = vals[:len(res)]
-	for len(res) >= 4 && len(vals) >= 4 {
-		res[0] = xmx(uint64(vals[0]) + hashSeed)
-		res[1] = xmx(uint64(vals[1]) + hashSeed)
-		res[2] = xmx(uint64(vals[2]) + hashSeed)
-		res[3] = xmx(uint64(vals[3]) + hashSeed)
-		res, vals = res[4:], vals[4:]
-	}
-	vals = vals[:len(res)]
-	for i := range res {
-		res[i] = xmx(uint64(vals[i]) + hashSeed)
-	}
-}
-
-func hashCombineColDenseU64(res []uint64, vals []uint64) {
-	vals = vals[:len(res)]
-	for len(res) >= 4 && len(vals) >= 4 {
-		res[0] = rotl27(res[0]) ^ xmx(uint64(vals[0])+hashSeed)
-		res[1] = rotl27(res[1]) ^ xmx(uint64(vals[1])+hashSeed)
-		res[2] = rotl27(res[2]) ^ xmx(uint64(vals[2])+hashSeed)
-		res[3] = rotl27(res[3]) ^ xmx(uint64(vals[3])+hashSeed)
-		res, vals = res[4:], vals[4:]
-	}
-	vals = vals[:len(res)]
-	for i := range res {
-		res[i] = rotl27(res[i]) ^ xmx(uint64(vals[i])+hashSeed)
-	}
-}
-
-func hash2ColDenseU64(res []uint64, a, b []uint64) {
-	n := len(res)
-	a = a[:n]
-	b = b[:n]
-	for len(res) >= 4 && len(a) >= 4 && len(b) >= 4 {
-		h0 := xmx(uint64(a[0]) + hashSeed)
-		h1 := xmx(uint64(a[1]) + hashSeed)
-		h2 := xmx(uint64(a[2]) + hashSeed)
-		h3 := xmx(uint64(a[3]) + hashSeed)
-		res[0] = rotl27(h0) ^ xmx(uint64(b[0])+hashSeed)
-		res[1] = rotl27(h1) ^ xmx(uint64(b[1])+hashSeed)
-		res[2] = rotl27(h2) ^ xmx(uint64(b[2])+hashSeed)
-		res[3] = rotl27(h3) ^ xmx(uint64(b[3])+hashSeed)
-		res, a, b = res[4:], a[4:], b[4:]
-	}
-	a = a[:len(res)]
-	b = b[:len(res)]
-	for i := range res {
-		res[i] = rotl27(xmx(uint64(a[i])+hashSeed)) ^ xmx(uint64(b[i])+hashSeed)
 	}
 }
 
@@ -3160,28 +2208,6 @@ func hashCombineColDenseI32(res []uint64, vals []int32) {
 	}
 }
 
-func hash2ColDenseI32(res []uint64, a, b []int32) {
-	n := len(res)
-	a = a[:n]
-	b = b[:n]
-	for len(res) >= 4 && len(a) >= 4 && len(b) >= 4 {
-		h0 := xmx(uint64(a[0]) + hashSeed)
-		h1 := xmx(uint64(a[1]) + hashSeed)
-		h2 := xmx(uint64(a[2]) + hashSeed)
-		h3 := xmx(uint64(a[3]) + hashSeed)
-		res[0] = rotl27(h0) ^ xmx(uint64(b[0])+hashSeed)
-		res[1] = rotl27(h1) ^ xmx(uint64(b[1])+hashSeed)
-		res[2] = rotl27(h2) ^ xmx(uint64(b[2])+hashSeed)
-		res[3] = rotl27(h3) ^ xmx(uint64(b[3])+hashSeed)
-		res, a, b = res[4:], a[4:], b[4:]
-	}
-	a = a[:len(res)]
-	b = b[:len(res)]
-	for i := range res {
-		res[i] = rotl27(xmx(uint64(a[i])+hashSeed)) ^ xmx(uint64(b[i])+hashSeed)
-	}
-}
-
 func hashColDenseI64(res []uint64, vals []int64) {
 	vals = vals[:len(res)]
 	for len(res) >= 4 && len(vals) >= 4 {
@@ -3209,28 +2235,6 @@ func hashCombineColDenseI64(res []uint64, vals []int64) {
 	vals = vals[:len(res)]
 	for i := range res {
 		res[i] = rotl27(res[i]) ^ xmx(uint64(vals[i])+hashSeed)
-	}
-}
-
-func hash2ColDenseI64(res []uint64, a, b []int64) {
-	n := len(res)
-	a = a[:n]
-	b = b[:n]
-	for len(res) >= 4 && len(a) >= 4 && len(b) >= 4 {
-		h0 := xmx(uint64(a[0]) + hashSeed)
-		h1 := xmx(uint64(a[1]) + hashSeed)
-		h2 := xmx(uint64(a[2]) + hashSeed)
-		h3 := xmx(uint64(a[3]) + hashSeed)
-		res[0] = rotl27(h0) ^ xmx(uint64(b[0])+hashSeed)
-		res[1] = rotl27(h1) ^ xmx(uint64(b[1])+hashSeed)
-		res[2] = rotl27(h2) ^ xmx(uint64(b[2])+hashSeed)
-		res[3] = rotl27(h3) ^ xmx(uint64(b[3])+hashSeed)
-		res, a, b = res[4:], a[4:], b[4:]
-	}
-	a = a[:len(res)]
-	b = b[:len(res)]
-	for i := range res {
-		res[i] = rotl27(xmx(uint64(a[i])+hashSeed)) ^ xmx(uint64(b[i])+hashSeed)
 	}
 }
 
@@ -3316,86 +2320,6 @@ func aggrSumI64FromU16Dense(acc []int64, vals []uint16, groups []int32) {
 }
 
 func aggrSumCountI64FromU16Dense(acc []int64, cnt []int64, vals []uint16, groups []int32) {
-	groups = groups[:len(vals)]
-	for len(vals) >= 4 && len(groups) >= 4 {
-		g0, g1, g2, g3 := groups[0], groups[1], groups[2], groups[3]
-		v0, v1, v2, v3 := vals[0], vals[1], vals[2], vals[3]
-		acc[g0] += int64(v0)
-		cnt[g0]++
-		acc[g1] += int64(v1)
-		cnt[g1]++
-		acc[g2] += int64(v2)
-		cnt[g2]++
-		acc[g3] += int64(v3)
-		cnt[g3]++
-		vals, groups = vals[4:], groups[4:]
-	}
-	groups = groups[:len(vals)]
-	for i, v := range vals {
-		g := groups[i]
-		acc[g] += int64(v)
-		cnt[g]++
-	}
-}
-
-func aggrSumI64FromU32Dense(acc []int64, vals []uint32, groups []int32) {
-	groups = groups[:len(vals)]
-	for len(vals) >= 4 && len(groups) >= 4 {
-		g0, g1, g2, g3 := groups[0], groups[1], groups[2], groups[3]
-		v0, v1, v2, v3 := vals[0], vals[1], vals[2], vals[3]
-		acc[g0] += int64(v0)
-		acc[g1] += int64(v1)
-		acc[g2] += int64(v2)
-		acc[g3] += int64(v3)
-		vals, groups = vals[4:], groups[4:]
-	}
-	groups = groups[:len(vals)]
-	for i, v := range vals {
-		acc[groups[i]] += int64(v)
-	}
-}
-
-func aggrSumCountI64FromU32Dense(acc []int64, cnt []int64, vals []uint32, groups []int32) {
-	groups = groups[:len(vals)]
-	for len(vals) >= 4 && len(groups) >= 4 {
-		g0, g1, g2, g3 := groups[0], groups[1], groups[2], groups[3]
-		v0, v1, v2, v3 := vals[0], vals[1], vals[2], vals[3]
-		acc[g0] += int64(v0)
-		cnt[g0]++
-		acc[g1] += int64(v1)
-		cnt[g1]++
-		acc[g2] += int64(v2)
-		cnt[g2]++
-		acc[g3] += int64(v3)
-		cnt[g3]++
-		vals, groups = vals[4:], groups[4:]
-	}
-	groups = groups[:len(vals)]
-	for i, v := range vals {
-		g := groups[i]
-		acc[g] += int64(v)
-		cnt[g]++
-	}
-}
-
-func aggrSumI64FromU64Dense(acc []int64, vals []uint64, groups []int32) {
-	groups = groups[:len(vals)]
-	for len(vals) >= 4 && len(groups) >= 4 {
-		g0, g1, g2, g3 := groups[0], groups[1], groups[2], groups[3]
-		v0, v1, v2, v3 := vals[0], vals[1], vals[2], vals[3]
-		acc[g0] += int64(v0)
-		acc[g1] += int64(v1)
-		acc[g2] += int64(v2)
-		acc[g3] += int64(v3)
-		vals, groups = vals[4:], groups[4:]
-	}
-	groups = groups[:len(vals)]
-	for i, v := range vals {
-		acc[groups[i]] += int64(v)
-	}
-}
-
-func aggrSumCountI64FromU64Dense(acc []int64, cnt []int64, vals []uint64, groups []int32) {
 	groups = groups[:len(vals)]
 	for len(vals) >= 4 && len(groups) >= 4 {
 		g0, g1, g2, g3 := groups[0], groups[1], groups[2], groups[3]
@@ -3556,86 +2480,6 @@ func aggrSumF64FromU16Dense(acc []float64, vals []uint16, groups []int32) {
 }
 
 func aggrSumCountF64FromU16Dense(acc []float64, cnt []int64, vals []uint16, groups []int32) {
-	groups = groups[:len(vals)]
-	for len(vals) >= 4 && len(groups) >= 4 {
-		g0, g1, g2, g3 := groups[0], groups[1], groups[2], groups[3]
-		v0, v1, v2, v3 := vals[0], vals[1], vals[2], vals[3]
-		acc[g0] += float64(v0)
-		cnt[g0]++
-		acc[g1] += float64(v1)
-		cnt[g1]++
-		acc[g2] += float64(v2)
-		cnt[g2]++
-		acc[g3] += float64(v3)
-		cnt[g3]++
-		vals, groups = vals[4:], groups[4:]
-	}
-	groups = groups[:len(vals)]
-	for i, v := range vals {
-		g := groups[i]
-		acc[g] += float64(v)
-		cnt[g]++
-	}
-}
-
-func aggrSumF64FromU32Dense(acc []float64, vals []uint32, groups []int32) {
-	groups = groups[:len(vals)]
-	for len(vals) >= 4 && len(groups) >= 4 {
-		g0, g1, g2, g3 := groups[0], groups[1], groups[2], groups[3]
-		v0, v1, v2, v3 := vals[0], vals[1], vals[2], vals[3]
-		acc[g0] += float64(v0)
-		acc[g1] += float64(v1)
-		acc[g2] += float64(v2)
-		acc[g3] += float64(v3)
-		vals, groups = vals[4:], groups[4:]
-	}
-	groups = groups[:len(vals)]
-	for i, v := range vals {
-		acc[groups[i]] += float64(v)
-	}
-}
-
-func aggrSumCountF64FromU32Dense(acc []float64, cnt []int64, vals []uint32, groups []int32) {
-	groups = groups[:len(vals)]
-	for len(vals) >= 4 && len(groups) >= 4 {
-		g0, g1, g2, g3 := groups[0], groups[1], groups[2], groups[3]
-		v0, v1, v2, v3 := vals[0], vals[1], vals[2], vals[3]
-		acc[g0] += float64(v0)
-		cnt[g0]++
-		acc[g1] += float64(v1)
-		cnt[g1]++
-		acc[g2] += float64(v2)
-		cnt[g2]++
-		acc[g3] += float64(v3)
-		cnt[g3]++
-		vals, groups = vals[4:], groups[4:]
-	}
-	groups = groups[:len(vals)]
-	for i, v := range vals {
-		g := groups[i]
-		acc[g] += float64(v)
-		cnt[g]++
-	}
-}
-
-func aggrSumF64FromU64Dense(acc []float64, vals []uint64, groups []int32) {
-	groups = groups[:len(vals)]
-	for len(vals) >= 4 && len(groups) >= 4 {
-		g0, g1, g2, g3 := groups[0], groups[1], groups[2], groups[3]
-		v0, v1, v2, v3 := vals[0], vals[1], vals[2], vals[3]
-		acc[g0] += float64(v0)
-		acc[g1] += float64(v1)
-		acc[g2] += float64(v2)
-		acc[g3] += float64(v3)
-		vals, groups = vals[4:], groups[4:]
-	}
-	groups = groups[:len(vals)]
-	for i, v := range vals {
-		acc[groups[i]] += float64(v)
-	}
-}
-
-func aggrSumCountF64FromU64Dense(acc []float64, cnt []int64, vals []uint64, groups []int32) {
 	groups = groups[:len(vals)]
 	for len(vals) >= 4 && len(groups) >= 4 {
 		g0, g1, g2, g3 := groups[0], groups[1], groups[2], groups[3]

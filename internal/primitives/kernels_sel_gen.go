@@ -478,476 +478,6 @@ func SelectBetweenColValU16(res []int32, in []uint16, lo, hi uint16, sel []int32
 	return selectBetweenColValSelU16(res, in, lo, hi, sel)
 }
 
-func selectLTColValSelU32(res []int32, in []uint32, v uint32, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(in[i] < v)
-	}
-	return k
-}
-
-// SelectLTColValU32 writes the positions i (or sel entries) where
-// in[i] < v holds into res and returns how many matched.
-func SelectLTColValU32(res []int32, in []uint32, v uint32, sel []int32) int {
-	if sel == nil {
-		return selectLTColValDenseU32(res, in, v)
-	}
-	return selectLTColValSelU32(res, in, v, sel)
-}
-
-func selectLTColColSelU32(res []int32, a, b []uint32, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(a[i] < b[i])
-	}
-	return k
-}
-
-// SelectLTColColU32 writes the positions where a[i] < b[i] holds into
-// res and returns how many matched.
-func SelectLTColColU32(res []int32, a, b []uint32, sel []int32) int {
-	if sel == nil {
-		return selectLTColColDenseU32(res, a, b)
-	}
-	return selectLTColColSelU32(res, a, b, sel)
-}
-
-func selectLEColValSelU32(res []int32, in []uint32, v uint32, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(in[i] <= v)
-	}
-	return k
-}
-
-// SelectLEColValU32 writes the positions i (or sel entries) where
-// in[i] <= v holds into res and returns how many matched.
-func SelectLEColValU32(res []int32, in []uint32, v uint32, sel []int32) int {
-	if sel == nil {
-		return selectLEColValDenseU32(res, in, v)
-	}
-	return selectLEColValSelU32(res, in, v, sel)
-}
-
-func selectLEColColSelU32(res []int32, a, b []uint32, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(a[i] <= b[i])
-	}
-	return k
-}
-
-// SelectLEColColU32 writes the positions where a[i] <= b[i] holds into
-// res and returns how many matched.
-func SelectLEColColU32(res []int32, a, b []uint32, sel []int32) int {
-	if sel == nil {
-		return selectLEColColDenseU32(res, a, b)
-	}
-	return selectLEColColSelU32(res, a, b, sel)
-}
-
-func selectGTColValSelU32(res []int32, in []uint32, v uint32, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(in[i] > v)
-	}
-	return k
-}
-
-// SelectGTColValU32 writes the positions i (or sel entries) where
-// in[i] > v holds into res and returns how many matched.
-func SelectGTColValU32(res []int32, in []uint32, v uint32, sel []int32) int {
-	if sel == nil {
-		return selectGTColValDenseU32(res, in, v)
-	}
-	return selectGTColValSelU32(res, in, v, sel)
-}
-
-func selectGTColColSelU32(res []int32, a, b []uint32, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(a[i] > b[i])
-	}
-	return k
-}
-
-// SelectGTColColU32 writes the positions where a[i] > b[i] holds into
-// res and returns how many matched.
-func SelectGTColColU32(res []int32, a, b []uint32, sel []int32) int {
-	if sel == nil {
-		return selectGTColColDenseU32(res, a, b)
-	}
-	return selectGTColColSelU32(res, a, b, sel)
-}
-
-func selectGEColValSelU32(res []int32, in []uint32, v uint32, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(in[i] >= v)
-	}
-	return k
-}
-
-// SelectGEColValU32 writes the positions i (or sel entries) where
-// in[i] >= v holds into res and returns how many matched.
-func SelectGEColValU32(res []int32, in []uint32, v uint32, sel []int32) int {
-	if sel == nil {
-		return selectGEColValDenseU32(res, in, v)
-	}
-	return selectGEColValSelU32(res, in, v, sel)
-}
-
-func selectGEColColSelU32(res []int32, a, b []uint32, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(a[i] >= b[i])
-	}
-	return k
-}
-
-// SelectGEColColU32 writes the positions where a[i] >= b[i] holds into
-// res and returns how many matched.
-func SelectGEColColU32(res []int32, a, b []uint32, sel []int32) int {
-	if sel == nil {
-		return selectGEColColDenseU32(res, a, b)
-	}
-	return selectGEColColSelU32(res, a, b, sel)
-}
-
-func selectEQColValSelU32(res []int32, in []uint32, v uint32, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(in[i] == v)
-	}
-	return k
-}
-
-// SelectEQColValU32 writes the positions i (or sel entries) where
-// in[i] == v holds into res and returns how many matched.
-func SelectEQColValU32(res []int32, in []uint32, v uint32, sel []int32) int {
-	if sel == nil {
-		return selectEQColValDenseU32(res, in, v)
-	}
-	return selectEQColValSelU32(res, in, v, sel)
-}
-
-func selectEQColColSelU32(res []int32, a, b []uint32, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(a[i] == b[i])
-	}
-	return k
-}
-
-// SelectEQColColU32 writes the positions where a[i] == b[i] holds into
-// res and returns how many matched.
-func SelectEQColColU32(res []int32, a, b []uint32, sel []int32) int {
-	if sel == nil {
-		return selectEQColColDenseU32(res, a, b)
-	}
-	return selectEQColColSelU32(res, a, b, sel)
-}
-
-func selectNEColValSelU32(res []int32, in []uint32, v uint32, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(in[i] != v)
-	}
-	return k
-}
-
-// SelectNEColValU32 writes the positions i (or sel entries) where
-// in[i] != v holds into res and returns how many matched.
-func SelectNEColValU32(res []int32, in []uint32, v uint32, sel []int32) int {
-	if sel == nil {
-		return selectNEColValDenseU32(res, in, v)
-	}
-	return selectNEColValSelU32(res, in, v, sel)
-}
-
-func selectNEColColSelU32(res []int32, a, b []uint32, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(a[i] != b[i])
-	}
-	return k
-}
-
-// SelectNEColColU32 writes the positions where a[i] != b[i] holds into
-// res and returns how many matched.
-func SelectNEColColU32(res []int32, a, b []uint32, sel []int32) int {
-	if sel == nil {
-		return selectNEColColDenseU32(res, a, b)
-	}
-	return selectNEColColSelU32(res, a, b, sel)
-}
-
-func selectBetweenColValSelU32(res []int32, in []uint32, lo, hi uint32, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		x := in[i]
-		res[k] = i
-		k += b2i(x >= lo && x <= hi)
-	}
-	return k
-}
-
-// SelectBetweenColValU32 writes the positions where lo <= in[i] <= hi
-// holds into res and returns how many matched.
-func SelectBetweenColValU32(res []int32, in []uint32, lo, hi uint32, sel []int32) int {
-	if sel == nil {
-		return selectBetweenColValDenseU32(res, in, lo, hi)
-	}
-	return selectBetweenColValSelU32(res, in, lo, hi, sel)
-}
-
-func selectLTColValSelU64(res []int32, in []uint64, v uint64, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(in[i] < v)
-	}
-	return k
-}
-
-// SelectLTColValU64 writes the positions i (or sel entries) where
-// in[i] < v holds into res and returns how many matched.
-func SelectLTColValU64(res []int32, in []uint64, v uint64, sel []int32) int {
-	if sel == nil {
-		return selectLTColValDenseU64(res, in, v)
-	}
-	return selectLTColValSelU64(res, in, v, sel)
-}
-
-func selectLTColColSelU64(res []int32, a, b []uint64, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(a[i] < b[i])
-	}
-	return k
-}
-
-// SelectLTColColU64 writes the positions where a[i] < b[i] holds into
-// res and returns how many matched.
-func SelectLTColColU64(res []int32, a, b []uint64, sel []int32) int {
-	if sel == nil {
-		return selectLTColColDenseU64(res, a, b)
-	}
-	return selectLTColColSelU64(res, a, b, sel)
-}
-
-func selectLEColValSelU64(res []int32, in []uint64, v uint64, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(in[i] <= v)
-	}
-	return k
-}
-
-// SelectLEColValU64 writes the positions i (or sel entries) where
-// in[i] <= v holds into res and returns how many matched.
-func SelectLEColValU64(res []int32, in []uint64, v uint64, sel []int32) int {
-	if sel == nil {
-		return selectLEColValDenseU64(res, in, v)
-	}
-	return selectLEColValSelU64(res, in, v, sel)
-}
-
-func selectLEColColSelU64(res []int32, a, b []uint64, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(a[i] <= b[i])
-	}
-	return k
-}
-
-// SelectLEColColU64 writes the positions where a[i] <= b[i] holds into
-// res and returns how many matched.
-func SelectLEColColU64(res []int32, a, b []uint64, sel []int32) int {
-	if sel == nil {
-		return selectLEColColDenseU64(res, a, b)
-	}
-	return selectLEColColSelU64(res, a, b, sel)
-}
-
-func selectGTColValSelU64(res []int32, in []uint64, v uint64, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(in[i] > v)
-	}
-	return k
-}
-
-// SelectGTColValU64 writes the positions i (or sel entries) where
-// in[i] > v holds into res and returns how many matched.
-func SelectGTColValU64(res []int32, in []uint64, v uint64, sel []int32) int {
-	if sel == nil {
-		return selectGTColValDenseU64(res, in, v)
-	}
-	return selectGTColValSelU64(res, in, v, sel)
-}
-
-func selectGTColColSelU64(res []int32, a, b []uint64, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(a[i] > b[i])
-	}
-	return k
-}
-
-// SelectGTColColU64 writes the positions where a[i] > b[i] holds into
-// res and returns how many matched.
-func SelectGTColColU64(res []int32, a, b []uint64, sel []int32) int {
-	if sel == nil {
-		return selectGTColColDenseU64(res, a, b)
-	}
-	return selectGTColColSelU64(res, a, b, sel)
-}
-
-func selectGEColValSelU64(res []int32, in []uint64, v uint64, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(in[i] >= v)
-	}
-	return k
-}
-
-// SelectGEColValU64 writes the positions i (or sel entries) where
-// in[i] >= v holds into res and returns how many matched.
-func SelectGEColValU64(res []int32, in []uint64, v uint64, sel []int32) int {
-	if sel == nil {
-		return selectGEColValDenseU64(res, in, v)
-	}
-	return selectGEColValSelU64(res, in, v, sel)
-}
-
-func selectGEColColSelU64(res []int32, a, b []uint64, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(a[i] >= b[i])
-	}
-	return k
-}
-
-// SelectGEColColU64 writes the positions where a[i] >= b[i] holds into
-// res and returns how many matched.
-func SelectGEColColU64(res []int32, a, b []uint64, sel []int32) int {
-	if sel == nil {
-		return selectGEColColDenseU64(res, a, b)
-	}
-	return selectGEColColSelU64(res, a, b, sel)
-}
-
-func selectEQColValSelU64(res []int32, in []uint64, v uint64, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(in[i] == v)
-	}
-	return k
-}
-
-// SelectEQColValU64 writes the positions i (or sel entries) where
-// in[i] == v holds into res and returns how many matched.
-func SelectEQColValU64(res []int32, in []uint64, v uint64, sel []int32) int {
-	if sel == nil {
-		return selectEQColValDenseU64(res, in, v)
-	}
-	return selectEQColValSelU64(res, in, v, sel)
-}
-
-func selectEQColColSelU64(res []int32, a, b []uint64, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(a[i] == b[i])
-	}
-	return k
-}
-
-// SelectEQColColU64 writes the positions where a[i] == b[i] holds into
-// res and returns how many matched.
-func SelectEQColColU64(res []int32, a, b []uint64, sel []int32) int {
-	if sel == nil {
-		return selectEQColColDenseU64(res, a, b)
-	}
-	return selectEQColColSelU64(res, a, b, sel)
-}
-
-func selectNEColValSelU64(res []int32, in []uint64, v uint64, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(in[i] != v)
-	}
-	return k
-}
-
-// SelectNEColValU64 writes the positions i (or sel entries) where
-// in[i] != v holds into res and returns how many matched.
-func SelectNEColValU64(res []int32, in []uint64, v uint64, sel []int32) int {
-	if sel == nil {
-		return selectNEColValDenseU64(res, in, v)
-	}
-	return selectNEColValSelU64(res, in, v, sel)
-}
-
-func selectNEColColSelU64(res []int32, a, b []uint64, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		res[k] = i
-		k += b2i(a[i] != b[i])
-	}
-	return k
-}
-
-// SelectNEColColU64 writes the positions where a[i] != b[i] holds into
-// res and returns how many matched.
-func SelectNEColColU64(res []int32, a, b []uint64, sel []int32) int {
-	if sel == nil {
-		return selectNEColColDenseU64(res, a, b)
-	}
-	return selectNEColColSelU64(res, a, b, sel)
-}
-
-func selectBetweenColValSelU64(res []int32, in []uint64, lo, hi uint64, sel []int32) int {
-	k := 0
-	for _, i := range sel {
-		x := in[i]
-		res[k] = i
-		k += b2i(x >= lo && x <= hi)
-	}
-	return k
-}
-
-// SelectBetweenColValU64 writes the positions where lo <= in[i] <= hi
-// holds into res and returns how many matched.
-func SelectBetweenColValU64(res []int32, in []uint64, lo, hi uint64, sel []int32) int {
-	if sel == nil {
-		return selectBetweenColValDenseU64(res, in, lo, hi)
-	}
-	return selectBetweenColValSelU64(res, in, lo, hi, sel)
-}
-
 func selectLTColValSelI32(res []int32, in []int32, v int32, sel []int32) int {
 	k := 0
 	for _, i := range sel {
@@ -1676,18 +1206,6 @@ func HashCombineColU8(res []uint64, vals []uint8, sel []int32) {
 	}
 }
 
-// Hash2ColU8 hashes two same-width key columns in one fused pass,
-// equivalent to HashColU8 followed by HashCombineColU8.
-func Hash2ColU8(res []uint64, a, b []uint8, sel []int32) {
-	if sel == nil {
-		hash2ColDenseU8(res, a, b)
-		return
-	}
-	for _, i := range sel {
-		res[i] = rotl27(xmx(uint64(a[i])+hashSeed)) ^ xmx(uint64(b[i])+hashSeed)
-	}
-}
-
 // HashColU16 seeds res with the hash of each live vals position.
 func HashColU16(res []uint64, vals []uint16, sel []int32) {
 	if sel == nil {
@@ -1708,88 +1226,6 @@ func HashCombineColU16(res []uint64, vals []uint16, sel []int32) {
 	}
 	for _, i := range sel {
 		res[i] = rotl27(res[i]) ^ xmx(uint64(vals[i])+hashSeed)
-	}
-}
-
-// Hash2ColU16 hashes two same-width key columns in one fused pass,
-// equivalent to HashColU16 followed by HashCombineColU16.
-func Hash2ColU16(res []uint64, a, b []uint16, sel []int32) {
-	if sel == nil {
-		hash2ColDenseU16(res, a, b)
-		return
-	}
-	for _, i := range sel {
-		res[i] = rotl27(xmx(uint64(a[i])+hashSeed)) ^ xmx(uint64(b[i])+hashSeed)
-	}
-}
-
-// HashColU32 seeds res with the hash of each live vals position.
-func HashColU32(res []uint64, vals []uint32, sel []int32) {
-	if sel == nil {
-		hashColDenseU32(res, vals)
-		return
-	}
-	for _, i := range sel {
-		res[i] = xmx(uint64(vals[i]) + hashSeed)
-	}
-}
-
-// HashCombineColU32 folds each live vals position into the running hash
-// in res.
-func HashCombineColU32(res []uint64, vals []uint32, sel []int32) {
-	if sel == nil {
-		hashCombineColDenseU32(res, vals)
-		return
-	}
-	for _, i := range sel {
-		res[i] = rotl27(res[i]) ^ xmx(uint64(vals[i])+hashSeed)
-	}
-}
-
-// Hash2ColU32 hashes two same-width key columns in one fused pass,
-// equivalent to HashColU32 followed by HashCombineColU32.
-func Hash2ColU32(res []uint64, a, b []uint32, sel []int32) {
-	if sel == nil {
-		hash2ColDenseU32(res, a, b)
-		return
-	}
-	for _, i := range sel {
-		res[i] = rotl27(xmx(uint64(a[i])+hashSeed)) ^ xmx(uint64(b[i])+hashSeed)
-	}
-}
-
-// HashColU64 seeds res with the hash of each live vals position.
-func HashColU64(res []uint64, vals []uint64, sel []int32) {
-	if sel == nil {
-		hashColDenseU64(res, vals)
-		return
-	}
-	for _, i := range sel {
-		res[i] = xmx(uint64(vals[i]) + hashSeed)
-	}
-}
-
-// HashCombineColU64 folds each live vals position into the running hash
-// in res.
-func HashCombineColU64(res []uint64, vals []uint64, sel []int32) {
-	if sel == nil {
-		hashCombineColDenseU64(res, vals)
-		return
-	}
-	for _, i := range sel {
-		res[i] = rotl27(res[i]) ^ xmx(uint64(vals[i])+hashSeed)
-	}
-}
-
-// Hash2ColU64 hashes two same-width key columns in one fused pass,
-// equivalent to HashColU64 followed by HashCombineColU64.
-func Hash2ColU64(res []uint64, a, b []uint64, sel []int32) {
-	if sel == nil {
-		hash2ColDenseU64(res, a, b)
-		return
-	}
-	for _, i := range sel {
-		res[i] = rotl27(xmx(uint64(a[i])+hashSeed)) ^ xmx(uint64(b[i])+hashSeed)
 	}
 }
 
@@ -1816,18 +1252,6 @@ func HashCombineColI32(res []uint64, vals []int32, sel []int32) {
 	}
 }
 
-// Hash2ColI32 hashes two same-width key columns in one fused pass,
-// equivalent to HashColI32 followed by HashCombineColI32.
-func Hash2ColI32(res []uint64, a, b []int32, sel []int32) {
-	if sel == nil {
-		hash2ColDenseI32(res, a, b)
-		return
-	}
-	for _, i := range sel {
-		res[i] = rotl27(xmx(uint64(a[i])+hashSeed)) ^ xmx(uint64(b[i])+hashSeed)
-	}
-}
-
 // HashColI64 seeds res with the hash of each live vals position.
 func HashColI64(res []uint64, vals []int64, sel []int32) {
 	if sel == nil {
@@ -1848,18 +1272,6 @@ func HashCombineColI64(res []uint64, vals []int64, sel []int32) {
 	}
 	for _, i := range sel {
 		res[i] = rotl27(res[i]) ^ xmx(uint64(vals[i])+hashSeed)
-	}
-}
-
-// Hash2ColI64 hashes two same-width key columns in one fused pass,
-// equivalent to HashColI64 followed by HashCombineColI64.
-func Hash2ColI64(res []uint64, a, b []int64, sel []int32) {
-	if sel == nil {
-		hash2ColDenseI64(res, a, b)
-		return
-	}
-	for _, i := range sel {
-		res[i] = rotl27(xmx(uint64(a[i])+hashSeed)) ^ xmx(uint64(b[i])+hashSeed)
 	}
 }
 
@@ -1927,56 +1339,6 @@ func AggrSumI64FromU16(acc []int64, vals []uint16, groups, sel []int32) {
 func AggrSumCountI64FromU16(acc []int64, cnt []int64, vals []uint16, groups, sel []int32) {
 	if sel == nil {
 		aggrSumCountI64FromU16Dense(acc, cnt, vals, groups)
-		return
-	}
-	for _, i := range sel {
-		g := groups[i]
-		acc[g] += int64(vals[i])
-		cnt[g]++
-	}
-}
-
-// AggrSumI64FromU32 adds each live vals position into acc at its group id.
-func AggrSumI64FromU32(acc []int64, vals []uint32, groups, sel []int32) {
-	if sel == nil {
-		aggrSumI64FromU32Dense(acc, vals, groups)
-		return
-	}
-	for _, i := range sel {
-		acc[groups[i]] += int64(vals[i])
-	}
-}
-
-// AggrSumCountI64FromU32 is the fused sum+count kernel: one pass updates
-// both the sum accumulator and the per-group row count.
-func AggrSumCountI64FromU32(acc []int64, cnt []int64, vals []uint32, groups, sel []int32) {
-	if sel == nil {
-		aggrSumCountI64FromU32Dense(acc, cnt, vals, groups)
-		return
-	}
-	for _, i := range sel {
-		g := groups[i]
-		acc[g] += int64(vals[i])
-		cnt[g]++
-	}
-}
-
-// AggrSumI64FromU64 adds each live vals position into acc at its group id.
-func AggrSumI64FromU64(acc []int64, vals []uint64, groups, sel []int32) {
-	if sel == nil {
-		aggrSumI64FromU64Dense(acc, vals, groups)
-		return
-	}
-	for _, i := range sel {
-		acc[groups[i]] += int64(vals[i])
-	}
-}
-
-// AggrSumCountI64FromU64 is the fused sum+count kernel: one pass updates
-// both the sum accumulator and the per-group row count.
-func AggrSumCountI64FromU64(acc []int64, cnt []int64, vals []uint64, groups, sel []int32) {
-	if sel == nil {
-		aggrSumCountI64FromU64Dense(acc, cnt, vals, groups)
 		return
 	}
 	for _, i := range sel {
@@ -2077,56 +1439,6 @@ func AggrSumF64FromU16(acc []float64, vals []uint16, groups, sel []int32) {
 func AggrSumCountF64FromU16(acc []float64, cnt []int64, vals []uint16, groups, sel []int32) {
 	if sel == nil {
 		aggrSumCountF64FromU16Dense(acc, cnt, vals, groups)
-		return
-	}
-	for _, i := range sel {
-		g := groups[i]
-		acc[g] += float64(vals[i])
-		cnt[g]++
-	}
-}
-
-// AggrSumF64FromU32 adds each live vals position into acc at its group id.
-func AggrSumF64FromU32(acc []float64, vals []uint32, groups, sel []int32) {
-	if sel == nil {
-		aggrSumF64FromU32Dense(acc, vals, groups)
-		return
-	}
-	for _, i := range sel {
-		acc[groups[i]] += float64(vals[i])
-	}
-}
-
-// AggrSumCountF64FromU32 is the fused sum+count kernel: one pass updates
-// both the sum accumulator and the per-group row count.
-func AggrSumCountF64FromU32(acc []float64, cnt []int64, vals []uint32, groups, sel []int32) {
-	if sel == nil {
-		aggrSumCountF64FromU32Dense(acc, cnt, vals, groups)
-		return
-	}
-	for _, i := range sel {
-		g := groups[i]
-		acc[g] += float64(vals[i])
-		cnt[g]++
-	}
-}
-
-// AggrSumF64FromU64 adds each live vals position into acc at its group id.
-func AggrSumF64FromU64(acc []float64, vals []uint64, groups, sel []int32) {
-	if sel == nil {
-		aggrSumF64FromU64Dense(acc, vals, groups)
-		return
-	}
-	for _, i := range sel {
-		acc[groups[i]] += float64(vals[i])
-	}
-}
-
-// AggrSumCountF64FromU64 is the fused sum+count kernel: one pass updates
-// both the sum accumulator and the per-group row count.
-func AggrSumCountF64FromU64(acc []float64, cnt []int64, vals []uint64, groups, sel []int32) {
-	if sel == nil {
-		aggrSumCountF64FromU64Dense(acc, cnt, vals, groups)
 		return
 	}
 	for _, i := range sel {

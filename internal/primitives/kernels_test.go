@@ -144,32 +144,6 @@ func TestKernelSelectDifferential(t *testing.T) {
 	testSelectWidth(t, "f64", func(r *rand.Rand) float64 { return math.Round(r.Float64()*100) / 4 })
 }
 
-// TestKernelSelectU32U64 covers the widths that have direct kernels but no
-// generic entry point (Ordered excludes uint32/uint64).
-func TestKernelSelectU32U64(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for _, n := range kernelLengths {
-		a32 := make([]uint32, n)
-		a64 := make([]uint64, n)
-		for i := range a32 {
-			a32[i] = uint32(r.Intn(100))
-			a64[i] = uint64(r.Intn(100))
-		}
-		for _, sel := range selShapes(n) {
-			res := make([]int32, n)
-			k := SelectLTColValU32(res, a32, 50, sel)
-			want := oracleSel(a32, sel, func(x uint32) bool { return x < 50 })
-			checkSelResult(t, "u32/lt", k, res, want)
-			k = SelectEQColValU64(res, a64, 7, sel)
-			want = oracleSel(a64, sel, func(x uint64) bool { return x == 7 })
-			checkSelResult(t, "u64/eq", k, res, want)
-			k = SelectBetweenColValU64(res, a64, 10, 60, sel)
-			want = oracleSel(a64, sel, func(x uint64) bool { return x >= 10 && x <= 60 })
-			checkSelResult(t, "u64/between", k, res, want)
-		}
-	}
-}
-
 func testHashWidth[T ~uint8 | ~uint16 | ~int32 | ~int64](t *testing.T, name string, mk func(r *rand.Rand) T) {
 	t.Helper()
 	r := rand.New(rand.NewSource(23))
@@ -219,30 +193,6 @@ func TestKernelHashDifferential(t *testing.T) {
 	testHashWidth(t, "u16", func(r *rand.Rand) uint16 { return uint16(r.Intn(1 << 16)) })
 	testHashWidth(t, "i32", func(r *rand.Rand) int32 { return int32(r.Uint32()) })
 	testHashWidth(t, "i64", func(r *rand.Rand) int64 { return int64(r.Uint64()) })
-}
-
-func TestKernelHash2Fused(t *testing.T) {
-	r := rand.New(rand.NewSource(29))
-	for _, n := range kernelLengths {
-		a := make([]int64, n)
-		b := make([]int64, n)
-		for i := range a {
-			a[i] = int64(r.Uint64())
-			b[i] = int64(r.Uint64())
-		}
-		for _, sel := range selShapes(n) {
-			fused := make([]uint64, n)
-			twoPass := make([]uint64, n)
-			Hash2ColI64(fused, a, b, sel)
-			HashColI64(twoPass, a, sel)
-			HashCombineColI64(twoPass, b, sel)
-			iterPositions(n, sel, func(i int32) {
-				if fused[i] != twoPass[i] {
-					t.Fatalf("hash2[%d]: %x vs %x", i, fused[i], twoPass[i])
-				}
-			})
-		}
-	}
 }
 
 func TestKernelAggrSumCountDifferential(t *testing.T) {

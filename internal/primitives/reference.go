@@ -7,8 +7,8 @@ import "math"
 // width-specialized kernel layer landed. They serve two purposes:
 //
 //   - differential oracles for the kernel property tests, and
-//   - the "pre-PR generic loop" baseline that `x100bench -exp primitives`
-//     reports kernel speedups against (BENCH_primitives.json).
+//   - the generic-loop baseline that BenchmarkKernels measures each
+//     generated kernel against.
 //
 // Nothing in the engine calls these on a query path.
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -135,6 +136,63 @@ func TestReorganizeRederivesRangeIndex(t *testing.T) {
 
 	for _, n := range []int{1, 40} {
 		t.Run(fmt.Sprintf("orders-deleted=%d", n), func(t *testing.T) { reorganizeReferenced(t, n) })
+	}
+	t.Run("checkpoint-breaks-clustering", checkpointBreaksClustering)
+}
+
+// checkpointBreaksClustering inserts one lineitem row for orders row 5 and
+// checkpoints lineitem on memory and disk. The row's l_orderrow is valid
+// but lands after lineitem's last row, so the checkpointed column is no
+// longer ascending and no range index can cover it. The range plan must
+// then fail with ErrStaleRangeIndex or match the hash join; keeping the
+// index derived before the insert would silently miss the new row.
+func checkpointBreaksClustering(t *testing.T) {
+	mem, err := Generate(Config{SF: 0.005})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	saveAll(t, mem, dir)
+	disk, _ := attachAll(t, dir, 8)
+	tw := twinDBs{mem: mem, disk: disk}
+
+	schema, err := mem.TableSchema("lineitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ot, err := mem.Table("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := slices.Clone(lastRowTemplate(t, mem, "lineitem"))
+	row[schema.ColIndex("l_orderkey")] = ot.Col("o_orderkey").DecodedValue(5)
+	row[schema.ColIndex("l_orderrow")] = int32(5)
+	tw.each(t, func(db *core.Database) error {
+		_, err := db.Insert("lineitem", row)
+		return err
+	})
+	tw.each(t, func(db *core.Database) error {
+		_, err := db.Checkpoint("lineitem")
+		return err
+	})
+	want, err := core.Run(mem, hashJoinPlan(), core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := rangeJoinPlan(t)
+	for label, db := range map[string]*core.Database{"mem": mem, "disk": disk} {
+		for _, p := range []int{1, 2} {
+			opts := core.DefaultOptions()
+			opts.Parallelism = p
+			got, err := core.Run(db, plan, opts)
+			if err != nil {
+				if !errors.Is(err, core.ErrStaleRangeIndex) || got != nil {
+					t.Fatalf("%s p=%d: range plan = %v, %v; want the hash join's answer or ErrStaleRangeIndex", label, p, got, err)
+				}
+				continue
+			}
+			sameRowMultisets(t, fmt.Sprintf("%s p=%d", label, p), want, got)
+		}
 	}
 }
 

@@ -261,3 +261,107 @@ func TestWALCrashRecoveryReplay(t *testing.T) {
 	restarted, _ := attachAll(t, dir, 8)
 	sameTwinState(t, "retry", mem, restarted)
 }
+
+// TestDurabilityModes ingests single-row inserts into a disk-attached
+// lineitem under each durability mode and runs Q1 over the unmerged
+// delta, which must match the in-memory twin. Group commit fsyncs the log
+// before each insert returns, async logs without an fsync, and checkpoint
+// mode keeps no log. A re-attach then finds the rows of both logged modes
+// (the log is written before Insert returns; only its fsync is deferred)
+// and none of the checkpoint mode's.
+func TestDurabilityModes(t *testing.T) {
+	mem, err := Generate(Config{SF: walRecoverySF})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q1, err := Query(1, walRecoverySF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := core.Run(mem, q1, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	tmpl := lastRowTemplate(t, mem, "lineitem")
+	for i := 0; i < n; i++ {
+		if _, err := mem.Insert("lineitem", tmpl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, err := core.Run(mem, q1, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lt, err := mem.Table("lineitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	attach := func(dir string, mode core.Durability) *core.Database {
+		t.Helper()
+		store, err := columnbm.NewStore(dir, diskChunkRows, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := core.NewDatabase()
+		db.SetDurability(mode)
+		if _, err := core.AttachDiskTable(db, store, "lineitem"); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	for _, m := range []struct {
+		name   string
+		mode   core.Durability
+		logged bool
+	}{
+		{"group", core.DurabilityGroup, true},
+		{"async", core.DurabilityAsync, true},
+		{"checkpoint", core.DurabilityCheckpoint, false},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			dir := t.TempDir()
+			wstore, err := columnbm.NewStore(dir, diskChunkRows, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := wstore.SaveTable(lt); err != nil {
+				t.Fatal(err)
+			}
+			disk := attach(dir, m.mode)
+			for i := 0; i < n; i++ {
+				if _, err := disk.Insert("lineitem", tmpl); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := core.Run(disk, q1, core.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRowMultisets(t, m.name+" pending", after, got)
+			wal := disk.WalStatuses()[0].Wal
+			switch m.mode {
+			case core.DurabilityGroup:
+				if wal.Appends != n || wal.Syncs == 0 {
+					t.Fatalf("group: %d appends, %d syncs; want %d appends and fsyncs", wal.Appends, wal.Syncs, n)
+				}
+			case core.DurabilityAsync:
+				if wal.Appends != n || wal.Syncs != 0 {
+					t.Fatalf("async: %d appends, %d syncs; want %d appends and no fsync", wal.Appends, wal.Syncs, n)
+				}
+			default:
+				if wal.Appends != 0 {
+					t.Fatalf("checkpoint: %d log appends, want none", wal.Appends)
+				}
+			}
+			want := before
+			if m.logged {
+				want = after
+			}
+			if got, err = core.Run(attach(dir, m.mode), q1, core.DefaultOptions()); err != nil {
+				t.Fatal(err)
+			}
+			sameRowMultisets(t, m.name+" re-attached", want, got)
+		})
+	}
+}

@@ -291,7 +291,7 @@ func newFetchN(e *Engine, in Operator, n *algebra.FetchNJoin) (*fetchNOp, error)
 	}
 	ri := e.DB.RangeIndexAny(n.Table)
 	if ri == nil {
-		return nil, fmt.Errorf("volcano: no range index registered for %s", n.Table)
+		return nil, fmt.Errorf("volcano: fetchnjoin: %w", e.DB.RangeIndexError(n.Table))
 	}
 	rc := in.Schema().ColIndex(n.RangeOf)
 	if rc < 0 {

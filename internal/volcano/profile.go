@@ -14,7 +14,6 @@ import (
 type Profile struct {
 	funcs map[string]*FuncStat
 	order []string
-	total time.Duration
 	stack []frame
 }
 
@@ -71,9 +70,6 @@ func (p *Profile) enter(name string) func() {
 	}
 }
 
-// SetTotal records the total query time for percentage columns.
-func (p *Profile) SetTotal(d time.Duration) { p.total = d }
-
 // Stats returns the per-function counters sorted by descending self time.
 func (p *Profile) Stats() []*FuncStat {
 	out := make([]*FuncStat, 0, len(p.order))
@@ -85,16 +81,14 @@ func (p *Profile) Stats() []*FuncStat {
 }
 
 // Render formats the profile in the layout of the paper's Table 2: cum.%,
-// excl.%, calls, avg ns/call, function name.
+// excl.%, calls, avg ns/call, function name. Percentages are of the summed
+// self time of all profiled functions.
 func (p *Profile) Render() string {
 	var b strings.Builder
 	stats := p.Stats()
 	var totalNs int64
 	for _, s := range stats {
 		totalNs += s.Nanos
-	}
-	if p.total > 0 {
-		totalNs = p.total.Nanoseconds()
 	}
 	fmt.Fprintf(&b, "%6s %6s %12s %10s  %s\n", "cum.", "excl.", "calls", "ns/call", "function")
 	cum := 0.0
