@@ -148,7 +148,7 @@ func FormatWalStatus(stats []WalStatus) string {
 // FormatPoolStatus renders buffer-pool counters from WalStatuses as an
 // aligned text table (the shell's `\storage` pool section): per
 // disk-attached table, the raw-page pool hits/misses/evictions and the
-// decoded-chunk cache policy, occupancy, hit/miss/attach/eviction counters
+// decoded-chunk cache occupancy, hit/miss/attach/eviction counters
 // and hit rate. Attaches count scans that joined an already-circulating
 // decoded chunk (cooperative scan sharing); a hit rate near zero under
 // concurrent same-table scans means the pool capacity is too small for the
@@ -157,8 +157,8 @@ func FormatPoolStatus(stats []WalStatus) string {
 	if len(stats) == 0 {
 		return ""
 	}
-	out := fmt.Sprintf("%-18s %8s %8s %-14s %10s %8s %8s %8s %7s %7s\n",
-		"table", "pghits", "pgmiss", "policy", "cached", "hits", "misses", "attach", "evict", "rate")
+	out := fmt.Sprintf("%-18s %8s %8s %10s %8s %8s %8s %7s %7s\n",
+		"table", "pghits", "pgmiss", "cached", "hits", "misses", "attach", "evict", "rate")
 	for _, s := range stats {
 		c := s.Store.Cache
 		rate := "-"
@@ -166,8 +166,8 @@ func FormatPoolStatus(stats []WalStatus) string {
 			rate = fmt.Sprintf("%5.1f%%", 100*float64(c.Hits)/float64(c.Hits+c.Misses))
 		}
 		cached := fmt.Sprintf("%dKiB/%d", c.SizeBytes>>10, c.Entries)
-		out += fmt.Sprintf("%-18s %8d %8d %-14s %10s %8d %8d %8d %7d %7s\n",
-			s.Table, s.Store.PoolHits, s.Store.PoolMisses, c.Policy,
+		out += fmt.Sprintf("%-18s %8d %8d %10s %8d %8d %8d %7d %7s\n",
+			s.Table, s.Store.PoolHits, s.Store.PoolMisses,
 			cached, c.Hits, c.Misses, c.Attaches, c.Evictions, rate)
 	}
 	return out + "(pghits/pgmiss = raw chunk page pool; cached = decoded-chunk cache bytes/entries;\n" +
@@ -186,9 +186,6 @@ func FormatCompactionStatus(s CompactionStatus) string {
 		state, s.Runs, s.Checkpoints, s.Compactions, s.RowsAbsorbed, s.Errors)
 	if s.LastError != nil {
 		out += fmt.Sprintf("last error: %v\n", s.LastError)
-	}
-	if s.DroppedIndex != nil {
-		out += fmt.Sprintf("dropped index: %v\n", s.DroppedIndex)
 	}
 	return out
 }

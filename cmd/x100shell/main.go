@@ -12,7 +12,7 @@
 // the compressed chunks.
 // Meta commands: \tables, \schema <t>, \storage <t> (per-column codec
 // report plus, for disk tables, the buffer-pool counters: raw page
-// hits/misses and the decoded-chunk cache's policy, occupancy,
+// hits/misses and the decoded-chunk cache's occupancy,
 // hit/miss/attach/eviction counts — attach = a scan joining a chunk
 // another scan already decoded), \explain <plan>,
 // \engine <x100|mil|volcano>, \vectorsize <n>, \parallel <n>, \trace,
@@ -28,7 +28,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -230,15 +229,11 @@ func handleMeta(cmd string, db *x100.DB, engine *x100.Engine, vectorSize, parall
 			fmt.Println("usage: \\reorganize <table>")
 			break
 		}
-		err := db.Reorganize(fields[1])
-		if err != nil && !errors.Is(err, x100.ErrStaleRangeIndex) {
+		if err := db.Reorganize(fields[1]); err != nil {
 			fmt.Println(err)
 			break
 		}
 		fmt.Println("reorganized", fields[1])
-		if err != nil {
-			fmt.Println(err)
-		}
 	case "\\explain":
 		rest := strings.TrimSpace(strings.TrimPrefix(cmd, "\\explain"))
 		plan, err := x100.Parse(rest)

@@ -213,7 +213,10 @@ func TestDiskTableDurableUpdates(t *testing.T) {
 // the fetch plans answer as on the generated database until an Update or
 // a Reorganize moves orders row ids, and then the plans fetching orders
 // through l_orderrow fail with ErrStaleRangeIndex, while a plan fetching
-// only part still answers.
+// only part still answers. The mark survives closing the database and
+// attaching the directory again: from the replayed log of an Update, from
+// the row-id epoch a checkpoint of the Update commits, and from the one a
+// Reorganize that dropped rows commits.
 func TestAttachDiskJoinIndicesGoStale(t *testing.T) {
 	const sf = 0.002
 	gen, err := x100.GenerateTPCH(sf)
@@ -233,7 +236,16 @@ func TestAttachDiskJoinIndicesGoStale(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	attach := func() *x100.DB {
+	open := func(t *testing.T, dir string) *x100.DB {
+		t.Helper()
+		db := x100.NewDB()
+		t.Cleanup(func() { db.Close() })
+		if err := db.AttachDisk(dir); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	attach := func(t *testing.T) (*x100.DB, string) {
 		t.Helper()
 		dir := t.TempDir()
 		st, err := columnbm.NewStore(dir, 0, 0)
@@ -249,11 +261,7 @@ func TestAttachDiskJoinIndicesGoStale(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		db := x100.NewDB()
-		t.Cleanup(func() { db.Close() })
-		if err := db.AttachDisk(dir); err != nil {
-			t.Fatal(err)
-		}
+		db := open(t, dir)
 		for q, w := range want {
 			got, err := db.Exec(query(q))
 			if err != nil {
@@ -261,9 +269,9 @@ func TestAttachDiskJoinIndicesGoStale(t *testing.T) {
 			}
 			sameRowSets(t, w, got)
 		}
-		return db
+		return db, dir
 	}
-	stale := func(label string, db *x100.DB) {
+	stale := func(t *testing.T, label string, db *x100.DB) {
 		t.Helper()
 		for _, q := range []int{3, 12} {
 			if res, err := db.Exec(query(q)); !errors.Is(err, x100.ErrStaleRangeIndex) || res != nil {
@@ -277,7 +285,6 @@ func TestAttachDiskJoinIndicesGoStale(t *testing.T) {
 		sameRowSets(t, want[14], got)
 	}
 
-	updated := attach()
 	orders, err := gen.Internal().Table("orders")
 	if err != nil {
 		t.Fatal(err)
@@ -286,19 +293,38 @@ func TestAttachDiskJoinIndicesGoStale(t *testing.T) {
 	for i, c := range orders.Cols {
 		row[i] = c.DecodedValue(0)
 	}
-	if err := updated.Update("orders", 0, row...); err != nil {
-		t.Fatal(err)
+	update := func(db *x100.DB) error { return db.Update("orders", 0, row...) }
+	for _, tc := range []struct {
+		name   string
+		mutate func(db *x100.DB) error
+	}{
+		{"update", update},
+		{"update+checkpoint", func(db *x100.DB) error {
+			if err := update(db); err != nil {
+				return err
+			}
+			_, err := db.Checkpoint("orders")
+			return err
+		}},
+		{"reorganize", func(db *x100.DB) error {
+			for id := int32(0); id < 10; id++ {
+				if err := db.Delete("orders", id); err != nil {
+					return err
+				}
+			}
+			return db.Reorganize("orders")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, dir := attach(t)
+			if err := tc.mutate(db); err != nil {
+				t.Fatal(err)
+			}
+			stale(t, tc.name, db)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			stale(t, tc.name+", re-attached", open(t, dir))
+		})
 	}
-	stale("update", updated)
-
-	reorganized := attach()
-	for id := int32(0); id < 10; id++ {
-		if err := reorganized.Delete("orders", id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := reorganized.Reorganize("orders"); err != nil {
-		t.Fatal(err)
-	}
-	stale("reorganize", reorganized)
 }

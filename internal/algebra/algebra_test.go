@@ -89,7 +89,6 @@ func TestParseOperators(t *testing.T) {
 		`Order(Scan(orders), [o_orderdate DESC, o_orderkey])`,
 		`TopN(Scan(orders), [o_orderdate], 10)`,
 		`Fetch1Join(Scan(lineitem), orders, l_orderkey, [o_orderdate])`,
-		`FetchNJoin(Scan(orders), lineitem, o_orderkey, [l_discount])`,
 		`Array([3, 4, 5])`,
 		`HashAggr(Scan(lineitem), [l_returnflag], [n = count()])`,
 		`DirectAggr(Scan(lineitem), [l_returnflag], [n = count()])`,
@@ -136,6 +135,9 @@ func TestParseErrors(t *testing.T) {
 		`Select(t, date('13-01-2020x'))`,
 		`Project(t, [x = substr(s, a, b)])`,
 		`Scan(t, [1, 2])`,
+		// Fetch1Join is the one positional join; FetchNJoin is no operator.
+		`FetchNJoin(Scan(orders), lineitem, o_orderkey, [l_discount])`,
+		`Aggr(FetchNJoin(Scan(orders), lineitem, o_orderkey, [l_discount]), [], [n = count()])`,
 	}
 	for _, text := range bad {
 		if _, err := Parse(text); err == nil {

@@ -558,69 +558,6 @@ func (f *Fetch1Join) Name() string {
 // Children implements Node.
 func (f *Fetch1Join) Children() []Node { return []Node{f.Input} }
 
-// FetchNJoin expands each input row into the contiguous row range
-// [Start(row), End(row)) of the referenced table via a range index, fetching
-// the given columns (the 1-to-N positional join of Section 4.1.2; e.g.
-// orders -> lineitem with lineitem clustered by order).
-type FetchNJoin struct {
-	Input Node
-	Table string
-	// RangeOf names the input column holding the referenced-table row id
-	// whose range index drives the expansion.
-	RangeOf string
-	Cols    []string
-	As      []string
-}
-
-// NewFetchNJoin builds a range fetch join.
-func NewFetchNJoin(in Node, table, rangeOf string, cols ...string) *FetchNJoin {
-	return &FetchNJoin{Input: in, Table: table, RangeOf: rangeOf, Cols: cols}
-}
-
-// Renamed sets output aliases for the fetched columns.
-func (f *FetchNJoin) Renamed(as ...string) *FetchNJoin {
-	f.As = as
-	return f
-}
-
-// Out implements Node.
-func (f *FetchNJoin) Out(r Resolver) (vector.Schema, error) {
-	in, err := f.Input.Out(r)
-	if err != nil {
-		return nil, err
-	}
-	if i := in.ColIndex(f.RangeOf); i < 0 {
-		return nil, fmt.Errorf("algebra: fetchnjoin input has no column %q", f.RangeOf)
-	} else if in[i].Type.Physical() != vector.Int32 {
-		return nil, fmt.Errorf("algebra: fetchnjoin range column %q must be int32", f.RangeOf)
-	}
-	ts, err := r.TableSchema(f.Table)
-	if err != nil {
-		return nil, err
-	}
-	out := in.Clone()
-	for i, c := range f.Cols {
-		fl, ok := ts.Field(c)
-		if !ok {
-			return nil, fmt.Errorf("algebra: table %s has no column %q", f.Table, c)
-		}
-		name := c
-		if i < len(f.As) && f.As[i] != "" {
-			name = f.As[i]
-		}
-		out = append(out, vector.Field{Name: name, Type: fl.Type})
-	}
-	return out, nil
-}
-
-// Name implements Node.
-func (f *FetchNJoin) Name() string {
-	return fmt.Sprintf("FetchNJoin(%s by %s)%v", f.Table, f.RangeOf, f.Cols)
-}
-
-// Children implements Node.
-func (f *FetchNJoin) Children() []Node { return []Node{f.Input} }
-
 // OrdExpr is a sort key.
 type OrdExpr struct {
 	E    expr.Expr

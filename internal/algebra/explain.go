@@ -39,8 +39,6 @@ func Tables(n Node) []string {
 			name = x.Table
 		case *Fetch1Join:
 			name = x.Table
-		case *FetchNJoin:
-			name = x.Table
 		default:
 			return
 		}

@@ -20,7 +20,7 @@ import (
 //	  [sum_disc_price = sum(discountprice)])
 //
 // Operators: Table/Scan, Select, Project, Aggr, HashAggr, DirectAggr,
-// OrdAggr, Order, TopN, Fetch1Join, FetchNJoin, Array. Expressions use
+// OrdAggr, Order, TopN, Fetch1Join, Array. Expressions use
 // prefix syntax: +,-,*,/ for arithmetic; <,<=,>,>=,==,!= for comparison;
 // and/or/not; like/notlike; in; case; year/substr/square/concat;
 // flt/int/lng/dbl casts; date('YYYY-MM-DD') and str('...') literals.
@@ -213,8 +213,6 @@ func (p *parser) parsePlan() (Node, error) {
 		n, err = p.parseTopN()
 	case "Fetch1Join":
 		n, err = p.parseFetch1Join()
-	case "FetchNJoin":
-		n, err = p.parseFetchNJoin()
 	case "Array":
 		n, err = p.parseArray()
 	default:
@@ -270,7 +268,7 @@ func (p *parser) parseChild() (Node, error) {
 	}
 	switch t.text {
 	case "Table", "Scan", "Select", "Project", "Aggr", "HashAggr", "DirectAggr",
-		"OrdAggr", "Order", "TopN", "Fetch1Join", "FetchNJoin", "Array":
+		"OrdAggr", "Order", "TopN", "Fetch1Join", "Array":
 		return p.parsePlan()
 	default:
 		p.lex.take()
@@ -392,35 +390,6 @@ func (p *parser) parseFetch1Join() (Node, error) {
 		return nil, err
 	}
 	return &Fetch1Join{Input: in, Table: tbl.text, RowID: rowID, Cols: cols}, nil
-}
-
-func (p *parser) parseFetchNJoin() (Node, error) {
-	in, err := p.parseChild()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect(tokPunct, ","); err != nil {
-		return nil, err
-	}
-	tbl := p.lex.take()
-	if tbl.kind != tokIdent {
-		return nil, fmt.Errorf("algebra: expected table name, got %q", tbl.text)
-	}
-	if err := p.expect(tokPunct, ","); err != nil {
-		return nil, err
-	}
-	rangeOf := p.lex.take()
-	if rangeOf.kind != tokIdent {
-		return nil, fmt.Errorf("algebra: expected range column, got %q", rangeOf.text)
-	}
-	if err := p.expect(tokPunct, ","); err != nil {
-		return nil, err
-	}
-	cols, err := p.parseIdentList()
-	if err != nil {
-		return nil, err
-	}
-	return &FetchNJoin{Input: in, Table: tbl.text, RangeOf: rangeOf.text, Cols: cols}, nil
 }
 
 func (p *parser) parseArray() (Node, error) {

@@ -4,7 +4,7 @@
 // Each table is a set of equally long typed columns; the head (oid) column
 // is "void" — a densely ascending row id starting at 0 that is never stored
 // (paper Section 3.3). Every table therefore has a virtual #rowId column,
-// which the Fetch1Join/FetchNJoin operators use for positional fetches.
+// which the Fetch1Join operator uses for positional fetches.
 //
 // A column is a sequence of Fragments: contiguous runs of physical values.
 // Memory-resident columns are a single in-memory fragment (a typed slice);
@@ -393,9 +393,10 @@ func (c *Column) VectorAt(lo, hi int) *vector.Vector {
 }
 
 // Pin materializes the full column (concatenating all fragments) and caches
-// it for random-access callers. Operators that fetch positionally at
-// execution time (Fetch1Join, FetchNJoin) pin at construction, so the cache
-// is read-only by the time worker goroutines run.
+// it for random-access callers. The baseline engines' positional fetches
+// pin at construction, so the cache is read-only by the time worker
+// goroutines run; the vectorized Fetch1Join gathers through a FragLocator
+// instead.
 func (c *Column) Pin() (any, error) {
 	if d := c.pinned.Load(); d != nil {
 		return *d, nil

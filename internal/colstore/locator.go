@@ -18,8 +18,7 @@ const DefaultLocatorFrags = 4
 // map to (fragment, offset) by binary search over the fragment grid, and at
 // most `cap` decoded fragments are held in a small MRU list. It is the
 // non-pinning counterpart of FragReader for positional operators
-// (Fetch1Join/FetchNJoin): disk-backed columns
-// decode one chunk at a time through the ColumnBM buffer pool instead of
+// (Fetch1Join): disk-backed columns decode one chunk at a time through the ColumnBM buffer pool instead of
 // materializing the whole column, so fetch joins against tables larger
 // than RAM run within one-decoded-chunk-per-column (plus the LRU cap).
 //

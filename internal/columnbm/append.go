@@ -35,8 +35,9 @@ import (
 // them to the live table. parts may be nil (or empty) to persist only a
 // grown deletion list. Enum columns pass their code slices (uint8/uint16);
 // the manifest's dictionary is refreshed from the live (append-only)
-// column dictionaries.
-func (s *Store) AppendTable(t *colstore.Table, parts []any, deleted []int32) ([][]colstore.Fragment, error) {
+// column dictionaries. movedIDs bumps the table's RowIDEpoch in the same
+// commit: the appended rows include updates, whose rows moved to new ids.
+func (s *Store) AppendTable(t *colstore.Table, parts []any, deleted []int32, movedIDs bool) ([][]colstore.Fragment, error) {
 	m, err := s.readManifest(t.Name)
 	if err != nil {
 		return nil, err
@@ -105,6 +106,9 @@ func (s *Store) AppendTable(t *colstore.Table, parts []any, deleted []int32) ([]
 	m.ChunkCounts = counts
 	m.Deleted = slices.Clone(deleted)
 	slices.Sort(m.Deleted)
+	if movedIDs {
+		m.RowIDEpoch++
+	}
 	if err := s.writeManifest(m); err != nil {
 		return nil, err
 	}

@@ -242,7 +242,7 @@ func NewStore(dir string, chunkValues, poolChunks int) (*Store, error) {
 		dir:         dir,
 		chunkValues: chunkValues,
 		pool:        NewPool(poolChunks),
-		dcache:      NewDecodedCache(DefaultDecodedCacheBytes, PolicyScanResistant),
+		dcache:      NewDecodedCache(DefaultDecodedCacheBytes),
 		counters:    &storeCounters{},
 	}, nil
 }
@@ -252,9 +252,6 @@ func NewStore(dir string, chunkValues, poolChunks int) (*Store, error) {
 // enough to never dominate the process footprint.
 const DefaultDecodedCacheBytes = 64 << 20
 
-// Pool exposes the store's buffer pool (for stats in benches/tests).
-func (s *Store) Pool() *Pool { return s.pool }
-
 // DecodedCache exposes the decoded-chunk cooperative-scan cache (nil when
 // disabled).
 func (s *Store) DecodedCache() *DecodedCache { return s.dcache }
@@ -263,12 +260,12 @@ func (s *Store) DecodedCache() *DecodedCache { return s.dcache }
 // <= 0 disables cooperative scan sharing (every scan decodes privately,
 // the pre-cache behaviour). Call before issuing queries; the previous
 // cache's contents and counters are dropped.
-func (s *Store) ConfigureDecodedCache(capacityBytes int64, policy CachePolicy) {
+func (s *Store) ConfigureDecodedCache(capacityBytes int64) {
 	if capacityBytes <= 0 {
 		s.dcache = nil
 		return
 	}
-	s.dcache = NewDecodedCache(capacityBytes, policy)
+	s.dcache = NewDecodedCache(capacityBytes)
 }
 
 // ChunkValues returns the number of values per chunk this store writes.

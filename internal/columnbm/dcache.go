@@ -2,49 +2,8 @@ package columnbm
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 )
-
-// CachePolicy selects the decoded-chunk cache's eviction strategy.
-type CachePolicy uint8
-
-const (
-	// PolicyLRU evicts the least-recently-used decoded chunk. Simple, but
-	// one sequential scan of a table larger than the cache floods out the
-	// entire hot set.
-	PolicyLRU CachePolicy = iota
-	// PolicyScanResistant is a segmented LRU (2Q-style): fresh decodes
-	// enter a probationary segment and only a re-reference — a second scan
-	// attaching to the circulating chunk stream — promotes them to the
-	// protected segment. A one-pass sequential flood cycles through
-	// probation and never displaces the protected working set.
-	PolicyScanResistant
-)
-
-// String names the policy as accepted by configuration surfaces.
-func (p CachePolicy) String() string {
-	switch p {
-	case PolicyLRU:
-		return "lru"
-	case PolicyScanResistant:
-		return "scan-resistant"
-	default:
-		return fmt.Sprintf("policy(%d)", p)
-	}
-}
-
-// ParseCachePolicy resolves a policy name ("lru", "scan-resistant").
-func ParseCachePolicy(name string) (CachePolicy, error) {
-	switch name {
-	case "lru":
-		return PolicyLRU, nil
-	case "scan-resistant", "scanresistant", "2q":
-		return PolicyScanResistant, nil
-	default:
-		return 0, fmt.Errorf("columnbm: unknown cache policy %q", name)
-	}
-}
 
 // DecodedCache is the cooperative-scan layer of the buffer manager: it
 // holds decoded (decompressed, typed) chunk slices keyed by chunk file, so
@@ -54,18 +13,21 @@ func ParseCachePolicy(name string) (CachePolicy, error) {
 // columns already have — which is what makes attaching free: a follower
 // gets the finished slice, no hand-off protocol, no waiting on a leader.
 //
-// Capacity is in decoded bytes. Two policies are available (CachePolicy);
-// both run under one mutex, which is off the decode path on hits and
+// Capacity is in decoded bytes. Eviction is scan-resistant, a segmented
+// LRU (2Q-style): fresh decodes enter a probationary segment and only a
+// re-reference — a second scan attaching to the circulating chunk stream —
+// promotes them to the protected segment, so a one-pass sequential flood
+// cycles through probation and never displaces the protected working set.
+// It runs under one mutex, which is off the decode path on hits and
 // amortized over a whole chunk (≥ tens of thousands of values) otherwise.
 type DecodedCache struct {
 	mu       sync.Mutex
 	capacity int64
-	policy   CachePolicy
 	size     int64
 	protSize int64
 
-	probation *list.List // front = most recent; LRU keeps everything here
-	protected *list.List // scan-resistant hot segment
+	probation *list.List // front = most recent
+	protected *list.List // hot segment of re-referenced chunks
 	entries   map[string]*list.Element
 
 	hits, misses, attaches, evictions int64
@@ -87,8 +49,6 @@ type dcEntry struct {
 // cache: occupancy and the hit/miss/attach/eviction counters the
 // `\storage` command and trace surface.
 type DecodedCacheStats struct {
-	// Policy is the active eviction policy.
-	Policy CachePolicy
 	// CapacityBytes is the configured decoded-byte budget.
 	CapacityBytes int64
 	// SizeBytes is the current decoded-byte occupancy.
@@ -107,13 +67,12 @@ type DecodedCacheStats struct {
 }
 
 // NewDecodedCache creates a cache with the given decoded-byte capacity.
-func NewDecodedCache(capacityBytes int64, policy CachePolicy) *DecodedCache {
+func NewDecodedCache(capacityBytes int64) *DecodedCache {
 	if capacityBytes <= 0 {
 		capacityBytes = 1
 	}
 	return &DecodedCache{
 		capacity:  capacityBytes,
-		policy:    policy,
 		probation: list.New(),
 		protected: list.New(),
 		entries:   make(map[string]*list.Element),
@@ -166,12 +125,8 @@ func (c *DecodedCache) Get(key string, load func() (any, int64, error)) (any, er
 	return data, nil
 }
 
-// touch applies the policy's re-reference move. Called with mu held.
+// touch applies a re-reference move. Called with mu held.
 func (c *DecodedCache) touch(el *list.Element, e *dcEntry) {
-	if c.policy == PolicyLRU {
-		c.probation.MoveToFront(el)
-		return
-	}
 	if e.prot {
 		c.protected.MoveToFront(el)
 		return
@@ -223,7 +178,6 @@ func (c *DecodedCache) Stats() DecodedCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return DecodedCacheStats{
-		Policy:        c.policy,
 		CapacityBytes: c.capacity,
 		SizeBytes:     c.size,
 		Entries:       len(c.entries),

@@ -38,7 +38,7 @@ func getChunk(t *testing.T, c *DecodedCache, i int) []int64 {
 // exactly one hit or one miss, the first re-reference of an entry is
 // exactly one attach, and occupancy equals the sum of resident entries.
 func TestDecodedCacheCounterAccounting(t *testing.T) {
-	c := NewDecodedCache(1<<20, PolicyScanResistant)
+	c := NewDecodedCache(1 << 20)
 	const n = 10
 	for i := 0; i < n; i++ {
 		getChunk(t, c, i)
@@ -73,36 +73,12 @@ func TestDecodedCacheCounterAccounting(t *testing.T) {
 	}
 }
 
-// TestDecodedCacheLRUFlood shows the LRU failure mode the scan-resistant
-// policy exists to fix: a one-pass sequential flood larger than the cache
-// displaces the re-referenced hot set.
-func TestDecodedCacheLRUFlood(t *testing.T) {
-	// Capacity 16 entries of 64 bytes.
-	c := NewDecodedCache(16*64, PolicyLRU)
-	// Hot set: entries 0..3, referenced twice (hot by any definition).
-	for pass := 0; pass < 2; pass++ {
-		for i := 0; i < 4; i++ {
-			getChunk(t, c, i)
-		}
-	}
-	// Sequential flood of 64 one-shot chunks.
-	for i := 100; i < 164; i++ {
-		getChunk(t, c, i)
-	}
-	miss0 := c.Stats().Misses
-	for i := 0; i < 4; i++ {
-		getChunk(t, c, i)
-	}
-	if refetch := c.Stats().Misses - miss0; refetch != 4 {
-		t.Fatalf("LRU should have flooded out all 4 hot entries, re-decoded %d", refetch)
-	}
-}
-
 // TestDecodedCacheScanResistantFlood checks the protected segment survives
-// the same sequential flood that wipes LRU: re-referenced entries are
-// promoted and a one-pass scan only cycles through probation.
+// a one-pass sequential flood larger than the cache, the flood that wipes a
+// plain LRU: re-referenced entries are promoted and the scan only cycles
+// through probation.
 func TestDecodedCacheScanResistantFlood(t *testing.T) {
-	c := NewDecodedCache(16*64, PolicyScanResistant)
+	c := NewDecodedCache(16 * 64)
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < 4; i++ {
 			getChunk(t, c, i) // second pass promotes to protected
@@ -127,7 +103,7 @@ func TestDecodedCacheScanResistantFlood(t *testing.T) {
 // instead of monopolizing the budget: promoting everything leaves at most
 // half the capacity protected, and the cache never exceeds capacity.
 func TestDecodedCacheProtectedBounded(t *testing.T) {
-	c := NewDecodedCache(16*64, PolicyScanResistant)
+	c := NewDecodedCache(16 * 64)
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < 32; i++ {
 			getChunk(t, c, i)
@@ -159,16 +135,16 @@ func TestDecodedCacheDisabledStore(t *testing.T) {
 	if s.DecodedCache() == nil {
 		t.Fatal("decoded cache should default on")
 	}
-	s.ConfigureDecodedCache(0, PolicyLRU)
+	s.ConfigureDecodedCache(0)
 	if s.DecodedCache() != nil {
 		t.Fatal("capacity <= 0 must disable the cache")
 	}
 	if st := s.Stats(); st.Cache.CapacityBytes != 0 {
 		t.Fatalf("disabled cache must report zero stats: %+v", st.Cache)
 	}
-	s.ConfigureDecodedCache(1<<20, PolicyScanResistant)
-	if c := s.DecodedCache(); c == nil || c.Stats().Policy != PolicyScanResistant {
-		t.Fatal("reconfiguration must install a fresh cache with the given policy")
+	s.ConfigureDecodedCache(1 << 20)
+	if c := s.DecodedCache(); c == nil || c.Stats().CapacityBytes != 1<<20 {
+		t.Fatal("reconfiguration must install a fresh cache with the given capacity")
 	}
 }
 
@@ -176,23 +152,19 @@ func TestDecodedCacheDisabledStore(t *testing.T) {
 // interleaving of scan followers attaching to and detaching from the
 // circulating chunk stream mid-flight: a byte-string program schedules
 // concurrent partial scans (attach at some chunk, detach after some
-// count) over a shared key space on both policies. Invariants: every Get
+// count) over a shared key space. Invariants: every Get
 // returns the correct chunk contents (shared slices are never corrupted or
 // cross-wired), occupancy never exceeds capacity, the segment lists agree
 // with the entry map, and hits+misses add up to the lookups issued.
 func FuzzDecodedCacheFollowers(f *testing.F) {
-	f.Add([]byte{0x01, 0x20, 0x83, 0x04, 0xff, 0x10, 0x42}, uint8(1))
-	f.Add([]byte{0x00, 0x00, 0x00}, uint8(0))
-	f.Add([]byte{0xaa, 0x55, 0x13, 0x37, 0x99, 0x01, 0x02, 0x03, 0x04}, uint8(1))
-	f.Fuzz(func(t *testing.T, program []byte, policyByte uint8) {
-		policy := PolicyLRU
-		if policyByte%2 == 1 {
-			policy = PolicyScanResistant
-		}
+	f.Add([]byte{0x01, 0x20, 0x83, 0x04, 0xff, 0x10, 0x42})
+	f.Add([]byte{0x00, 0x00, 0x00})
+	f.Add([]byte{0xaa, 0x55, 0x13, 0x37, 0x99, 0x01, 0x02, 0x03, 0x04})
+	f.Fuzz(func(t *testing.T, program []byte) {
 		const keySpace = 24
 		// Capacity below the key space so the interleaving exercises
 		// eviction and re-decode races, not just warm hits.
-		c := NewDecodedCache(8*64, policy)
+		c := NewDecodedCache(8 * 64)
 		var wg sync.WaitGroup
 		var lookups int64
 		var mu sync.Mutex

@@ -16,11 +16,13 @@ import (
 // plus the atomic (temp-file + rename) manifest commit protocol. Version 3
 // added per-chunk CRC32 checksums (chunk_crc32, verified on load) and the
 // write-ahead-log epoch (wal_epoch, which ties a WAL file to the manifest
-// commit it logs changes against). Version 2 manifests read unchanged:
-// absent checksums mean "no verification" and an absent epoch is 0.
-// Manifests without a version field are version 1 and attach with the
-// uniform chunk grid; readers reject manifests from the future.
-const ManifestVersion = 3
+// commit it logs changes against). Version 4 added the row-id epochs
+// (rowid_epoch, join_epochs) that keep a join index stale across a
+// re-attach once the row ids it holds have moved. Older manifests read
+// unchanged: absent checksums mean "no verification" and an absent epoch
+// is 0. Manifests without a version field are version 1 and attach with
+// the uniform chunk grid; readers reject manifests from the future.
+const ManifestVersion = 4
 
 // Manifest records how a table was persisted: per column, the logical
 // type, chunk count, and (for enum columns) the dictionary values. It makes
@@ -57,8 +59,21 @@ type Manifest struct {
 	// between a checkpoint's manifest commit and its WAL rotation carries
 	// the previous epoch, so its (already absorbed) records are discarded
 	// instead of being applied twice.
-	WalEpoch int64            `json:"wal_epoch,omitempty"`
-	Columns  []ColumnManifest `json:"columns"`
+	WalEpoch int64 `json:"wal_epoch,omitempty"`
+	// RowIDEpoch counts the commits that moved this table's row ids: a
+	// compaction that dropped deleted rows, and a checkpoint that absorbed
+	// an Update (a delete plus an insert under a new row id). SaveTable
+	// writes 0.
+	RowIDEpoch int64 `json:"rowid_epoch,omitempty"`
+	// JoinEpochs records, per join-index column of this table (an int32
+	// column holding row ids of a referenced table), the referenced
+	// table's RowIDEpoch the column's values were valid for; an absent
+	// column reads as 0. SaveTable writes none: the join indices of tables
+	// saved together are valid for epoch 0. Checkpoints and compactions of
+	// this table carry the map forward and never refresh it, so once the
+	// referenced table's epoch moves past it the column stays stale.
+	JoinEpochs map[string]int64 `json:"join_epochs,omitempty"`
+	Columns    []ColumnManifest `json:"columns"`
 }
 
 // ColumnManifest describes one persisted column. The per-chunk min/max
@@ -337,7 +352,8 @@ func (s *Store) PrepareRewrite(t *colstore.Table) (*PendingRewrite, error) {
 	}
 	gen := old.Gen + 1
 	w := s.withChunkValues(chunkRows)
-	m := Manifest{Table: t.Name, Rows: t.N, ChunkRows: chunkRows, Gen: gen, WalEpoch: old.WalEpoch}
+	m := Manifest{Table: t.Name, Rows: t.N, ChunkRows: chunkRows, Gen: gen, WalEpoch: old.WalEpoch,
+		RowIDEpoch: old.RowIDEpoch, JoinEpochs: old.JoinEpochs}
 	for _, col := range t.Cols {
 		cm := ColumnManifest{Name: col.Name, Type: col.Typ.String(), Enum: col.IsEnum()}
 		key := t.Name + "." + col.Name
@@ -371,12 +387,17 @@ func (p *PendingRewrite) NextWalEpoch() int64 { return p.m.WalEpoch + 1 }
 
 // Commit atomically publishes the prepared generation (temp manifest +
 // fsync + rename; the single commit point) and returns the superseded
-// manifest. The caller removes the old generation's files — immediately, or
-// deferred until scans pinned to it drain — via RemoveGeneration. The
-// FaultHook stage "compact-cutover" fires just before the commit.
-func (p *PendingRewrite) Commit() (*Manifest, error) {
+// manifest. movedIDs bumps the table's RowIDEpoch in the same commit: the
+// rewrite moved row ids. The caller removes the old generation's files —
+// immediately, or deferred until scans pinned to it drain — via
+// RemoveGeneration. The FaultHook stage "compact-cutover" fires just before
+// the commit.
+func (p *PendingRewrite) Commit(movedIDs bool) (*Manifest, error) {
 	if err := p.s.fault("compact-cutover"); err != nil {
 		return nil, err
+	}
+	if movedIDs {
+		p.m.RowIDEpoch++
 	}
 	if err := p.s.writeManifest(p.m); err != nil {
 		return nil, err

@@ -122,7 +122,7 @@ func TestManifestRoundTripAcrossVersions(t *testing.T) {
 		t.Fatalf("v1 attach: %d rows", att.N)
 	}
 	// ... and appending upgrades them to v2 in place.
-	frags, err := s.AppendTable(att, wbParts(att, 250, 30), []int32{1})
+	frags, err := s.AppendTable(att, wbParts(att, 250, 30), []int32{1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

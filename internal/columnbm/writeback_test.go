@@ -119,7 +119,7 @@ func TestWriteBackAppendRoundTrip(t *testing.T) {
 	// First append: 130 rows -> chunks of 100/30 after the short 50-row
 	// chunk, leaving a short interior chunk.
 	parts := wbParts(att, 250, 130)
-	frags, err := s.AppendTable(att, parts, []int32{3, 7})
+	frags, err := s.AppendTable(att, parts, []int32{3, 7}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestWriteBackAppendRoundTrip(t *testing.T) {
 		t.Fatalf("attached table has %d rows after append, want 380", att.N)
 	}
 	// Second append: deletions only (no parts).
-	if _, err := s.AppendTable(att, nil, []int32{3, 7, 380 - 1}); err != nil {
+	if _, err := s.AppendTable(att, nil, []int32{3, 7, 380 - 1}, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -214,7 +214,7 @@ func TestWriteBackEmptyTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frags, err := s.AppendTable(att, wbParts(att, 0, 42), nil)
+	frags, err := s.AppendTable(att, wbParts(att, 0, 42), nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +229,65 @@ func TestWriteBackEmptyTable(t *testing.T) {
 		t.Fatalf("re-attached %d rows, want 42", att2.N)
 	}
 	sameRows(t, "empty-append", materialize(t, att), materialize(t, att2))
+}
+
+// TestWriteBackRowIDEpochs checks the manifest's row-id epochs: SaveTable
+// writes 0, a checkpoint append or a compaction commit bumps rowid_epoch
+// only when told the commit moved row ids, and both carry join_epochs
+// forward unchanged.
+func TestWriteBackRowIDEpochs(t *testing.T) {
+	s, err := NewStore(t.TempDir(), wbChunkRows, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveTable(wbTable(t, 250)); err != nil {
+		t.Fatal(err)
+	}
+	m, err := s.ReadManifest("wb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.RowIDEpoch != 0 || m.JoinEpochs != nil {
+		t.Fatalf("SaveTable wrote rowid_epoch %d, join_epochs %v; want 0 and none", m.RowIDEpoch, m.JoinEpochs)
+	}
+	// A join-index column valid for epoch 5 of the table it references.
+	m.JoinEpochs = map[string]int64{"k": 5}
+	if err := s.writeManifest(m); err != nil {
+		t.Fatal(err)
+	}
+	att, err := s.AttachTable("wb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewrite := func(moved bool) error {
+		pr, err := s.PrepareRewrite(att)
+		if err != nil {
+			return err
+		}
+		_, err = pr.Commit(moved)
+		return err
+	}
+	for i, step := range []struct {
+		label  string
+		commit func() error
+		want   int64
+	}{
+		{"append", func() error { _, err := s.AppendTable(att, nil, []int32{3}, false); return err }, 0},
+		{"append moving ids", func() error { _, err := s.AppendTable(att, nil, []int32{3, 4}, true); return err }, 1},
+		{"rewrite", func() error { return rewrite(false) }, 1},
+		{"rewrite moving ids", func() error { return rewrite(true) }, 2},
+	} {
+		if err := step.commit(); err != nil {
+			t.Fatalf("step %d %s: %v", i, step.label, err)
+		}
+		m, err := s.ReadManifest("wb")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.RowIDEpoch != step.want || len(m.JoinEpochs) != 1 || m.JoinEpochs["k"] != 5 {
+			t.Fatalf("after %s: rowid_epoch %d, join_epochs %v; want %d and k:5", step.label, m.RowIDEpoch, m.JoinEpochs, step.want)
+		}
+	}
 }
 
 // snapshotDir records name -> content of every file in a directory.
@@ -299,7 +358,7 @@ func TestCrashSafetyMidWriteBack(t *testing.T) {
 				return nil
 			}
 			// 180 rows x 4 columns over 100-row chunks = 8 chunk writes.
-			_, err = s.AppendTable(att, wbParts(att, 250, 180), []int32{5})
+			_, err = s.AppendTable(att, wbParts(att, 250, 180), []int32{5}, false)
 			if !errors.Is(err, errBoom) {
 				t.Fatalf("append error = %v, want injected crash", err)
 			}
@@ -354,7 +413,7 @@ func TestCrashSafetyMidWriteBack(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			frags, err := s2.AppendTable(att3, wbParts(att3, 250, 180), []int32{5})
+			frags, err := s2.AppendTable(att3, wbParts(att3, 250, 180), []int32{5}, false)
 			if err != nil {
 				t.Fatal(err)
 			}

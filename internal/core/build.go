@@ -79,8 +79,6 @@ func planTables(plan algebra.Node, dst []string) []string {
 		dst = append(dst, n.Table)
 	case *algebra.Fetch1Join:
 		dst = append(dst, n.Table)
-	case *algebra.FetchNJoin:
-		dst = append(dst, n.Table)
 	}
 	for _, ch := range plan.Children() {
 		dst = planTables(ch, dst)
@@ -206,12 +204,6 @@ func (c *compiler) pipeline(plan algebra.Node, opts ExecOptions) (Operator, erro
 			return nil, err
 		}
 		return newFetch1JoinOp(c.db, in, n, opts)
-	case *algebra.FetchNJoin:
-		in, err := c.pipeline(n.Input, opts)
-		if err != nil {
-			return nil, err
-		}
-		return newFetchNJoinOp(c.db, in, n, opts)
 	case *algebra.Order:
 		in, err := compile(c.db, n.Input, opts)
 		if err != nil {

@@ -65,13 +65,6 @@ func rewriteCodeDomain(db *Database, n algebra.Node, opts *ExecOptions) algebra.
 			return &c
 		}
 		return x
-	case *algebra.FetchNJoin:
-		if in := rewriteCodeDomain(db, x.Input, opts); in != x.Input {
-			c := *x
-			c.Input = in
-			return &c
-		}
-		return x
 	case *algebra.Order:
 		if in := rewriteCodeDomain(db, x.Input, opts); in != x.Input {
 			return algebra.NewOrder(in, x.Keys...)
@@ -146,17 +139,6 @@ func addCodeColumn(db *Database, n algebra.Node, name string, opts *ExecOptions)
 		}
 		return nil, "", "", nil, false
 	case *algebra.Fetch1Join:
-		if fetches(x.Cols, x.As, name) {
-			return nil, "", "", nil, false
-		}
-		in, code, base, col, ok := addCodeColumn(db, x.Input, name, opts)
-		if !ok {
-			return nil, "", "", nil, false
-		}
-		c := *x
-		c.Input = in
-		return &c, code, base, col, true
-	case *algebra.FetchNJoin:
 		if fetches(x.Cols, x.As, name) {
 			return nil, "", "", nil, false
 		}

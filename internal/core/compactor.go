@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"sort"
 	"sync"
 	"time"
@@ -44,10 +43,6 @@ type CompactionStatus struct {
 	// recent failure (nil when none).
 	Errors    int64
 	LastError error
-	// DroppedIndex is the ErrStaleRangeIndex of the most recent compaction
-	// that dropped range indices over the row ids it moved (nil when
-	// none). That compaction completed and is counted as one.
-	DroppedIndex error
 	// InFlight reports whether a maintenance operation is running right
 	// now, and LastTable names the table it (or the previous run) touched.
 	InFlight  bool
@@ -174,9 +169,6 @@ func (c *Compactor) maintain(table string) {
 	slot.Release()
 	c.mu.Lock()
 	c.status.InFlight = false
-	if errors.Is(err, ErrStaleRangeIndex) {
-		c.status.DroppedIndex, err = err, nil
-	}
 	if err != nil {
 		c.status.Errors++
 		c.status.LastError = err

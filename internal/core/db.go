@@ -11,8 +11,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
+	"sync/atomic"
 
 	"x100/internal/colstore"
 	"x100/internal/columnbm"
@@ -41,8 +41,8 @@ const (
 )
 
 // Database bundles the storage-layer state the engines execute against: the
-// column catalog, per-table delta stores, summary indices and range (join)
-// indices. Join indices over FK paths are materialized as ordinary int32
+// column catalog, per-table delta stores, summary indices and the join-index
+// registry. Join indices over FK paths are materialized as ordinary int32
 // row-id columns of the fact tables, exactly like MonetDB's positional-join
 // columns; plans reference them by name in Fetch1Join.
 //
@@ -68,12 +68,9 @@ type Database struct {
 	// are immutable once published; refreshes swap whole maps.
 	sumI32 map[string]map[string]*sindex.Summary[int32]
 	sumF64 map[string]map[string]*sindex.Summary[float64]
-	// rangeIdx: fetched-table -> referenced-table -> range index. Same
-	// copy-on-write discipline as the summary maps.
-	rangeIdx map[string]map[string]*sindex.RangeIndex
 	// joinRefs: fetched-table -> referenced-table -> the positional
-	// reference registered by RegisterJoinIndex or DeriveRangeIndex.
-	// Copy-on-write like the index maps.
+	// reference registered by RegisterJoinIndex. Copy-on-write like the
+	// summary maps.
 	joinRefs map[string]map[string]joinRef
 	// disk: tables attached from a ColumnBM directory, with the store they
 	// came from (the checkpoint write-back target) and how many deletions
@@ -106,6 +103,17 @@ type diskAttachment struct {
 	// compactions, so the count identifies the persisted set. Guarded by
 	// writeMu (attach writes it before the attachment is published).
 	persistedDel int
+	// moved is set when an Update of the table — applied live or replayed
+	// from its log — moved a row to a new row id that no committed
+	// manifest's row-id epoch accounts for yet. The next checkpoint or
+	// compaction bumps the epoch in its manifest commit and clears it; both
+	// read it under tailMu's write side, so every logged Update is seen.
+	moved atomic.Bool
+	// rowEpoch mirrors the committed manifest's row-id epoch, and
+	// joinEpochs its join-index epochs, which no commit of this process
+	// refreshes (columnbm.Manifest).
+	rowEpoch   atomic.Int64
+	joinEpochs map[string]int64
 	// Generation leases: queries that captured a view of this table hold a
 	// ref; removal of superseded chunk-file generations is deferred until
 	// the count returns to zero (see snapshot.go).
@@ -121,7 +129,6 @@ func NewDatabase() *Database {
 		deltas:   make(map[string]*delta.Store),
 		sumI32:   make(map[string]map[string]*sindex.Summary[int32]),
 		sumF64:   make(map[string]map[string]*sindex.Summary[float64]),
-		rangeIdx: make(map[string]map[string]*sindex.RangeIndex),
 		joinRefs: make(map[string]map[string]joinRef),
 		disk:     make(map[string]*diskAttachment),
 	}
@@ -206,7 +213,8 @@ func (db *Database) Delete(table string, rowID int32) error {
 // tables still hold the old one, so every join index onto table is marked
 // stale before the update applies: a Fetch1Join through it then fails with
 // ErrStaleRangeIndex instead of dropping the rows that referenced the old
-// id.
+// id. On a disk-attached table the next checkpoint or compaction also bumps
+// the table's row-id epoch, so the mark survives a re-attach.
 func (db *Database) Update(table string, rowID int32, row []any) (int32, error) {
 	ds, err := db.Delta(table)
 	if err != nil {
@@ -218,10 +226,11 @@ func (db *Database) Update(table string, rowID int32, row []any) (int32, error) 
 	if err := ds.CheckRow(row); err != nil {
 		return 0, err
 	}
-	db.staleRefsOnto(table, false)
+	db.staleRefsOnto(table)
 	if att := db.attachment(table); att != nil {
 		att.tailMu.RLock()
 		defer att.tailMu.RUnlock()
+		att.moved.Store(true)
 		if att.wal != nil {
 			if err := att.wal.LogUpdate(rowID, row, db.durability == DurabilityGroup); err != nil {
 				return 0, err
@@ -343,10 +352,6 @@ func (db *Database) Checkpoint(table string) (bool, error) {
 	done, err := ds.Checkpoint()
 	if done && err == nil {
 		err = db.refreshSummaries(table)
-		// A range index that no longer derives (inserts broke the
-		// clustering) is dropped; FetchNJoins through it then fail with
-		// ErrStaleRangeIndex instead of missing the new rows.
-		db.rederiveRangeIndexes(table)
 	}
 	db.snapMu.Unlock()
 	return done, err
@@ -359,7 +364,10 @@ func (db *Database) Checkpoint(table string) (bool, error) {
 // deletes that arrived after the snapshot are re-logged into the
 // next-epoch WAL sidecar before the manifest commit bumps the epoch, so
 // the epoch handshake can invalidate the superseded log without losing
-// the tail.
+// the tail. A checkpoint that absorbs an Update (att.moved) bumps the
+// table's row-id epoch in the same manifest commit. The re-logged tail
+// replays as plain inserts and deletes, so an Update that arrived after the
+// snapshot is accounted for by this bump too.
 func (db *Database) checkpointDisk(table string, ds *delta.Store, att *diskAttachment) (bool, error) {
 	att.writeMu.Lock()
 	defer att.writeMu.Unlock()
@@ -400,13 +408,18 @@ func (db *Database) checkpointDisk(table string, ds *delta.Store, att *diskAttac
 	// one: deletes that arrived after the snapshot live in the next-epoch
 	// sidecar and must not also be in the manifest, or replay would apply
 	// them twice.
-	frags, err := att.store.AppendTable(t, parts, snap.SortedDeleted())
+	moved := att.moved.Load()
+	frags, err := att.store.AppendTable(t, parts, snap.SortedDeleted(), moved)
 	if err != nil {
 		// Nothing was committed (the manifest rename is the single commit
 		// point), so the delta stays pending and scans remain correct. A
 		// written sidecar carries an epoch the manifest never reached and
 		// is discarded at the next open.
 		return false, err
+	}
+	if moved {
+		att.moved.Store(false)
+		att.rowEpoch.Add(1)
 	}
 	db.snapMu.Lock()
 	err = func() error {
@@ -426,11 +439,7 @@ func (db *Database) checkpointDisk(table string, ds *delta.Store, att *diskAttac
 		// Summaries must be swapped inside the cutover: a stale (shorter)
 		// summary seen next to the grown row count would wrongly prune the
 		// appended rows.
-		if err := db.refreshSummaries(table); err != nil {
-			return err
-		}
-		db.rederiveRangeIndexes(table)
-		return nil
+		return db.refreshSummaries(table)
 	}()
 	db.snapMu.Unlock()
 	if err != nil {
@@ -469,15 +478,13 @@ func tailRecords(ds *delta.Store, snap *delta.Snapshot) []columnbm.WALRecord {
 // table the compacted result is written to a fresh chunk-file generation in
 // the background (queries keep scanning the previous generation) and cut
 // over with one atomic manifest rename; the superseded generation's files
-// are removed once the last query reading them finishes. Summary indices,
-// enum dictionary mapping tables and derived range indices (DeriveRangeIndex)
-// are rebuilt at the cutover. Join-index columns are NOT adjusted: when
-// dropping deleted rows moves the row ids of a table that join indices
-// reference, every one of them is marked stale (Fetch1Joins through it fail
-// to build), the range indices derived from them are dropped, and when
-// there were such range indices Reorganize returns ErrStaleRangeIndex. That
-// error comes after the reorganize has completed, the disk cutover
-// included.
+// are removed once the last query reading them finishes. Summary indices
+// and enum dictionary mapping tables are rebuilt at the cutover. Join-index
+// columns are NOT adjusted: when dropping deleted rows moves the row ids of
+// a table that join indices reference, every one of them is marked stale,
+// and Fetch1Joins through it fail to build with ErrStaleRangeIndex. On disk
+// the same manifest commit bumps the table's row-id epoch, so the mark
+// survives a re-attach. Reorganize returns an error only when it fails.
 func (db *Database) Reorganize(table string) error {
 	ds, err := db.Delta(table)
 	if err != nil {
@@ -497,24 +504,10 @@ func (db *Database) Reorganize(table string) error {
 		return err
 	}
 	registerDictTables(db, t)
-	if err := db.refreshSummaries(table); err != nil {
-		return err
-	}
-	return db.rederiveAfterMove(table, moved)
-}
-
-// rederiveAfterMove re-derives the range indices involving table after a
-// reorganize or compaction, first dropping those that reference it when
-// its row ids moved.
-func (db *Database) rederiveAfterMove(table string, moved bool) error {
-	var stale error
 	if moved {
-		stale = db.staleRefsOnto(table, true)
+		db.staleRefsOnto(table)
 	}
-	if err := db.rederiveRangeIndexes(table); err != nil {
-		return err
-	}
-	return stale
+	return db.refreshSummaries(table)
 }
 
 // compactTable rewrites a disk-attached table into a fresh chunk-file
@@ -524,7 +517,9 @@ func (db *Database) rederiveAfterMove(table string, moved bool) error {
 // index refresh) excludes writers and view capture. Deletes and inserts
 // that arrived after the snapshot are remapped into the new id space and
 // re-logged into the next-epoch WAL sidecar, so the epoch handshake
-// invalidates the superseded log without losing them.
+// invalidates the superseded log without losing them. A compaction that
+// drops rows, or runs while an Update is unaccounted for (att.moved),
+// bumps the table's row-id epoch in its manifest commit.
 func (db *Database) compactTable(table string, ds *delta.Store, att *diskAttachment) error {
 	att.writeMu.Lock()
 	defer att.writeMu.Unlock()
@@ -578,17 +573,18 @@ func (db *Database) compactTable(table string, ds *delta.Store, att *diskAttachm
 			return err
 		}
 	}
-	old, err := pr.Commit()
+	moved := len(live) < snapTotal || att.moved.Load()
+	old, err := pr.Commit(moved)
 	if err != nil {
 		// Nothing committed: the old generation (and in-memory state)
 		// stands, deltas stay pending, the next-generation orphans are
 		// overwritten by the next attempt.
 		return err
 	}
-	// A dropped stale range index is reported once the cutover has fully
-	// finished: the manifest is already committed, so the WAL rotation and
-	// the old generation's cleanup must still run.
-	var stale error
+	att.moved.Store(false)
+	if moved {
+		att.rowEpoch.Add(1)
+	}
 	err = func() error {
 		db.snapMu.Lock()
 		defer db.snapMu.Unlock()
@@ -606,16 +602,10 @@ func (db *Database) compactTable(table string, ds *delta.Store, att *diskAttachm
 		}
 		att.persistedDel = 0
 		registerDictTables(db, t)
-		if err := db.refreshSummaries(table); err != nil {
-			return err
+		if moved {
+			db.staleRefsOnto(table)
 		}
-		// Compaction moved row ids: derived range indices MUST be re-run
-		// here (the stale-index bug this path exists to fix).
-		err = db.rederiveAfterMove(table, len(live) < snapTotal)
-		if errors.Is(err, ErrStaleRangeIndex) {
-			stale, err = err, nil
-		}
-		return err
+		return db.refreshSummaries(table)
 	}()
 	if err != nil {
 		return err
@@ -629,7 +619,7 @@ func (db *Database) compactTable(table string, ds *delta.Store, att *diskAttachm
 	// that captured their view before the cutover; deletion waits for the
 	// last generation lease.
 	att.deferCleanup(func() { att.store.RemoveGeneration(old) })
-	return stale
+	return nil
 }
 
 // CheckpointAll checkpoints every disk-attached table, concurrently across
@@ -775,17 +765,6 @@ func cloneWith[V any](m map[string]V, k string, v V) map[string]V {
 	return out
 }
 
-// cloneWithout is cloneWith's counterpart: a copy of m without key k.
-func cloneWithout[V any](m map[string]V, k string) map[string]V {
-	out := make(map[string]V, len(m))
-	for kk, vv := range m {
-		if kk != k {
-			out[kk] = vv
-		}
-	}
-	return out
-}
-
 // BuildSummaryIndex builds a summary index over a clustered column of a
 // table (paper Section 4.3). Supported column types: Date/Int32, Float64.
 func (db *Database) BuildSummaryIndex(table, column string, granule int) error {
@@ -817,51 +796,31 @@ func (db *Database) SummaryF64(table, column string) *sindex.Summary[float64] {
 	return db.sumF64[table][column]
 }
 
-// RegisterRangeIndex attaches a range index: rows of fetchedTable are
-// clustered by refTable row id (FetchNJoin input). Indices registered this
-// way are NOT rebuilt when a Reorganize moves row ids — use
-// DeriveRangeIndex to keep an index valid across compactions.
-func (db *Database) RegisterRangeIndex(fetchedTable, refTable string, ri *sindex.RangeIndex) {
-	db.mu.Lock()
-	db.rangeIdx[fetchedTable] = cloneWith(db.rangeIdx[fetchedTable], refTable, ri)
-	db.mu.Unlock()
-}
-
 // joinRef is a positional reference: an int32 column of the fetched table
 // (a join index such as "l_orderrow") holding row ids of the referenced
 // table. Writers supply its values for the rows they insert; -1 means the
 // row references nothing, and a Fetch1Join drops it.
 type joinRef struct {
 	col string
-	// ranged: DeriveRangeIndex keeps a range index derived from col, which
-	// checkpoints and reorganizes re-derive.
-	ranged bool
-	// stale: a Reorganize or compaction moved the referenced table's row
-	// ids after registration, or an Update moved one of its rows, so col
-	// may hold ids of rows that moved. A Fetch1Join through col fails to
-	// build with ErrStaleRangeIndex.
+	// stale: the referenced table's row ids moved after the column's values
+	// were computed — a Reorganize, compaction or Update, in this process
+	// or, on disk, before the tables were attached — so col may hold ids of
+	// rows that moved. A Fetch1Join through col fails to build with
+	// ErrStaleRangeIndex.
 	stale bool
-	// dropped: the range index derived from col was dropped, so a
-	// FetchNJoin into the fetched table fails with ErrStaleRangeIndex
-	// (RangeIndexError) until DeriveRangeIndex registers it again.
-	dropped bool
 }
 
 // RegisterJoinIndex registers the int32 column rowIDCol of fetchedTable as
-// a positional reference to refTable's row ids. Registering (again) marks
-// the column valid for the referenced table's current row ids. When a
-// Reorganize, compaction or Update of refTable moves its row ids, the
-// reference is marked stale and Fetch1Joins through the column fail to
-// build with ErrStaleRangeIndex instead of fetching the wrong rows. A
-// reorganize of fetchedTable moves the column's values with their rows and
-// leaves the reference valid.
+// a positional reference to refTable's row ids. When a Reorganize,
+// compaction or Update of refTable moves its row ids, the reference is
+// marked stale and Fetch1Joins through the column fail to build with
+// ErrStaleRangeIndex instead of fetching the wrong rows. A reorganize of
+// fetchedTable moves the column's values with their rows and leaves the
+// reference valid. Registering (again) marks the column valid for the
+// referenced table's current row ids, except when both tables are
+// disk-attached and their manifests say otherwise (persistedStale): then
+// the reference registers stale.
 func (db *Database) RegisterJoinIndex(fetchedTable, refTable, rowIDCol string) error {
-	return db.registerJoinIndex(fetchedTable, refTable, rowIDCol, nil)
-}
-
-// registerJoinIndex registers the reference and, with ri, the range index
-// derived from it.
-func (db *Database) registerJoinIndex(fetchedTable, refTable, rowIDCol string, ri *sindex.RangeIndex) error {
 	ft, err := db.Table(fetchedTable)
 	if err != nil {
 		return err
@@ -872,153 +831,44 @@ func (db *Database) registerJoinIndex(fetchedTable, refTable, rowIDCol string, r
 	if _, err := db.Table(refTable); err != nil {
 		return err
 	}
+	stale := db.persistedStale(fetchedTable, refTable, rowIDCol)
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	// Registering a range index's column again keeps the index derived.
-	old, ok := db.joinRefs[fetchedTable][refTable]
-	ranged := ri != nil || ok && old.ranged && old.col == rowIDCol
-	db.joinRefs[fetchedTable] = cloneWith(db.joinRefs[fetchedTable], refTable, joinRef{col: rowIDCol, ranged: ranged})
-	if ri != nil {
-		db.rangeIdx[fetchedTable] = cloneWith(db.rangeIdx[fetchedTable], refTable, ri)
-	}
+	db.joinRefs[fetchedTable] = cloneWith(db.joinRefs[fetchedTable], refTable, joinRef{col: rowIDCol, stale: stale})
 	return nil
 }
 
-// DeriveRangeIndex registers rowIDCol as a join index (RegisterJoinIndex)
-// and builds and registers from it the range index of fetchedTable
-// clustered by refTable. Whenever a Checkpoint or Reorganize of either
-// table changes what the index must cover, it is re-derived automatically
-// from the same column, so FetchNJoin plans never run against stale row
-// ids. The row-id column must be ascending (the fetched table clustered
-// with the referenced one).
-func (db *Database) DeriveRangeIndex(fetchedTable, refTable, rowIDCol string) error {
-	ri, err := db.buildRangeIndexFromCol(fetchedTable, refTable, rowIDCol)
-	if err != nil {
-		return err
+// persistedStale reports whether the committed state of two disk-attached
+// tables says the join index col of fetched onto ref is stale: the fetched
+// table's manifest records, for col, a row-id epoch of ref other than ref's
+// current one, or an Update replayed from ref's log has moved a row since
+// ref's last manifest commit. Tables not both attached from disk carry no
+// epochs, and their references register valid.
+func (db *Database) persistedStale(fetched, ref, col string) bool {
+	fatt, ratt := db.attachment(fetched), db.attachment(ref)
+	if fatt == nil || ratt == nil {
+		return false
 	}
-	return db.registerJoinIndex(fetchedTable, refTable, rowIDCol, ri)
+	return fatt.joinEpochs[col] != ratt.rowEpoch.Load() || ratt.moved.Load()
 }
 
-// buildRangeIndexFromCol derives a range index from a fetched table's
-// row-id column over the referenced table's current row-id space (base
-// plus pending delta, so referenced ids a merged scan can produce always
-// resolve to a — possibly empty — range).
-func (db *Database) buildRangeIndexFromCol(fetchedTable, refTable, rowIDCol string) (*sindex.RangeIndex, error) {
-	ft, err := db.Table(fetchedTable)
-	if err != nil {
-		return nil, err
-	}
-	c := ft.Col(rowIDCol)
-	if c == nil {
-		return nil, fmt.Errorf("core: table %s has no column %q", fetchedTable, rowIDCol)
-	}
-	if _, err := c.Pin(); err != nil {
-		return nil, fmt.Errorf("core: range index %s->%s: %w", fetchedTable, refTable, err)
-	}
-	ids, ok := c.Data().([]int32)
-	if !ok {
-		return nil, fmt.Errorf("core: range index %s->%s: column %s is not int32", fetchedTable, refTable, rowIDCol)
-	}
-	refDs, err := db.Delta(refTable)
-	if err != nil {
-		return nil, err
-	}
-	refN := refDs.BaseN() + refDs.NumDeltaRows()
-	return sindex.BuildRangeIndex(&sindex.JoinIndex{From: fetchedTable, To: refTable, RowIDs: ids}, refN)
-}
-
-// rederiveRangeIndexes re-derives every range index (DeriveRangeIndex)
-// that involves the given table (as fetched or referenced side). A failed
-// derivation drops the index and returns the error: the old index no longer
-// covers the table's rows, and a FetchNJoin without one fails with
-// ErrStaleRangeIndex, where the old one would answer short.
-func (db *Database) rederiveRangeIndexes(table string) error {
-	type recipe struct{ fetched, ref, col string }
-	db.mu.RLock()
-	var jobs []recipe
-	for fetched, m := range db.joinRefs {
-		for ref, r := range m {
-			if r.ranged && (fetched == table || ref == table) {
-				jobs = append(jobs, recipe{fetched, ref, r.col})
-			}
-		}
-	}
-	db.mu.RUnlock()
-	var firstErr error
-	for _, j := range jobs {
-		ri, err := db.buildRangeIndexFromCol(j.fetched, j.ref, j.col)
-		db.mu.Lock()
-		if err != nil {
-			db.dropRangeIndex(j.fetched, j.ref)
-			if firstErr == nil {
-				firstErr = fmt.Errorf("core: re-derive range index %s->%s: %w", j.fetched, j.ref, err)
-			}
-		} else {
-			db.rangeIdx[j.fetched] = cloneWith(db.rangeIdx[j.fetched], j.ref, ri)
-		}
-		db.mu.Unlock()
-	}
-	return firstErr
-}
-
-// dropRangeIndex drops the range index of fetched onto ref and its recipe,
-// and remembers the drop for RangeIndexError. Callers hold db.mu.
-func (db *Database) dropRangeIndex(fetched, ref string) {
-	db.rangeIdx[fetched] = cloneWithout(db.rangeIdx[fetched], ref)
-	r := db.joinRefs[fetched][ref]
-	r.ranged, r.dropped = false, true
-	db.joinRefs[fetched] = cloneWith(db.joinRefs[fetched], ref, r)
-}
-
-// RangeIndexError is the build error of a FetchNJoin into fetchedTable
-// that finds no range index. It wraps ErrStaleRangeIndex when one was
-// derived and then dropped: the referenced table's row ids moved, or a
-// checkpoint broke the clustering of the row-id column. Every engine calls
-// it when it builds a FetchNJoin without an index.
-func (db *Database) RangeIndexError(fetchedTable string) error {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	for ref, r := range db.joinRefs[fetchedTable] {
-		if r.dropped {
-			return fmt.Errorf("%w: range index of %s onto %s was dropped", ErrStaleRangeIndex, fetchedTable, ref)
-		}
-	}
-	return fmt.Errorf("no range index registered for table %s", fetchedTable)
-}
-
-// ErrStaleRangeIndex is wrapped by the error of a Reorganize that moved the
-// row ids of a table a derived range index references (the index is
-// dropped, since the fetched table's row-id column still holds the old
-// ids), by the build error of a Fetch1Join through a join index whose
-// referenced table's row ids moved, and by the build error of a FetchNJoin
-// whose range index was dropped (RangeIndexError). Plans through the index
-// or the column fail until it is registered again over the new ids.
+// ErrStaleRangeIndex is wrapped by the build error of a Fetch1Join through
+// a registered join-index column whose referenced table's row ids moved
+// after the column's values were computed (joinRef.stale). Plans through
+// the column fail instead of fetching the wrong rows. The name is kept for
+// callers that test for it.
 var ErrStaleRangeIndex = errors.New("core: join index references moved row ids")
 
-// staleRefsOnto marks every join index onto ref (but not ref's own)
-// stale. With dropRanges it also drops the range indices derived from them
-// and reports those with ErrStaleRangeIndex.
-func (db *Database) staleRefsOnto(ref string, dropRanges bool) error {
+// staleRefsOnto marks every join index onto ref (but not ref's own) stale.
+func (db *Database) staleRefsOnto(ref string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	var dropped []string
 	for fetched, m := range db.joinRefs {
-		r, ok := m[ref]
-		if !ok || fetched == ref {
-			continue
-		}
-		r.stale = true
-		db.joinRefs[fetched] = cloneWith(m, ref, r)
-		if r.ranged && dropRanges {
-			db.dropRangeIndex(fetched, ref)
-			dropped = append(dropped, fetched)
+		if r, ok := m[ref]; ok && fetched != ref {
+			r.stale = true
+			db.joinRefs[fetched] = cloneWith(m, ref, r)
 		}
 	}
-	if len(dropped) == 0 {
-		return nil
-	}
-	slices.Sort(dropped)
-	return fmt.Errorf("%w: dropped range index of %s onto %s", ErrStaleRangeIndex, strings.Join(dropped, ", "), ref)
 }
 
 // JoinIndex returns the column registered as the join index of
@@ -1044,28 +894,6 @@ func (db *Database) CheckJoinIndex(target string, rowID expr.Expr) error {
 		if r, ok := m[target]; ok && r.stale && r.col == c.Name {
 			return fmt.Errorf("%w: %s.%s onto %s", ErrStaleRangeIndex, fetched, r.col, target)
 		}
-	}
-	return nil
-}
-
-// RangeIndex returns the range index of fetchedTable clustered by refTable.
-func (db *Database) RangeIndex(fetchedTable, refTable string) *sindex.RangeIndex {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.rangeIdx[fetchedTable][refTable]
-}
-
-// RangeIndexAny returns the sole range index of fetchedTable when exactly
-// one is registered (plans that omit the referenced table).
-func (db *Database) RangeIndexAny(fetchedTable string) *sindex.RangeIndex {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	m := db.rangeIdx[fetchedTable]
-	if len(m) != 1 {
-		return nil
-	}
-	for _, ri := range m {
-		return ri
 	}
 	return nil
 }

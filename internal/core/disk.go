@@ -28,7 +28,8 @@ func AttachDiskTable(db *Database, store *columnbm.Store, name string) (*colstor
 		return nil, err
 	}
 	db.AddTable(t)
-	att := &diskAttachment{store: store, persistedDel: len(m.Deleted)}
+	att := &diskAttachment{store: store, persistedDel: len(m.Deleted), joinEpochs: m.JoinEpochs}
+	att.rowEpoch.Store(m.RowIDEpoch)
 	db.mu.Lock()
 	db.disk[name] = att
 	db.mu.Unlock()
@@ -53,6 +54,10 @@ func AttachDiskTable(db *Database, store *columnbm.Store, name string) (*colstor
 			case columnbm.WALDelete:
 				return ds.Delete(rec.RowID)
 			case columnbm.WALUpdate:
+				// The update moved a row past the manifest's row-id
+				// epoch: join indices onto the table register stale,
+				// and the next checkpoint bumps the epoch.
+				att.moved.Store(true)
 				_, err := ds.Update(rec.RowID, rec.Row)
 				return err
 			}

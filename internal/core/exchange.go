@@ -88,7 +88,7 @@ func (m *morselSource) claim() (int, int, bool) {
 
 // partitionable reports whether the subtree rooted at plan can be compiled
 // into per-worker pipelines over shared morsel sources: a chain of
-// Select/Project/Fetch1Join/FetchNJoin and hash-join probe sides rooted at a
+// Select/Project/Fetch1Join and hash-join probe sides rooted at a
 // Scan. Every scan partitions, pending deltas or not: deletion lists become
 // per-batch selection vectors and the insert tail is one more morsel of the
 // shared source.
@@ -105,8 +105,6 @@ func partitionable(plan algebra.Node) bool {
 		// materialized once and probed concurrently.
 		return len(n.On) > 0 && partitionable(n.Left)
 	case *algebra.Fetch1Join:
-		return partitionable(n.Input)
-	case *algebra.FetchNJoin:
 		return partitionable(n.Input)
 	default:
 		return false

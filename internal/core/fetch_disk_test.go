@@ -7,15 +7,13 @@ import (
 	"x100/internal/algebra"
 	"x100/internal/colstore"
 	"x100/internal/columnbm"
-	"x100/internal/sindex"
 	"x100/internal/vector"
 )
 
 // fetchDiskDBs builds a dim table (several column types, enum included) and
-// a fact table whose rows reference dim rows positionally (clustered, so a
-// range index dim->fact exists too), persists both through a ColumnBM store
-// with tiny chunks and a tiny buffer pool, and returns the in-memory and
-// disk-attached databases.
+// a fact table whose rows reference dim rows positionally, persists both
+// through a ColumnBM store with tiny chunks and a tiny buffer pool, and
+// returns the in-memory and disk-attached databases.
 func fetchDiskDBs(t *testing.T) (mem, disk *Database) {
 	t.Helper()
 	const nDim, perDim = 3000, 4
@@ -57,19 +55,9 @@ func fetchDiskDBs(t *testing.T) (mem, disk *Database) {
 		}
 		return fact
 	}
-	registerRange := func(db *Database) {
-		ji := &sindex.JoinIndex{From: "fact", To: "dim", RowIDs: append([]int32(nil), factRef...)}
-		ri, err := sindex.BuildRangeIndex(ji, nDim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db.RegisterRangeIndex("fact", "dim", ri)
-	}
-
 	mem = NewDatabase()
 	mem.AddTable(build())
 	mem.AddTable(buildFact())
-	registerRange(mem)
 
 	dir := t.TempDir()
 	// 512-value chunks: the dim columns span ~6 chunks each; pool of 2
@@ -94,7 +82,6 @@ func fetchDiskDBs(t *testing.T) (mem, disk *Database) {
 			t.Fatal(err)
 		}
 	}
-	registerRange(disk)
 	return mem, disk
 }
 
@@ -162,26 +149,6 @@ func TestFetch1JoinDiskNonPinning(t *testing.T) {
 			assertUnpinned(t, disk, "dim", "name", "price", "tag")
 		})
 	}
-}
-
-// TestFetchNJoinDiskNonPinning expands dim rows into their fact ranges via
-// FetchNJoin against the disk-attached fact table and asserts identical
-// results and no pinning of the fetched fact columns.
-func TestFetchNJoinDiskNonPinning(t *testing.T) {
-	mem, disk := fetchDiskDBs(t)
-	plan, err := algebra.Parse(`Aggr(FetchNJoin(Scan(dim, [#rowid, price]), fact, #rowid, [qty]),
-	                             [], [n = count(), q = sum(qty), s = sum(price)])`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := runRows(t, mem, plan, 1)
-	got := runRows(t, disk, plan, 1)
-	for k, n := range want {
-		if got[k] != n {
-			t.Fatalf("row %q count %d, want %d", k, got[k], n)
-		}
-	}
-	assertUnpinned(t, disk, "fact", "qty")
 }
 
 // TestFetch1JoinDiskWithDelta covers the delta-aware fetch path on a disk

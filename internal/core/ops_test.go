@@ -10,7 +10,6 @@ import (
 	"x100/internal/algebra"
 	"x100/internal/colstore"
 	"x100/internal/expr"
-	"x100/internal/sindex"
 	"x100/internal/vector"
 )
 
@@ -420,31 +419,6 @@ func TestFetch1JoinAndRowID(t *testing.T) {
 	}
 }
 
-func TestFetchNJoin(t *testing.T) {
-	db := opsDB(t)
-	// Range index: fact clustered by bucket (k/100).
-	starts := make([]int32, 11)
-	for i := range starts {
-		starts[i] = int32(i * 100)
-	}
-	db.RegisterRangeIndex("fact", "buckets", &sindex.RangeIndex{Starts: starts})
-	bt := colstore.NewTable("buckets")
-	must(t, bt.AddColumn("b", vector.Int32, []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}))
-	db.AddTable(bt)
-	plan := algebra.NewFetchNJoin(
-		algebra.NewSelect(algebra.NewScan("buckets", "b"),
-			expr.LTE(expr.C("b"), expr.Int32Const(2))),
-		"fact", "b", "k")
-	res := runPlan(t, db, plan, DefaultOptions())
-	if res.NumRows() != 200 { // buckets 0 and 1
-		t.Fatalf("fetchN: %d", res.NumRows())
-	}
-	last := res.Row(199)
-	if last[0].(int32) != 1 || last[1].(int32) != 199 {
-		t.Fatalf("last row: %v", last)
-	}
-}
-
 func TestTopNEqualsOrderedPrefix(t *testing.T) {
 	db := opsDB(t)
 	keys := []algebra.OrdExpr{algebra.Desc(expr.C("val")), algebra.Asc(expr.C("k"))}
@@ -561,7 +535,7 @@ func TestBuildErrors(t *testing.T) {
 		algebra.NewJoin(algebra.NewScan("fact", "k"), algebra.NewScan("dim", "dk"),
 			algebra.EquiCond{L: "missing", R: "dk"}),
 		algebra.NewJoinKind(algebra.Semi, algebra.NewScan("fact", "k"), algebra.NewScan("dim", "dk")),
-		algebra.NewFetchNJoin(algebra.NewScan("dim", "dk"), "unindexed", "dk", "x"),
+		algebra.NewFetch1Join(algebra.NewScan("dim", "dk"), "missing", expr.C("dk"), "x"),
 	}
 	for i, plan := range bad {
 		if _, err := Run(db, plan, DefaultOptions()); err == nil {

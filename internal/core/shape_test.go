@@ -34,8 +34,6 @@ func shape(op Operator) string {
 		return "project(" + shape(o.input) + ")"
 	case *fetch1JoinOp:
 		return "fetch1(" + shape(o.input) + ")"
-	case *fetchNJoinOp:
-		return "fetchN(" + shape(o.input) + ")"
 	case *cartProdOp:
 		return "cartprod(" + shape(o.left) + ", " + shape(o.right) + ")"
 	case *hashJoinOp:

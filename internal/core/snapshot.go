@@ -39,9 +39,8 @@ type tableView struct {
 	delta *delta.Snapshot
 	// Captured secondary-index maps (nil when none registered). Cutovers
 	// swap whole maps, never mutate them, so reads here are race-free.
-	sumI32   map[string]*sindex.Summary[int32]
-	sumF64   map[string]*sindex.Summary[float64]
-	rangeIdx map[string]*sindex.RangeIndex
+	sumI32 map[string]*sindex.Summary[int32]
+	sumF64 map[string]*sindex.Summary[float64]
 }
 
 // col returns the captured column by name, nil when absent.
@@ -55,17 +54,6 @@ func (v *tableView) col(name string) *colstore.Column {
 // colIndex returns the position of a captured column, -1 when absent.
 func (v *tableView) colIndex(name string) int {
 	return slices.IndexFunc(v.cols, func(c *colstore.Column) bool { return c.Name == name })
-}
-
-// rangeIndexAny mirrors Database.RangeIndexAny against the captured maps.
-func (v *tableView) rangeIndexAny() *sindex.RangeIndex {
-	if len(v.rangeIdx) != 1 {
-		return nil
-	}
-	for _, ri := range v.rangeIdx {
-		return ri
-	}
-	return nil
 }
 
 // snapSet is the set of table views one query executes against. Build
@@ -155,7 +143,6 @@ func (ss *snapSet) captureLocked(name string) (*tableView, error) {
 		delta:     ds.Snapshot(),
 		sumI32:    db.sumI32[name],
 		sumF64:    db.sumF64[name],
-		rangeIdx:  db.rangeIdx[name],
 	}
 	att := db.disk[name]
 	db.mu.RUnlock()

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"x100/internal/algebra"
-	"x100/internal/colstore"
 	"x100/internal/core"
 	"x100/internal/expr"
 	"x100/internal/primitives"
@@ -301,71 +300,11 @@ func (e *Engine) evalFetch1Join(n *algebra.Fetch1Join) (*rel, error) {
 		}
 		t0 := time.Now()
 		g := vector.New(col.Typ, in.n)
-		if err := fetchBaseColumn(g, col, ids); err != nil {
+		if err := core.FetchColumn(g, col, ids, nil, len(ids)); err != nil {
 			return nil, err
 		}
 		e.Trace.record(fmt.Sprintf("%s := join(%s,%s.%s)", e.Trace.name("s"), n.RowID, n.Table, cname),
 			int64(4*in.n), int64(g.Bytes()), in.n, time.Since(t0))
-		out.schema = append(out.schema, vector.Field{Name: name, Type: col.Typ})
-		out.cols = append(out.cols, g)
-	}
-	return out, nil
-}
-
-func fetchBaseColumn(dst *vector.Vector, col *colstore.Column, ids []int32) error {
-	return core.FetchColumn(dst, col, ids, nil, len(ids))
-}
-
-func (e *Engine) evalFetchNJoin(n *algebra.FetchNJoin) (*rel, error) {
-	in, err := e.eval(n.Input)
-	if err != nil {
-		return nil, err
-	}
-	t, err := e.DB.Table(n.Table)
-	if err != nil {
-		return nil, err
-	}
-	ri := e.DB.RangeIndexAny(n.Table)
-	if ri == nil {
-		return nil, fmt.Errorf("mil: fetchnjoin: %w", e.DB.RangeIndexError(n.Table))
-	}
-	rc := in.col(n.RangeOf)
-	if rc == nil {
-		return nil, fmt.Errorf("mil: input has no column %q", n.RangeOf)
-	}
-	t0 := time.Now()
-	refs := rc.Int32s()
-	var lIdx, fIdx []int32
-	for i := 0; i < in.n; i++ {
-		lo, hi := ri.Starts[refs[i]], ri.Starts[refs[i]+1]
-		for x := lo; x < hi; x++ {
-			lIdx = append(lIdx, int32(i))
-			fIdx = append(fIdx, x)
-		}
-	}
-	e.Trace.record(fmt.Sprintf("%s := fetchNjoin(%s)", e.Trace.name("s"), n.Table),
-		int64(4*in.n), int64(8*len(lIdx)), len(lIdx), time.Since(t0))
-	out := &rel{n: len(lIdx)}
-	for ci, v := range in.cols {
-		g := vector.New(v.Typ, len(lIdx))
-		g.Gather(v, lIdx)
-		g.Typ = v.Typ
-		out.schema = append(out.schema, in.schema[ci])
-		out.cols = append(out.cols, g)
-	}
-	for i, cname := range n.Cols {
-		col := t.Col(cname)
-		if col == nil {
-			return nil, fmt.Errorf("mil: table %s has no column %q", n.Table, cname)
-		}
-		name := cname
-		if i < len(n.As) && n.As[i] != "" {
-			name = n.As[i]
-		}
-		g := vector.New(col.Typ, len(fIdx))
-		if err := fetchBaseColumn(g, col, fIdx); err != nil {
-			return nil, err
-		}
 		out.schema = append(out.schema, vector.Field{Name: name, Type: col.Typ})
 		out.cols = append(out.cols, g)
 	}

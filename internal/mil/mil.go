@@ -158,8 +158,6 @@ func (e *Engine) eval(plan algebra.Node) (*rel, error) {
 		return e.evalJoin(n)
 	case *algebra.Fetch1Join:
 		return e.evalFetch1Join(n)
-	case *algebra.FetchNJoin:
-		return e.evalFetchNJoin(n)
 	case *algebra.Order:
 		return e.evalOrder(n.Input, n.Keys, 0)
 	case *algebra.TopN:

@@ -1,25 +1,15 @@
-// Package sindex implements the two index structures of Section 4.3/5 of
-// the paper:
-//
-//   - Summary indices: coarse-granularity sparse indices over (almost)
-//     sorted columns. Every granule records the running maximum of the
-//     column so far and the reversely running minimum from that point on.
-//     Range predicates use them to derive #rowId bounds without touching
-//     the column. Because vertical fragments are immutable, these indices
-//     need no maintenance.
-//
-//   - Join indices over foreign-key paths: for each row of the referencing
-//     table, the #rowId of the matching row in the referenced table
-//     (Fetch1Join input); and the inverse — for each referenced row, the
-//     contiguous [start,end) range of referencing rows when the referencing
-//     table is clustered (FetchNJoin input).
+// Package sindex implements the summary indices of Section 4.3 of the
+// paper: coarse-granularity sparse indices over (almost) sorted columns.
+// Every granule records the running maximum of the column so far and the
+// reversely running minimum from that point on. Range predicates use them
+// to derive #rowId bounds without touching the column. Because vertical
+// fragments are immutable, these indices need no maintenance.
+// PruneFragments applies the same bounds to per-fragment min/max. Join
+// indices are ordinary int32 row-id columns of the referencing tables
+// (core.Database.RegisterJoinIndex).
 package sindex
 
-import (
-	"fmt"
-
-	"x100/internal/primitives"
-)
+import "x100/internal/primitives"
 
 // DefaultGranule is the default summary-index granularity (the paper's
 // default size is 1000 entries taken at fixed intervals).
@@ -144,75 +134,4 @@ func PruneFragments[T primitives.Ordered](starts []int, mins, maxs []T, ok []boo
 		last--
 	}
 	return starts[first], starts[last]
-}
-
-// JoinIndex maps each row of the referencing (fact) table to the #rowId of
-// its match in the referenced (dimension) table. It is the input of
-// Fetch1Join.
-type JoinIndex struct {
-	From, To string // table names, for the catalog
-	RowIDs   []int32
-}
-
-// BuildJoinIndex resolves foreign keys to referenced row ids given the
-// referenced table's key column. Keys must be unique in ref.
-func BuildJoinIndex[K comparable](from, to string, fk []K, refKey []K) (*JoinIndex, error) {
-	pos := make(map[K]int32, len(refKey))
-	for i, k := range refKey {
-		if _, dup := pos[k]; dup {
-			return nil, fmt.Errorf("sindex: duplicate key %v in referenced table %s", k, to)
-		}
-		pos[k] = int32(i)
-	}
-	ids := make([]int32, len(fk))
-	for i, k := range fk {
-		p, ok := pos[k]
-		if !ok {
-			return nil, fmt.Errorf("sindex: foreign key %v from %s has no match in %s", k, from, to)
-		}
-		ids[i] = p
-	}
-	return &JoinIndex{From: from, To: to, RowIDs: ids}, nil
-}
-
-// RangeIndex is the inverse join index for clustered tables: referencing
-// rows of referenced row r occupy [Starts[r], Starts[r+1]). It is the input
-// of FetchNJoin (e.g. orders -> lineitem when lineitem is clustered by
-// order).
-type RangeIndex struct {
-	From, To string
-	Starts   []int32
-}
-
-// BuildRangeIndex inverts a join index, requiring the referencing rows of
-// each referenced row to be contiguous and in referenced-row order (i.e. the
-// fact table is clustered with the dimension, as the paper keeps lineitem
-// clustered with orders). A row id outside [0, refN) is an error: the join
-// index was built against another row-id space of the referenced table.
-func BuildRangeIndex(ji *JoinIndex, refN int) (*RangeIndex, error) {
-	starts := make([]int32, refN+1)
-	prev := int32(-1)
-	for i, r := range ji.RowIDs {
-		if r < 0 || int(r) >= refN {
-			return nil, fmt.Errorf("sindex: table %s row %d references row %d of %s, which has %d rows", ji.From, i, r, ji.To, refN)
-		}
-		if r < prev {
-			return nil, fmt.Errorf("sindex: table %s is not clustered with %s at row %d", ji.From, ji.To, i)
-		}
-		if r != prev {
-			for x := prev + 1; x <= r; x++ {
-				starts[x] = int32(i)
-			}
-			prev = r
-		}
-	}
-	for x := prev + 1; x <= int32(refN); x++ {
-		starts[x] = int32(len(ji.RowIDs))
-	}
-	return &RangeIndex{From: ji.From, To: ji.To, Starts: starts}, nil
-}
-
-// Range returns the referencing row range of referenced row r.
-func (ri *RangeIndex) Range(r int32) (lo, hi int32) {
-	return ri.Starts[r], ri.Starts[r+1]
 }

@@ -3,7 +3,6 @@ package sindex
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -67,95 +66,6 @@ func TestSummarySoundness(t *testing.T) {
 				if i < lo || i >= hi {
 					return false
 				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestJoinIndex(t *testing.T) {
-	refKey := []int32{100, 200, 300}
-	fk := []int32{200, 100, 300, 200}
-	ji, err := BuildJoinIndex("fact", "dim", fk, refKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int32{1, 0, 2, 1}
-	for i := range want {
-		if ji.RowIDs[i] != want[i] {
-			t.Fatalf("rowids: %v", ji.RowIDs)
-		}
-	}
-	if _, err := BuildJoinIndex("f", "d", []int32{999}, refKey); err == nil {
-		t.Fatal("dangling fk must fail")
-	}
-	if _, err := BuildJoinIndex("f", "d", fk, []int32{1, 1}); err == nil {
-		t.Fatal("duplicate ref key must fail")
-	}
-}
-
-func TestRangeIndex(t *testing.T) {
-	// lineitem-style: clustered referencing rows 0..5 over 3 referenced rows.
-	ji := &JoinIndex{From: "lineitem", To: "orders", RowIDs: []int32{0, 0, 1, 2, 2, 2}}
-	ri, err := BuildRangeIndex(ji, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct{ ref, lo, hi int32 }{{0, 0, 2}, {1, 2, 3}, {2, 3, 6}}
-	for _, c := range cases {
-		lo, hi := ri.Range(c.ref)
-		if lo != c.lo || hi != c.hi {
-			t.Fatalf("range(%d) = [%d,%d)", c.ref, lo, hi)
-		}
-	}
-	// Gaps: referenced row with no referencing rows.
-	ji2 := &JoinIndex{RowIDs: []int32{0, 2}}
-	ri2, err := BuildRangeIndex(ji2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo, hi := ri2.Range(1); lo != hi {
-		t.Fatalf("empty range: [%d,%d)", lo, hi)
-	}
-	// Unclustered input is rejected.
-	if _, err := BuildRangeIndex(&JoinIndex{RowIDs: []int32{1, 0}}, 2); err == nil {
-		t.Fatal("unclustered must fail")
-	}
-	// So are row ids outside the referenced table, at its last row id and
-	// far beyond it (row ids of a table that has since lost rows).
-	for _, ids := range [][]int32{{0, 1, 2}, {0, 5, 9}, {-1, 0}} {
-		if _, err := BuildRangeIndex(&JoinIndex{RowIDs: ids}, 2); err == nil {
-			t.Fatalf("row ids %v over 2 referenced rows must fail", ids)
-		}
-	}
-}
-
-// Property: for a clustered join index, every referencing row appears in
-// exactly the range of its referenced row.
-func TestRangeIndexProperty(t *testing.T) {
-	f := func(counts []uint8) bool {
-		if len(counts) == 0 || len(counts) > 50 {
-			return true
-		}
-		var rows []int32
-		for ref, c := range counts {
-			for j := 0; j < int(c%5); j++ {
-				rows = append(rows, int32(ref))
-			}
-		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
-		ji := &JoinIndex{RowIDs: rows}
-		ri, err := BuildRangeIndex(ji, len(counts))
-		if err != nil {
-			return false
-		}
-		for i, ref := range rows {
-			lo, hi := ri.Range(ref)
-			if int32(i) < lo || int32(i) >= hi {
-				return false
 			}
 		}
 		return true

@@ -7,7 +7,6 @@ import (
 
 	"x100/internal/columnbm"
 	"x100/internal/core"
-	"x100/internal/sindex"
 )
 
 var (
@@ -58,28 +57,11 @@ func getPlainDiskDB(t *testing.T) *core.Database {
 				return
 			}
 		}
-		lt, err := db.Table("lineitem")
-		if err != nil {
+		// Register the join indices as AttachDisk does.
+		if err := RegisterJoinIndices(db); err != nil {
 			plainDiskErr = err
 			return
 		}
-		orow, err := lt.Col("l_orderrow").Pin()
-		if err != nil {
-			plainDiskErr = err
-			return
-		}
-		ord, err := db.Table("orders")
-		if err != nil {
-			plainDiskErr = err
-			return
-		}
-		ji := &sindex.JoinIndex{From: "lineitem", To: "orders", RowIDs: orow.([]int32)}
-		ri, err := sindex.BuildRangeIndex(ji, ord.N)
-		if err != nil {
-			plainDiskErr = err
-			return
-		}
-		db.RegisterRangeIndex("lineitem", "orders", ri)
 		plainDiskVal = db
 	})
 	if plainDiskErr != nil {

@@ -17,13 +17,14 @@ import (
 	"x100/internal/expr"
 )
 
-// rangeJoinPlan queries lineitem THROUGH the orders->lineitem range index:
-// a FetchNJoin expands every orders row into its lineitem range, so a stale
-// index (row ids moved by a compaction) surfaces as wrong aggregates.
-func rangeJoinPlan(t *testing.T) algebra.Node {
+// fetchJoinPlan queries lineitem joined to orders THROUGH the l_orderrow
+// join index: a Fetch1Join fetches each lineitem row's orders row by row
+// id, so row ids that moved under the index would surface as wrong
+// aggregates.
+func fetchJoinPlan(t *testing.T) algebra.Node {
 	t.Helper()
-	plan, err := algebra.Parse(`Aggr(FetchNJoin(Scan(orders, [#rowid, o_orderkey]), lineitem, #rowid,
-	                             [l_quantity, l_extendedprice]),
+	plan, err := algebra.Parse(`Aggr(Fetch1Join(Scan(lineitem, [l_orderrow, l_quantity, l_extendedprice]),
+	                             orders, l_orderrow, [o_orderkey]),
 	                             [], [n = count(), q = sum(l_quantity), s = sum(l_extendedprice)])`)
 	if err != nil {
 		t.Fatal(err)
@@ -31,13 +32,14 @@ func rangeJoinPlan(t *testing.T) algebra.Node {
 	return plan
 }
 
-// TestReorganizeRederivesRangeIndex is the regression test for the stale
-// positional-index bug: Reorganize rewrites the table without its deleted
-// rows, moving every row id, so a range index derived from the old ids is
-// silently wrong. The fix re-derives recipe-registered indices at the
-// compaction cutover; a query through the index must match the in-memory
-// twin before the compaction, after it, and after a cold re-attach.
-func TestReorganizeRederivesRangeIndex(t *testing.T) {
+// TestReorganizeJoinIndices checks the join indices across Reorganize,
+// which rewrites a table without its deleted rows and so moves its row
+// ids. Reorganizing lineitem, the table that holds the join-index columns,
+// moves their values with their rows: a query through l_orderrow must
+// match the in-memory twin before the compaction, after it, and after a
+// cold re-attach, and all 22 queries answer as before. The subtests move
+// the row ids of orders, the referenced table, instead.
+func TestReorganizeJoinIndices(t *testing.T) {
 	mem, err := Generate(Config{SF: 0.005})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +64,7 @@ func TestReorganizeRederivesRangeIndex(t *testing.T) {
 			return ds.Delete(id)
 		})
 	}
-	plan := rangeJoinPlan(t)
+	plan := fetchJoinPlan(t)
 	check := func(label string, against *core.Database) {
 		t.Helper()
 		want, err := core.Run(mem, plan, core.DefaultOptions())
@@ -93,10 +95,6 @@ func TestReorganizeRederivesRangeIndex(t *testing.T) {
 		}
 	}
 
-	oldIdx := disk.RangeIndex("lineitem", "orders")
-	if oldIdx == nil {
-		t.Fatal("no orders->lineitem range index registered")
-	}
 	tw.each(t, func(db *core.Database) error { return db.Reorganize("lineitem") })
 	for q := 1; q <= NumQueries; q++ {
 		plan, err := Query(q, 0.005)
@@ -115,20 +113,6 @@ func TestReorganizeRederivesRangeIndex(t *testing.T) {
 			}
 		}
 	}
-	newIdx := disk.RangeIndex("lineitem", "orders")
-	if newIdx == nil {
-		t.Fatal("range index dropped by Reorganize")
-	}
-	if newIdx == oldIdx {
-		t.Fatal("range index not re-derived after Reorganize: still the pre-compaction index over moved row ids")
-	}
-	ds, err := disk.Delta("lineitem")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if covered := int(newIdx.Starts[len(newIdx.Starts)-1]); covered != ds.NumRows() {
-		t.Fatalf("re-derived index covers %d rows, table has %d live rows", covered, ds.NumRows())
-	}
 	check("post-reorganize", disk)
 
 	restarted, _ := attachAll(t, dir, 8)
@@ -143,9 +127,8 @@ func TestReorganizeRederivesRangeIndex(t *testing.T) {
 // checkpointBreaksClustering inserts one lineitem row for orders row 5 and
 // checkpoints lineitem on memory and disk. The row's l_orderrow is valid
 // but lands after lineitem's last row, so the checkpointed column is no
-// longer ascending and no range index can cover it. The range plan must
-// then fail with ErrStaleRangeIndex or match the hash join; keeping the
-// index derived before the insert would silently miss the new row.
+// longer ascending. Moving no orders row id, it leaves l_orderrow valid:
+// the plan through it must match the hash join, the new row included.
 func checkpointBreaksClustering(t *testing.T) {
 	mem, err := Generate(Config{SF: 0.005})
 	if err != nil {
@@ -179,24 +162,21 @@ func checkpointBreaksClustering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := rangeJoinPlan(t)
+	plan := fetchJoinPlan(t)
 	for label, db := range map[string]*core.Database{"mem": mem, "disk": disk} {
 		for _, p := range []int{1, 2} {
 			opts := core.DefaultOptions()
 			opts.Parallelism = p
 			got, err := core.Run(db, plan, opts)
 			if err != nil {
-				if !errors.Is(err, core.ErrStaleRangeIndex) || got != nil {
-					t.Fatalf("%s p=%d: range plan = %v, %v; want the hash join's answer or ErrStaleRangeIndex", label, p, got, err)
-				}
-				continue
+				t.Fatalf("%s p=%d: %v", label, p, err)
 			}
 			sameRowMultisets(t, fmt.Sprintf("%s p=%d", label, p), want, got)
 		}
 	}
 }
 
-// hashJoinPlan is rangeJoinPlan's answer through a hash join on the keys,
+// hashJoinPlan is fetchJoinPlan's answer through a hash join on the keys,
 // which no row-id column can make stale.
 func hashJoinPlan() algebra.Node {
 	return algebra.NewAggr(
@@ -207,16 +187,14 @@ func hashJoinPlan() algebra.Node {
 }
 
 // reorganizeReferenced deletes n orders rows and reorganizes orders, the
-// table the range index references. That moves the orders row ids while
-// lineitem's l_orderrow keeps the old ones, so the index must not be served
-// again: Reorganize drops it and its recipe with ErrStaleRangeIndex, range
-// plans fail instead of answering wrongly, and deriving the index again
-// from the stale column after a cold re-attach is refused. The l_orderrow
-// join index goes stale with it: Q12, which fetches orders through it,
-// fails to build with ErrStaleRangeIndex and returns no rows. The hash
-// join agrees with the range plan before, and across memory and disk after.
-// The error is reported after a complete cutover: the old chunk generation
-// is removed, and writes acknowledged after it survive a cold re-attach.
+// table l_orderrow references. That moves the orders row ids while
+// lineitem's l_orderrow keeps the old ones, so the join index goes stale:
+// Reorganize succeeds, and plans through l_orderrow — Q12 among them —
+// fail to build with ErrStaleRangeIndex and return no rows instead of
+// answering wrongly, also after a cold re-attach. The hash join agrees
+// with the plan through l_orderrow before, and across memory and disk
+// after. The cutover is complete: the old chunk generation is removed, and
+// writes acknowledged after it survive a cold re-attach.
 func reorganizeReferenced(t *testing.T, n int) {
 	mem, err := Generate(Config{SF: 0.005})
 	if err != nil {
@@ -233,7 +211,7 @@ func reorganizeReferenced(t *testing.T, n int) {
 	for _, id := range rand.New(rand.NewSource(int64(n))).Perm(ot.N)[:n] {
 		tw.each(t, func(db *core.Database) error { return db.Delete("orders", int32(id)) })
 	}
-	rangePlan, hashPlan := rangeJoinPlan(t), hashJoinPlan()
+	fetchPlan, hashPlan := fetchJoinPlan(t), hashJoinPlan()
 	run := func(db *core.Database, plan algebra.Node, p int) (*core.Result, error) {
 		opts := core.DefaultOptions()
 		opts.Parallelism = p
@@ -243,12 +221,16 @@ func reorganizeReferenced(t *testing.T, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(label string, db *core.Database, withRange bool) {
+	q12, err := Query(12, 0.005)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, db *core.Database, valid bool) {
 		t.Helper()
 		for _, p := range []int{1, 2} {
 			plans := map[string]algebra.Node{"hash": hashPlan}
-			if withRange {
-				plans["range"] = rangePlan
+			if valid {
+				plans["fetch"] = fetchPlan
 			}
 			for name, plan := range plans {
 				got, err := run(db, plan, p)
@@ -257,9 +239,12 @@ func reorganizeReferenced(t *testing.T, n int) {
 				}
 				sameRowMultisets(t, fmt.Sprintf("%s %s p=%d", label, name, p), want, got)
 			}
-			if !withRange {
-				if _, err := run(db, rangePlan, p); err == nil {
-					t.Fatalf("%s p=%d: range plan ran over moved orders row ids", label, p)
+			if valid {
+				continue
+			}
+			for name, plan := range map[string]algebra.Node{"fetch": fetchPlan, "Q12": q12} {
+				if res, err := run(db, plan, p); !errors.Is(err, core.ErrStaleRangeIndex) || res != nil {
+					t.Fatalf("%s p=%d: %s through stale l_orderrow = %v, %v; want ErrStaleRangeIndex and no rows", label, p, name, res, err)
 				}
 			}
 		}
@@ -267,26 +252,15 @@ func reorganizeReferenced(t *testing.T, n int) {
 	check("pre-reorganize mem", mem, true)
 	check("pre-reorganize disk", disk, true)
 	for label, db := range map[string]*core.Database{"mem": mem, "disk": disk} {
-		if err := db.Reorganize("orders"); !errors.Is(err, core.ErrStaleRangeIndex) {
-			t.Fatalf("%s: Reorganize(orders) = %v, want ErrStaleRangeIndex", label, err)
-		}
-		if db.RangeIndex("lineitem", "orders") != nil {
-			t.Fatalf("%s: stale range index still registered", label)
+		if err := db.Reorganize("orders"); err != nil {
+			t.Fatalf("%s: Reorganize(orders) = %v", label, err)
 		}
 		check("post-reorganize "+label, db, false)
-		q12, err := Query(12, 0.005)
-		if err != nil {
-			t.Fatal(err)
+		// Reorganizing lineitem moves the stale values with their rows.
+		if err := db.Reorganize("lineitem"); err != nil {
+			t.Fatalf("%s: Reorganize(lineitem) = %v", label, err)
 		}
-		for _, p := range []int{1, 2} {
-			if res, err := run(db, q12, p); !errors.Is(err, core.ErrStaleRangeIndex) || res != nil {
-				t.Fatalf("%s p=%d: Q12 through stale l_orderrow = %v, %v; want ErrStaleRangeIndex and no rows", label, p, res, err)
-			}
-		}
-		// The recipe went with the index: reorganizing lineitem derives nothing.
-		if err := db.Reorganize("lineitem"); err != nil || db.RangeIndex("lineitem", "orders") != nil {
-			t.Fatalf("%s: Reorganize(lineitem) = %v, index %v", label, err, db.RangeIndex("lineitem", "orders"))
-		}
+		check("post-reorganize lineitem "+label, db, false)
 	}
 	m, err := store.ReadManifest("orders")
 	if err != nil {
@@ -302,10 +276,7 @@ func reorganizeReferenced(t *testing.T, n int) {
 		}
 	}
 
-	restarted, _ := attachTables(t, dir, 8)
-	if err := restarted.DeriveRangeIndex("lineitem", "orders", "l_orderrow"); err == nil {
-		t.Fatal("restart: range index derived from l_orderrow over moved orders row ids")
-	}
+	restarted, _ := attachAll(t, dir, 8)
 	check("restart", restarted, false)
 
 	// Writes after the cutover go to the rotated WAL and survive restart.
@@ -325,7 +296,7 @@ func reorganizeReferenced(t *testing.T, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restarted, _ = attachTables(t, dir, 8)
+	restarted, _ = attachAll(t, dir, 8)
 	check("restart after writes", restarted, false)
 	gotOrders, err := run(restarted, ordersPlan, 1)
 	if err != nil {
@@ -335,9 +306,10 @@ func reorganizeReferenced(t *testing.T, n int) {
 }
 
 // TestCompactorCountsStaleIndexDrop runs the background compactor over an
-// orders table past its delete threshold. The compaction drops the
-// orders->lineitem range index; the compactor counts it as a completed
-// compaction and reports the dropped index, not a failure.
+// orders table past its delete threshold. The compaction moves the orders
+// row ids under lineitem's l_orderrow; the compactor counts it as a
+// completed compaction, not a failure, and Q12 through the stale join index
+// then fails with ErrStaleRangeIndex.
 func TestCompactorCountsStaleIndexDrop(t *testing.T) {
 	mem, err := Generate(Config{SF: 0.005})
 	if err != nil {
@@ -358,11 +330,12 @@ func TestCompactorCountsStaleIndexDrop(t *testing.T) {
 	if st.Errors != 0 || st.LastError != nil {
 		t.Fatalf("compactor: %d errors, last: %v", st.Errors, st.LastError)
 	}
-	if !errors.Is(st.DroppedIndex, core.ErrStaleRangeIndex) {
-		t.Fatalf("compactor DroppedIndex = %v, want ErrStaleRangeIndex", st.DroppedIndex)
+	q12, err := Query(12, 0.005)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if disk.RangeIndex("lineitem", "orders") != nil {
-		t.Fatal("stale range index still registered after background compaction")
+	if res, err := core.Run(disk, q12, core.DefaultOptions()); !errors.Is(err, core.ErrStaleRangeIndex) || res != nil {
+		t.Fatalf("Q12 through stale l_orderrow = %v, %v; want ErrStaleRangeIndex and no rows", res, err)
 	}
 }
 
@@ -700,7 +673,7 @@ func TestUpdateRecoveryWithCompaction(t *testing.T) {
 		MinDeltaRows: 64,
 		// Never compact: Reorganize moves row ids, which would desync the
 		// twins' delete targets mid-stream. Reorganize races are covered by
-		// TestCompactionAppendRace and TestReorganizeRederivesRangeIndex.
+		// TestCompactionAppendRace and TestReorganizeJoinIndices.
 		DeleteFraction: 2,
 	}
 	comp := core.StartCompactor(disk, compOpts)
@@ -812,7 +785,6 @@ func TestUpdateRecoveryWithCompaction(t *testing.T) {
 				memDS.NumRows(), memDS.NumDeltaRows(), diskDS.NumRows(), diskDS.NumDeltaRows())
 		}
 	}
-	mustRegisterJoinIndices(t, mem)
 
 	restarted, _ := attachAll(t, dir, 8)
 	for q := 1; q <= NumQueries; q++ {

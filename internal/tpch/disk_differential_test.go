@@ -11,7 +11,6 @@ import (
 	"x100/internal/colstore"
 	"x100/internal/columnbm"
 	"x100/internal/core"
-	"x100/internal/sindex"
 	"x100/internal/vector"
 )
 
@@ -67,31 +66,11 @@ func getDiskDB(t *testing.T) *core.Database {
 				return
 			}
 		}
-		// The orders->lineitem range index (FetchNJoin input) is rebuilt
-		// from the persisted l_orderrow join-index column; only that one
-		// column is pinned.
-		lt, err := db.Table("lineitem")
-		if err != nil {
+		// Register the join indices as AttachDisk does.
+		if err := RegisterJoinIndices(db); err != nil {
 			diskDBErr = err
 			return
 		}
-		orow, err := lt.Col("l_orderrow").Pin()
-		if err != nil {
-			diskDBErr = err
-			return
-		}
-		ord, err := db.Table("orders")
-		if err != nil {
-			diskDBErr = err
-			return
-		}
-		ji := &sindex.JoinIndex{From: "lineitem", To: "orders", RowIDs: orow.([]int32)}
-		ri, err := sindex.BuildRangeIndex(ji, ord.N)
-		if err != nil {
-			diskDBErr = err
-			return
-		}
-		db.RegisterRangeIndex("lineitem", "orders", ri)
 		diskDBVal = db
 	})
 	if diskDBErr != nil {

@@ -284,9 +284,8 @@ func TestFetchJoinDeletedTargets(t *testing.T) {
 			sameRowMultisets(t, fmt.Sprintf("Q%d %s", qc.q, name), want, got)
 		}
 	}
-	// The orphans' l_orderrow -1 admits no orders->lineitem range index,
-	// so the re-attach registers none.
-	restarted, _ := attachTables(t, dir, 8)
+	// The orphans keep their l_orderrow -1 across a re-attach.
+	restarted, _ := attachAll(t, dir, 8)
 	check("re-attached", map[string]*core.Database{"restarted": restarted})
 
 	// An update moves an orders row to a new row id while l_orderrow keeps
@@ -375,47 +374,4 @@ func frenchSupplier(t *testing.T, db *core.Database) (row, key int32) {
 	}
 	t.Fatal("no supplier in FRANCE")
 	return 0, 0
-}
-
-// TestFetchNJoinAcrossEngines expands one month of orders into their
-// lineitems through the orders->lineitem range index (the FetchNJoin of the
-// paper's Section 4.1.2) on all three engines, over the memory and the
-// disk-attached database, and checks the count and sums against the
-// equivalent hash join.
-func TestFetchNJoinAcrossEngines(t *testing.T) {
-	datePred := expr.AndE(expr.GEE(c("o_orderdate"), d("1995-01-01")), expr.LEE(c("o_orderdate"), d("1995-01-31")))
-	aggs := []algebra.AggExpr{algebra.Sum("q", c("l_quantity")), algebra.Sum("e", c("l_extendedprice")), algebra.Count("n")}
-	fetchPlan := algebra.NewAggr(
-		algebra.NewFetchNJoin(
-			algebra.NewSelect(algebra.NewScan("orders", algebra.RowIDCol, "o_orderkey", "o_orderdate"), datePred),
-			"lineitem", algebra.RowIDCol, "l_quantity", "l_extendedprice"),
-		nil, aggs)
-	hashPlan := algebra.NewAggr(
-		algebra.NewJoin(
-			algebra.NewScan("lineitem", "l_orderkey", "l_quantity", "l_extendedprice"),
-			algebra.NewSelect(algebra.NewScan("orders", "o_orderkey", "o_orderdate"), datePred),
-			algebra.EquiCond{L: "l_orderkey", R: "o_orderkey"}),
-		nil, aggs)
-	mem := getDB(t)
-	want, err := core.Run(mem, hashPlan, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Row(0)[2].(int64) == 0 {
-		t.Fatal("reference join matched nothing")
-	}
-	for label, db := range map[string]*core.Database{"mem": mem, "disk": getDiskDB(t)} {
-		engines := map[string]func() (*core.Result, error){
-			"x100":    func() (*core.Result, error) { return core.Run(db, fetchPlan, core.DefaultOptions()) },
-			"mil":     func() (*core.Result, error) { return mil.New(db).Run(fetchPlan) },
-			"volcano": func() (*core.Result, error) { return volcano.New(db).Run(fetchPlan) },
-		}
-		for name, run := range engines {
-			got, err := run()
-			if err != nil {
-				t.Fatalf("%s %s: %v", label, name, err)
-			}
-			sameRowMultisets(t, label+" "+name, want, got)
-		}
-	}
 }

@@ -7,10 +7,10 @@
 // returnflag×linestatus grouping yields 4 combinations; l_quantity,
 // l_discount and l_tax have small domains and are stored as enumeration
 // types (Section 4.3); orders is sorted on date with lineitem clustered
-// along (Section 5), enabling summary indices on the date columns and a
-// FetchNJoin range index from orders to lineitem. Join indices over all
-// foreign-key paths are materialized as int32 row-id columns (l_orderrow,
-// o_custrow, ...), mirroring MonetDB's positional join columns.
+// along (Section 5), enabling summary indices on the date columns. Join
+// indices over all foreign-key paths are materialized as int32 row-id
+// columns (l_orderrow, o_custrow, ...), mirroring MonetDB's positional join
+// columns.
 package tpch
 
 import (
@@ -138,8 +138,8 @@ var (
 
 // Generate builds a complete TPC-H database at the given scale factor:
 // tables, enum dictionaries (with their mapping tables), join-index row-id
-// columns, summary indices on the date columns, and the orders->lineitem
-// range index.
+// columns, registered as join indices, and summary indices on the date
+// columns.
 func Generate(cfg Config) (*core.Database, error) {
 	if cfg.SF <= 0 {
 		cfg.SF = 0.01
@@ -448,8 +448,10 @@ func Generate(cfg Config) (*core.Database, error) {
 	must(db.BuildSummaryIndex("orders", "o_orderdate", 0))
 	must(db.BuildSummaryIndex("lineitem", "l_shipdate", 0))
 
-	if err := registerJoinIndices(db); err != nil {
-		return nil, err
+	for _, ji := range joinIndices {
+		if err := db.RegisterJoinIndex(ji.from, ji.to, ji.col); err != nil {
+			return nil, err
+		}
 	}
 	return db, nil
 }
@@ -475,32 +477,15 @@ var joinIndices = []joinIndex{
 	{"nation", "n_regionkey", "n_regionrow", "region", "r_regionkey"},
 }
 
-// registerJoinIndices registers every join index of joinIndices with db as
-// a positional reference (core.Database.RegisterJoinIndex), so a
-// reorganize that moves a referenced table's row ids makes the plans
-// fetching through it fail instead of answering wrongly. l_orderrow also
-// derives the orders -> lineitem range index (lineitem is clustered with
-// orders), which checkpoints and reorganizes re-derive.
-func registerJoinIndices(db *core.Database) error {
-	for _, ji := range joinIndices {
-		register := db.RegisterJoinIndex
-		if ji.col == "l_orderrow" {
-			register = db.DeriveRangeIndex
-		}
-		if err := register(ji.from, ji.to, ji.col); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RegisterJoinIndices registers as positional references the join indices
 // of joinIndices that db holds: both tables are present, the fetched table
 // carries the int32 row-id column, and no reference is registered yet for
 // the pair (registering again would clear a stale mark). Attaching a TPC-H
 // chunk directory calls it, so the plans fetching through an attached
 // table fail, as on a generated database, once a reorganize, compaction or
-// update moves a referenced table's row ids. It derives no range index.
+// update moves a referenced table's row ids. A reference whose row-id
+// epochs in the two tables' manifests disagree registers stale
+// (core.Database.RegisterJoinIndex), so the mark survives a re-attach.
 func RegisterJoinIndices(db *core.Database) error {
 	for _, ji := range joinIndices {
 		ft, err := db.Table(ji.from)

@@ -14,7 +14,6 @@ import (
 	"x100/internal/columnbm"
 	"x100/internal/core"
 	"x100/internal/mil"
-	"x100/internal/sindex"
 	"x100/internal/vector"
 )
 
@@ -22,17 +21,9 @@ import (
 var mutTables = []string{"lineitem", "orders"}
 
 // attachAll persists nothing itself: it attaches every base table of an
-// existing directory into a fresh database and rebuilds the
-// orders->lineitem range index from the persisted join-index column.
+// existing directory into a fresh database and registers the join indices
+// as AttachDisk does.
 func attachAll(t *testing.T, dir string, poolChunks int) (*core.Database, *columnbm.Store) {
-	t.Helper()
-	db, store := attachTables(t, dir, poolChunks)
-	mustRegisterJoinIndices(t, db)
-	return db, store
-}
-
-// attachTables is attachAll without the range index.
-func attachTables(t *testing.T, dir string, poolChunks int) (*core.Database, *columnbm.Store) {
 	t.Helper()
 	store, err := columnbm.NewStore(dir, diskChunkRows, poolChunks)
 	if err != nil {
@@ -44,18 +35,10 @@ func attachTables(t *testing.T, dir string, poolChunks int) (*core.Database, *co
 			t.Fatal(err)
 		}
 	}
-	return db, store
-}
-
-// mustRegisterJoinIndices registers the join indices as Generate does: it
-// derives the orders->lineitem range index from the l_orderrow join-index
-// column, so later checkpoints and compactions re-derive it automatically,
-// and registers the other join indices as positional references.
-func mustRegisterJoinIndices(t *testing.T, db *core.Database) {
-	t.Helper()
-	if err := registerJoinIndices(db); err != nil {
+	if err := RegisterJoinIndices(db); err != nil {
 		t.Fatal(err)
 	}
+	return db, store
 }
 
 // lastRowTemplate captures the boxed logical values of a table's last row —
@@ -255,10 +238,6 @@ func TestUpdateRecoveryDifferential(t *testing.T) {
 				memDS.NumRows(), memDS.NumDeltaRows(), diskDS.NumRows(), diskDS.NumDeltaRows())
 		}
 	}
-	// The range indices moved underneath the inserts; re-derive them on
-	// both twins the same way so FetchNJoin plans see identical indexes.
-	mustRegisterJoinIndices(t, mem)
-
 	// "Restart": a cold store over the same directory, fresh database,
 	// fresh (small) buffer pool. The attach must recover every
 	// checkpointed row and deletion from the manifest alone.
@@ -394,9 +373,8 @@ func TestReadOnlyAttachCheckpointNoop(t *testing.T) {
 // delta pending, against the MIL engine over a reorganized in-memory twin.
 // At vector sizes {1, 7, 1024} it also fetches from the table with its
 // delta pending: a Fetch1Join whose row ids hit base, tail and deleted rows
-// in scrambled order (the deleted targets drop), and a FetchNJoin whose
-// ranges run into the tail, against the same plans over an in-memory twin
-// checkpointed in place (which keeps row ids).
+// in scrambled order (the deleted targets drop), against the same plan over
+// an in-memory twin checkpointed in place (which keeps row ids).
 func TestDeltaScanBoundaryShapes(t *testing.T) {
 	const chunkRows = 64
 	const baseN = 3*chunkRows + 5 // three full chunks and a short fourth
@@ -430,14 +408,13 @@ func TestDeltaScanBoundaryShapes(t *testing.T) {
 		"aggr":   `Aggr(Scan(ev), [tag], [n = count(), s = sum(v), mk = max(k)])`,
 		"select": fmt.Sprintf(`Select(Scan(ev, [k, tag, v]), and(==(tag, 'b'), >=(k, %d)))`, chunkRows+3),
 	}
-	fetchPlans := map[string]string{
-		"fetch1": `Fetch1Join(Select(Scan(ref), !=(f, 1)), ev, rid, [k, tag])`,
-		"fetchN": `FetchNJoin(Select(Scan(par, [#rowid, pk]), !=(pk, 1)), ev, #rowid, [k, tag])`,
+	fetchPlan, err := algebra.Parse(`Fetch1Join(Select(Scan(ref), !=(f, 1)), ev, rid, [k, tag])`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// addFetchSources gives db the tables that fetch from ev's total rows:
-	// ref.rid visits every row id in a scrambled order, and par's rows own
-	// ranges of ev (some empty, some crossing a chunk or the tail boundary).
-	addFetchSources := func(db *core.Database, total int) {
+	// addFetchSource gives db the table that fetches from ev's total rows:
+	// ref.rid visits every row id in a scrambled order.
+	addFetchSource := func(db *core.Database, total int) {
 		rids := make([]int32, total)
 		fs := make([]int64, total)
 		for j := range rids {
@@ -451,20 +428,6 @@ func TestDeltaScanBoundaryShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 		db.AddTable(ref)
-		starts := []int32{0, 0, 1, chunkRows, 2*chunkRows + 1, baseN - 1, baseN + 1, int32(total)}
-		for i := range starts {
-			starts[i] = min(starts[i], int32(total))
-		}
-		pks := make([]int64, len(starts)-1)
-		for i := range pks {
-			pks[i] = int64(i)
-		}
-		par := colstore.NewTable("par")
-		if err := par.AddColumn("pk", vector.Int64, pks); err != nil {
-			t.Fatal(err)
-		}
-		db.AddTable(par)
-		db.RegisterRangeIndex("ev", "par", &sindex.RangeIndex{From: "ev", To: "par", Starts: starts})
 	}
 	for _, vs := range []int{1, 7, 1024, chunkRows - 1, chunkRows + 1} {
 		for _, nIns := range []int{0, 1, vs - 1, vs + 1} {
@@ -531,39 +494,31 @@ func TestDeltaScanBoundaryShapes(t *testing.T) {
 				if !slices.Contains([]int{1, 7, 1024}, vs) {
 					continue
 				}
-				addFetchSources(disk, baseN+nIns)
-				addFetchSources(fetchTwin, baseN+nIns)
-				for name, src := range fetchPlans {
-					plan, err := algebra.Parse(src)
+				addFetchSource(disk, baseN+nIns)
+				addFetchSource(fetchTwin, baseN+nIns)
+				want, err := core.Run(fetchTwin, fetchPlan, core.DefaultOptions())
+				if err != nil {
+					t.Fatalf("%s fetch1: twin: %v", label, err)
+				}
+				// Fetch1Join is an inner join: a ref row whose target is
+				// deleted drops.
+				total, live := baseN+nIns, 0
+				for j := range total {
+					if j%3 != 1 && !slices.Contains(dels, int32(j*37%total)) {
+						live++
+					}
+				}
+				if want.NumRows() != live {
+					t.Fatalf("%s fetch1: %d rows, want %d live targets", label, want.NumRows(), live)
+				}
+				for _, p := range []int{1, 2, 8} {
+					opts := core.DefaultOptions()
+					opts.BatchSize, opts.Parallelism = vs, p
+					got, err := core.Run(disk, fetchPlan, opts)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("%s fetch1 p=%d: %v", label, p, err)
 					}
-					want, err := core.Run(fetchTwin, plan, core.DefaultOptions())
-					if err != nil {
-						t.Fatalf("%s %s: twin: %v", label, name, err)
-					}
-					if name == "fetch1" {
-						// Fetch1Join is an inner join: a ref row whose
-						// target is deleted drops.
-						total, live := baseN+nIns, 0
-						for j := range total {
-							if j%3 != 1 && !slices.Contains(dels, int32(j*37%total)) {
-								live++
-							}
-						}
-						if want.NumRows() != live {
-							t.Fatalf("%s fetch1: %d rows, want %d live targets", label, want.NumRows(), live)
-						}
-					}
-					for _, p := range []int{1, 2, 8} {
-						opts := core.DefaultOptions()
-						opts.BatchSize, opts.Parallelism = vs, p
-						got, err := core.Run(disk, plan, opts)
-						if err != nil {
-							t.Fatalf("%s %s p=%d: %v", label, name, p, err)
-						}
-						sameRowMultisets(t, fmt.Sprintf("%s %s p=%d", label, name, p), want, got)
-					}
+					sameRowMultisets(t, fmt.Sprintf("%s fetch1 p=%d", label, p), want, got)
 				}
 			}
 		}

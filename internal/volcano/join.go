@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"x100/internal/algebra"
-	"x100/internal/core"
 	"x100/internal/delta"
 	"x100/internal/vector"
 )
@@ -268,83 +267,3 @@ func (f *fetch1Op) Next() (Row, bool, error) {
 	}
 	return out, true, nil
 }
-
-// fetchNOp expands each input row into its referenced-table range.
-type fetchNOp struct {
-	eng      *Engine
-	input    Operator
-	node     *algebra.FetchNJoin
-	starts   []int32
-	cols     []func(int) any
-	schema   vector.Schema
-	rangeIdx int
-
-	cur   Row
-	curLo int32
-	curHi int32
-}
-
-func newFetchN(e *Engine, in Operator, n *algebra.FetchNJoin) (*fetchNOp, error) {
-	t, err := e.DB.Table(n.Table)
-	if err != nil {
-		return nil, err
-	}
-	ri := e.DB.RangeIndexAny(n.Table)
-	if ri == nil {
-		return nil, fmt.Errorf("volcano: fetchnjoin: %w", e.DB.RangeIndexError(n.Table))
-	}
-	rc := in.Schema().ColIndex(n.RangeOf)
-	if rc < 0 {
-		return nil, fmt.Errorf("volcano: input has no column %q", n.RangeOf)
-	}
-	op := &fetchNOp{eng: e, input: in, node: n, starts: ri.Starts, rangeIdx: rc, schema: in.Schema().Clone()}
-	for i, cname := range n.Cols {
-		col := t.Col(cname)
-		if col == nil {
-			return nil, fmt.Errorf("volcano: table %s has no column %q", n.Table, cname)
-		}
-		if _, err := col.Pin(); err != nil {
-			return nil, fmt.Errorf("volcano: fetch %s.%s: %w", n.Table, cname, err)
-		}
-		cc := col
-		op.cols = append(op.cols, func(r int) any { return cc.DecodedValue(r) })
-		name := cname
-		if i < len(n.As) && n.As[i] != "" {
-			name = n.As[i]
-		}
-		op.schema = append(op.schema, vector.Field{Name: name, Type: col.Typ})
-	}
-	return op, nil
-}
-
-func (f *fetchNOp) Schema() vector.Schema { return f.schema }
-func (f *fetchNOp) Open() error           { f.cur = nil; return f.input.Open() }
-func (f *fetchNOp) Close() error          { return f.input.Close() }
-
-func (f *fetchNOp) Next() (Row, bool, error) {
-	for {
-		if f.cur == nil {
-			row, ok, err := f.input.Next()
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			id := row[f.rangeIdx].(int32)
-			f.cur = row
-			f.curLo, f.curHi = f.starts[id], f.starts[id+1]
-		}
-		if f.curLo >= f.curHi {
-			f.cur = nil
-			continue
-		}
-		r := int(f.curLo)
-		f.curLo++
-		out := make(Row, 0, len(f.schema))
-		out = append(out, f.cur...)
-		for _, g := range f.cols {
-			out = append(out, g(r))
-		}
-		return out, true, nil
-	}
-}
-
-var _ = core.DictSuffix

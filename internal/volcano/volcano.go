@@ -111,12 +111,6 @@ func (e *Engine) build(plan algebra.Node) (Operator, error) {
 			return nil, err
 		}
 		return newFetch1(e, in, n)
-	case *algebra.FetchNJoin:
-		in, err := e.build(n.Input)
-		if err != nil {
-			return nil, err
-		}
-		return newFetchN(e, in, n)
 	case *algebra.Order:
 		in, err := e.build(n.Input)
 		if err != nil {

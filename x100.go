@@ -37,7 +37,7 @@
 // (summary-index-style, Section 4.3) with no in-memory index. See
 // docs/ARCHITECTURE.md for the end-to-end tour and docs/STORAGE_FORMAT.md
 // for the on-disk format.
-// Positional operators (Fetch1Join/FetchNJoin) gather through per-column
+// The positional join (Fetch1Join) gathers through per-column
 // fragment locators — binary search over the fragment grid plus a small
 // LRU of decoded chunks — so fetch joins against disk tables also run in
 // bounded memory; only the baseline engines still pin (fully materialize)
@@ -108,8 +108,8 @@
 // queries are in flight. WithScheduler substitutes a custom pool per
 // query; SchedulerStats exposes admissions, queued waits, and yield
 // handoffs. Concurrent scans of the same disk table cooperate through a
-// bounded decoded-chunk cache (WithBufferPool configures capacity and the
-// LRU vs scan-resistant eviction policy): a scan attaches to chunks some
+// bounded, scan-resistant decoded-chunk cache (WithBufferPool configures
+// its capacity): a scan attaches to chunks some
 // other scan already decoded instead of re-decoding them, with hit, miss
 // and attach counters surfaced in WalStatuses and the execution trace.
 //
@@ -227,14 +227,12 @@ var ErrCorrupt = columnbm.ErrCorrupt
 // persisted across retries escape with this mark.
 var ErrTransient = columnbm.ErrTransient
 
-// ErrStaleRangeIndex is wrapped by the error of a Reorganize that dropped
-// deleted rows of a table a derived range index references, such as
-// orders, referenced through lineitem's l_orderrow in GenerateTPCH's
-// database. The table is reorganized, but the index is dropped: the
-// referencing row-id column still holds the old row ids, so plans through
-// the index fail instead of answering wrongly. It also wraps the error of
-// a Fetch1Join through a join-index column whose referenced table's row
-// ids a Reorganize, compaction or Update moved. Test with
+// ErrStaleRangeIndex is wrapped by the error of a Fetch1Join through a
+// join-index column whose referenced table's row ids a Reorganize,
+// compaction or Update moved, such as lineitem's l_orderrow after orders
+// rows were deleted and orders reorganized. The column still holds the old
+// row ids, so plans through it fail instead of answering wrongly. On
+// attached directories the mark survives a re-attach. Test with
 // errors.Is(err, ErrStaleRangeIndex).
 var ErrStaleRangeIndex = core.ErrStaleRangeIndex
 
@@ -247,9 +245,8 @@ type DB struct {
 	diskSrc map[string]*columnbm.Store
 	// Decoded-chunk buffer-pool configuration (WithBufferPool); applied to
 	// every store the DB opens.
-	poolBytes  int64
-	poolPolicy CachePolicy
-	poolSet    bool
+	poolBytes int64
+	poolSet   bool
 	// Background compactor (WithBackgroundCompaction); nil when disabled.
 	compactor     *core.Compactor
 	compactorOpts CompactorOptions
@@ -270,33 +267,21 @@ func WithDurability(d Durability) DBOption {
 	return func(db *DB) { db.inner.SetDurability(d) }
 }
 
-// CachePolicy selects the decoded-chunk buffer pool's eviction strategy
-// (see WithBufferPool).
-type CachePolicy = columnbm.CachePolicy
-
-// Buffer-pool eviction policies for WithBufferPool.
-const (
-	// CacheLRU evicts the least-recently-used decoded chunk.
-	CacheLRU = columnbm.PolicyLRU
-	// CacheScanResistant (the default) is a segmented LRU: one sequential
-	// scan of a cold table cannot flood out the hot working set, because
-	// only chunks re-referenced by a second scan are promoted out of the
-	// probationary segment.
-	CacheScanResistant = columnbm.PolicyScanResistant
-)
-
 // WithBufferPool configures the decoded-chunk buffer pool of every store
 // the database opens (AttachDisk/CreateDiskTable): capacityBytes of
-// decoded chunk data under the given eviction policy. The pool is what
+// decoded chunk data. The pool is what
 // makes concurrent scans cooperative — scans of the same table attach to
 // the decoded-chunk stream already circulating instead of each
 // decompressing every chunk privately. capacityBytes <= 0 disables
 // sharing (every scan decodes into private buffers, the default before
-// this option existed). Without this option stores default to 64 MiB,
-// scan-resistant. Hit/miss/attach counters are observable via Storage,
-// the shell's \storage command, and trace counters.
-func WithBufferPool(capacityBytes int64, policy CachePolicy) DBOption {
-	return func(db *DB) { db.poolBytes, db.poolPolicy, db.poolSet = capacityBytes, policy, true }
+// this option existed). Without this option stores default to 64 MiB.
+// Eviction is scan-resistant: one sequential scan of a cold table cannot
+// flood out the hot working set, because only chunks re-referenced by a
+// second scan are promoted out of the probationary segment. Hit/miss/attach
+// counters are observable via Storage, the shell's \storage command, and
+// trace counters.
+func WithBufferPool(capacityBytes int64) DBOption {
+	return func(db *DB) { db.poolBytes, db.poolSet = capacityBytes, true }
 }
 
 // CompactorOptions tune the background compactor started by
@@ -404,7 +389,7 @@ func (db *DB) store(dir string) (*columnbm.Store, error) {
 		return nil, err
 	}
 	if db.poolSet {
-		s.ConfigureDecodedCache(db.poolBytes, db.poolPolicy)
+		s.ConfigureDecodedCache(db.poolBytes)
 	}
 	if db.stores == nil {
 		db.stores = make(map[string]*columnbm.Store)
@@ -422,8 +407,9 @@ func (db *DB) store(dir string) (*columnbm.Store, error) {
 // join-index columns (such as l_orderrow) once both of their tables are
 // attached: a Reorganize, compaction or Update that moves the referenced
 // table's row ids makes Fetch1Joins through them fail with
-// ErrStaleRangeIndex. The mark is kept in memory only: a new DB that
-// attaches the directory registers the columns as valid.
+// ErrStaleRangeIndex. The mark survives a re-attach: the manifests record
+// row-id epochs, and a column whose referenced table moved on since the
+// column was saved registers stale.
 func (db *DB) AttachDisk(dir string, tables ...string) error {
 	s, err := db.store(dir)
 	if err != nil {
@@ -592,10 +578,9 @@ func (db *DB) DeltaFraction(table string) (float64, error) {
 // fresh generation of compressed chunk files committed by one atomic
 // manifest rename, compacting checkpointed deletions away — and re-attached
 // fragment-backed, so it keeps scanning off disk chunks in bounded memory.
-// Dropping rows of a table a range index references returns
-// ErrStaleRangeIndex once the reorganize has completed; moving the row ids
-// of a table other join indices reference makes Fetch1Joins through them
-// fail with ErrStaleRangeIndex.
+// Moving the row ids of a table join indices reference makes Fetch1Joins
+// through them fail with ErrStaleRangeIndex. Reorganize returns an error
+// only when it fails.
 func (db *DB) Reorganize(table string) error {
 	return db.inner.Reorganize(table)
 }
