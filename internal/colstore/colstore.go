@@ -53,26 +53,6 @@ type CloneableFragment interface {
 	CloneFragment() Fragment
 }
 
-// I64Bounded is implemented by fragments that know their integer value
-// range (per-chunk min/max recorded by the ColumnBM writer), enabling
-// summary-index-style pruning at chunk granularity.
-type I64Bounded interface {
-	BoundsI64() (min, max int64, ok bool)
-}
-
-// F64Bounded is the float counterpart of I64Bounded.
-type F64Bounded interface {
-	BoundsF64() (min, max float64, ok bool)
-}
-
-// StrBounded is the string counterpart of I64Bounded (byte-wise string
-// ordering), implemented by ColumnBM string chunks so predicates on
-// near-sorted string columns — dates-as-strings, front-coded keys — prune
-// at chunk granularity too.
-type StrBounded interface {
-	BoundsStr() (min, max string, ok bool)
-}
-
 // memFragment is a memory-resident fragment: a typed slice.
 type memFragment struct {
 	data any
@@ -112,6 +92,9 @@ type Column struct {
 	// FragReader.CodeVector and decode strings only for surviving rows.
 	mdict     *Dict
 	mdictPhys vector.Type
+	// zones is the disk column's chunk zone map (one range per chunk,
+	// from the manifest's per-chunk min/max), nil when it has none.
+	zones *ZoneMap
 	// frags are the base fragments; starts[i] is the first global row of
 	// fragment i, starts[len(frags)] == n.
 	frags  []Fragment
@@ -160,8 +143,9 @@ func (c *Column) setFrags(frags []Fragment) {
 // readers of the old one. The merged-dictionary view itself is dropped: a
 // checkpoint-appended fragment carries its own chunk dictionaries (or
 // none), so the attach-time global code domain no longer covers the column
-// until the storage layer refreshes it.
-func (c *Column) withMoreFrags(extra ...Fragment) *Column {
+// until the storage layer refreshes it. The new column takes zones as its
+// chunk zone map.
+func (c *Column) withMoreFrags(zones *ZoneMap, extra ...Fragment) *Column {
 	frags := make([]Fragment, 0, len(c.frags)+len(extra))
 	for _, f := range c.frags {
 		if cf, ok := f.(CloneableFragment); ok {
@@ -170,10 +154,17 @@ func (c *Column) withMoreFrags(extra ...Fragment) *Column {
 		frags = append(frags, f)
 	}
 	frags = append(frags, extra...)
-	nc := &Column{Name: c.Name, Typ: c.Typ, Dict: c.Dict, phys: c.phys}
+	nc := &Column{Name: c.Name, Typ: c.Typ, Dict: c.Dict, phys: c.phys, zones: zones}
 	nc.setFrags(frags)
 	return nc
 }
+
+// SetZoneMap installs the column's chunk zone map. The storage layer calls
+// it at attach time, before the column is published.
+func (c *Column) SetZoneMap(z *ZoneMap) { c.zones = z }
+
+// ZoneMap returns the column's chunk zone map, or nil.
+func (c *Column) ZoneMap() *ZoneMap { return c.zones }
 
 // NumFrags returns the number of base fragments.
 func (c *Column) NumFrags() int { return len(c.frags) }
@@ -621,25 +612,34 @@ func (t *Table) AppendFragment(parts []any) error {
 	}
 	cols := make([]*Column, len(t.Cols))
 	for i, c := range t.Cols {
-		cols[i] = c.withMoreFrags(&memFragment{data: parts[i], rows: n})
+		cols[i] = c.withMoreFrags(nil, &memFragment{data: parts[i], rows: n})
 	}
 	t.Cols = cols
 	t.N += n
 	return nil
 }
 
-// AppendFragments appends pre-built fragments (one slice per column, equal
-// total rows — e.g. the freshly written ColumnBM chunks of a checkpoint
-// write-back) as new base fragments. Row ids of existing rows are
-// unchanged, and the append is copy-on-write exactly like AppendFragment.
-func (t *Table) AppendFragments(perCol [][]Fragment) error {
+// ColumnAppend is one column's share of an AppendFragments call: the new
+// base fragments, and the chunk zone map of the whole grown column (nil
+// when it has none).
+type ColumnAppend struct {
+	Frags []Fragment
+	Zones *ZoneMap
+}
+
+// AppendFragments appends pre-built fragments (one ColumnAppend per column,
+// equal total rows — e.g. the freshly written ColumnBM chunks of a
+// checkpoint write-back) as new base fragments. Row ids of existing rows
+// are unchanged, and the append is copy-on-write exactly like
+// AppendFragment.
+func (t *Table) AppendFragments(perCol []ColumnAppend) error {
 	if len(perCol) != len(t.Cols) {
 		return fmt.Errorf("colstore: append has %d columns, table %s has %d", len(perCol), t.Name, len(t.Cols))
 	}
 	n := -1
 	for i, c := range t.Cols {
 		k := 0
-		for _, f := range perCol[i] {
+		for _, f := range perCol[i].Frags {
 			k += f.Rows()
 		}
 		if n < 0 {
@@ -653,7 +653,7 @@ func (t *Table) AppendFragments(perCol [][]Fragment) error {
 	}
 	cols := make([]*Column, len(t.Cols))
 	for i, c := range t.Cols {
-		cols[i] = c.withMoreFrags(perCol[i]...)
+		cols[i] = c.withMoreFrags(perCol[i].Zones, perCol[i].Frags...)
 	}
 	t.Cols = cols
 	t.N += n

@@ -1,6 +1,7 @@
 package columnbm
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -31,13 +32,13 @@ import (
 // of t, equal lengths; the encoded insert delta) back to the table's chunk
 // directory as new compressed chunks, records the deletion list, and
 // commits the extended manifest atomically. It returns, per column, the new
-// chunks as lazily decoded colstore fragments so the caller can re-attach
-// them to the live table. parts may be nil (or empty) to persist only a
-// grown deletion list. Enum columns pass their code slices (uint8/uint16);
-// the manifest's dictionary is refreshed from the live (append-only)
-// column dictionaries. movedIDs bumps the table's RowIDEpoch in the same
+// chunks as lazily decoded colstore fragments and the grown column's chunk
+// zone map, so the caller can re-attach them to the live table. parts may
+// be nil (or empty) to persist only a grown deletion list. Enum columns
+// pass their code slices (uint8/uint16); the manifest's dictionary is
+// refreshed from the live (append-only) column dictionaries. movedIDs bumps the table's RowIDEpoch in the same
 // commit: the appended rows include updates, whose rows moved to new ids.
-func (s *Store) AppendTable(t *colstore.Table, parts []any, deleted []int32, movedIDs bool) ([][]colstore.Fragment, error) {
+func (s *Store) AppendTable(t *colstore.Table, parts []any, deleted []int32, movedIDs bool) ([]colstore.ColumnAppend, error) {
 	m, err := s.readManifest(t.Name)
 	if err != nil {
 		return nil, err
@@ -88,7 +89,7 @@ func (s *Store) AppendTable(t *colstore.Table, parts []any, deleted []int32, mov
 		col := t.Cols[ci]
 		cm := &m.Columns[ci]
 		if n > 0 {
-			if err := w.appendColumn(m, cm, col, parts[ci], oldChunks); err != nil {
+			if err := w.writePart(m.Table+"."+cm.Name, m.Gen, cm, parts[ci]); err != nil {
 				return nil, fmt.Errorf("columnbm: append %s.%s: %w", t.Name, cm.Name, err)
 			}
 		}
@@ -112,14 +113,18 @@ func (s *Store) AppendTable(t *colstore.Table, parts []any, deleted []int32, mov
 	if err := s.writeManifest(m); err != nil {
 		return nil, err
 	}
+	out := make([]colstore.ColumnAppend, len(t.Cols))
 	if n == 0 {
-		return make([][]colstore.Fragment, len(t.Cols)), nil
+		return out, nil
 	}
-	frags := make([][]colstore.Fragment, len(t.Cols))
-	for ci := range t.Cols {
-		frags[ci] = s.columnFragments(m, &m.Columns[ci], t.Cols[ci].PhysType(), counts, oldChunks)
+	for ci, col := range t.Cols {
+		cm := &m.Columns[ci]
+		out[ci] = colstore.ColumnAppend{
+			Frags: s.columnFragments(m, cm, col.PhysType(), counts, oldChunks),
+			Zones: chunkZoneMap(cm, col.Typ, counts),
+		}
 	}
-	return frags, nil
+	return out, nil
 }
 
 // chunkCount returns the committed chunk count of a manifest's shared grid.
@@ -130,45 +135,36 @@ func chunkCount(m *Manifest) int {
 	return len(m.ChunkCounts)
 }
 
-// appendColumn writes one column's delta part as chunks starting at index
-// `start` and extends the column manifest (chunk count, bounds, dict
-// cardinality). The receiver's chunkValues is the manifest grid.
-func (s *Store) appendColumn(m *Manifest, cm *ColumnManifest, col *colstore.Column, part any, start int) error {
-	key := m.Table + "." + cm.Name
-	// Checksums, like bounds, are only usable when they cover every chunk:
-	// extend the array when it exactly covers the committed chunks, drop it
-	// otherwise (readers treat length-mismatched arrays as "no checksums").
-	var crcs *[]uint32
-	if len(cm.ChunkCRC32) == start {
-		crcs = &cm.ChunkCRC32
-	} else {
-		cm.ChunkCRC32 = nil
-	}
+// writePart writes part — a column's physical values, enum codes included
+// — as the column's chunks [cm.Chunks, cm.Chunks+k) of generation gen, and
+// extends cm to cover them: chunk count, min/max bounds, dictionary
+// cardinalities and checksums. The receiver's chunkValues is the chunk
+// grid. SaveTable, PrepareRewrite and the checkpoint append all write
+// through it.
+func (s *Store) writePart(key string, gen int, cm *ColumnManifest, part any) error {
+	start := cm.Chunks
+	crcs := covering(&cm.ChunkCRC32, start)
 	var k int
 	var err error
 	switch d := part.(type) {
 	case []int32:
-		vals := make([]int64, len(d))
-		for i, v := range d {
-			vals[i] = int64(v)
-		}
-		appendBoundsI64(cm, vals, s.chunkValues, start)
-		k, err = s.writeInt64Chunks(key, m.Gen, start, vals, crcs)
+		vals := widen(d)
+		extendBounds(&cm.ChunkMinI64, &cm.ChunkMaxI64, vals, s.chunkValues, start)
+		k, err = s.writeInt64Chunks(key, gen, start, vals, crcs)
 	case []int64:
-		appendBoundsI64(cm, d, s.chunkValues, start)
-		k, err = s.writeInt64Chunks(key, m.Gen, start, d, crcs)
+		extendBounds(&cm.ChunkMinI64, &cm.ChunkMaxI64, d, s.chunkValues, start)
+		k, err = s.writeInt64Chunks(key, gen, start, d, crcs)
 	case []float64:
-		appendBoundsF64(cm, d, s.chunkValues, start)
-		k, err = s.writeFloat64Chunks(key, m.Gen, start, d, crcs)
-	case []string:
-		appendBoundsStr(cm, d, s.chunkValues, start)
-		var cards *[]int
-		if len(cm.ChunkDictCard) == start {
-			cards = &cm.ChunkDictCard
-		} else {
-			cm.ChunkDictCard = nil
+		extendBounds(&cm.ChunkMinF64, &cm.ChunkMaxF64, d, s.chunkValues, start)
+		if slices.ContainsFunc(cm.ChunkMinF64, isInf) || slices.ContainsFunc(cm.ChunkMaxF64, isInf) {
+			// JSON has no infinities: a column whose bounds reach one
+			// records none, or the manifest could not be written.
+			cm.ChunkMinF64, cm.ChunkMaxF64 = nil, nil
 		}
-		k, err = s.writeStringChunks(key, m.Gen, start, d, cards, crcs)
+		k, err = s.writeFloat64Chunks(key, gen, start, d, crcs)
+	case []string:
+		extendBounds(&cm.ChunkMinStr, &cm.ChunkMaxStr, d, s.chunkValues, start)
+		k, err = s.writeStringChunks(key, gen, start, d, covering(&cm.ChunkDictCard, start), crcs)
 	case []bool:
 		vals := make([]int64, len(d))
 		for i, v := range d {
@@ -176,21 +172,13 @@ func (s *Store) appendColumn(m *Manifest, cm *ColumnManifest, col *colstore.Colu
 				vals[i] = 1
 			}
 		}
-		k, err = s.writeInt64Chunks(key, m.Gen, start, vals, crcs)
+		k, err = s.writeInt64Chunks(key, gen, start, vals, crcs)
 	case []uint8:
-		vals := make([]int64, len(d))
-		for i, v := range d {
-			vals[i] = int64(v)
-		}
-		k, err = s.writeInt64Chunks(key, m.Gen, start, vals, crcs)
+		k, err = s.writeInt64Chunks(key, gen, start, widen(d), crcs)
 	case []uint16:
-		vals := make([]int64, len(d))
-		for i, v := range d {
-			vals[i] = int64(v)
-		}
-		k, err = s.writeInt64Chunks(key, m.Gen, start, vals, crcs)
+		k, err = s.writeInt64Chunks(key, gen, start, widen(d), crcs)
 	default:
-		return fmt.Errorf("unsupported part payload %T", part)
+		return fmt.Errorf("unsupported column payload %T", part)
 	}
 	if err != nil {
 		return err
@@ -199,64 +187,38 @@ func (s *Store) appendColumn(m *Manifest, cm *ColumnManifest, col *colstore.Colu
 	return nil
 }
 
-// appendBoundsI64 extends a column's per-chunk min/max bounds for the
-// appended chunks. Bounds are only usable when they cover every chunk, so
-// if the existing arrays do not exactly cover the committed chunks the
-// column's bounds are dropped entirely (readers already treat
-// length-mismatched arrays as "no bounds"; dropping keeps the manifest
-// tidy).
-func appendBoundsI64(cm *ColumnManifest, vals []int64, chunkRows, start int) {
-	if cm.Enum || len(cm.ChunkMinI64) != start || len(cm.ChunkMaxI64) != start {
-		cm.ChunkMinI64, cm.ChunkMaxI64 = nil, nil
-		return
+// covering returns arr for extension when it covers exactly the start
+// committed chunks, and otherwise drops it and returns nil. A per-chunk
+// array is usable only when it covers every chunk; readers treat a
+// length-mismatched one as absent, and dropping it keeps the manifest tidy.
+func covering[T any](arr *[]T, start int) *[]T {
+	if len(*arr) == start {
+		return arr
 	}
-	for lo := 0; lo < len(vals); lo += chunkRows {
-		hi := min(lo+chunkRows, len(vals))
-		mn, mx := vals[lo], vals[lo]
-		for _, v := range vals[lo+1 : hi] {
-			mn, mx = min(mn, v), max(mx, v)
-		}
-		cm.ChunkMinI64 = append(cm.ChunkMinI64, mn)
-		cm.ChunkMaxI64 = append(cm.ChunkMaxI64, mx)
+	*arr = nil
+	return nil
+}
+
+// extendBounds appends the per-chunk min/max of vals, which start at chunk
+// start, to a column's bounds arrays. Arrays that do not cover the
+// committed chunks, and values holding a NaN, drop the column's bounds.
+func extendBounds[T cmp.Ordered](mins, maxs *[]T, vals []T, chunkRows, start int) {
+	ok := covering(mins, start) != nil && covering(maxs, start) != nil
+	if ok {
+		*mins, *maxs, ok = colstore.Summarize(*mins, *maxs, vals, chunkRows)
+	}
+	if !ok {
+		*mins, *maxs = nil, nil
 	}
 }
 
-// appendBoundsF64 is the float counterpart; a NaN anywhere in the appended
-// values drops the column's bounds (NaN breaks ordering, so pruning over
-// it would be unsound — matching the save-time stats).
-func appendBoundsF64(cm *ColumnManifest, vals []float64, chunkRows, start int) {
-	if cm.Enum || len(cm.ChunkMinF64) != start || len(cm.ChunkMaxF64) != start {
-		cm.ChunkMinF64, cm.ChunkMaxF64 = nil, nil
-		return
-	}
-	for lo := 0; lo < len(vals); lo += chunkRows {
-		hi := min(lo+chunkRows, len(vals))
-		mn, mx := vals[lo], vals[lo]
-		for _, v := range vals[lo:hi] {
-			if math.IsNaN(v) {
-				cm.ChunkMinF64, cm.ChunkMaxF64 = nil, nil
-				return
-			}
-			mn, mx = min(mn, v), max(mx, v)
-		}
-		cm.ChunkMinF64 = append(cm.ChunkMinF64, mn)
-		cm.ChunkMaxF64 = append(cm.ChunkMaxF64, mx)
-	}
-}
+func isInf(f float64) bool { return math.IsInf(f, 0) }
 
-// appendBoundsStr is the string counterpart of appendBoundsI64.
-func appendBoundsStr(cm *ColumnManifest, vals []string, chunkRows, start int) {
-	if cm.Enum || len(cm.ChunkMinStr) != start || len(cm.ChunkMaxStr) != start {
-		cm.ChunkMinStr, cm.ChunkMaxStr = nil, nil
-		return
+// widen converts integer values to the int64 chunk representation.
+func widen[T int32 | uint8 | uint16](d []T) []int64 {
+	vals := make([]int64, len(d))
+	for i, v := range d {
+		vals[i] = int64(v)
 	}
-	for lo := 0; lo < len(vals); lo += chunkRows {
-		hi := min(lo+chunkRows, len(vals))
-		mn, mx := vals[lo], vals[lo]
-		for _, v := range vals[lo+1 : hi] {
-			mn, mx = min(mn, v), max(mx, v)
-		}
-		cm.ChunkMinStr = append(cm.ChunkMinStr, mn)
-		cm.ChunkMaxStr = append(cm.ChunkMaxStr, mx)
-	}
+	return vals
 }

@@ -126,8 +126,8 @@ func TestAttachReaderCrossFragment(t *testing.T) {
 	}
 }
 
-// TestAttachChunkBounds verifies per-chunk min/max land in the manifest and
-// expose through the fragment bounds interfaces.
+// TestAttachChunkBounds verifies per-chunk min/max land in the manifest
+// and become the attached column's zone map, one range per chunk.
 func TestAttachChunkBounds(t *testing.T) {
 	orig := buildMixedTable(t, 1000)
 	store, err := NewStore(t.TempDir(), 250, 2)
@@ -137,36 +137,42 @@ func TestAttachChunkBounds(t *testing.T) {
 	if err := store.SaveTable(orig); err != nil {
 		t.Fatal(err)
 	}
+	m, err := store.ReadManifest("mixed")
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := store.AttachTable("mixed")
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := got.Col("k") // k[i] = 3i, chunks of 250 rows
-	for i := 0; i < k.NumFrags(); i++ {
-		b, ok := k.Frag(i).(colstore.I64Bounded)
-		if !ok {
-			t.Fatalf("fragment %d has no int bounds", i)
+	z := k.ZoneMap()
+	if z == nil || z.Rows() != 1000 {
+		t.Fatal("int column has no chunk zone map")
+	}
+	cm := m.Columns[0]
+	if cm.Name != "k" || len(cm.ChunkMinI64) != 4 || len(cm.ChunkMaxI64) != 4 {
+		t.Fatalf("manifest column %s records %d/%d int bounds, want 4", cm.Name, len(cm.ChunkMinI64), len(cm.ChunkMaxI64))
+	}
+	for c := 0; c < 4; c++ {
+		wantMin, wantMax := int64(3*250*c), int64(3*(250*(c+1)-1))
+		if cm.ChunkMinI64[c] != wantMin || cm.ChunkMaxI64[c] != wantMax {
+			t.Fatalf("chunk %d bounds [%d,%d], want [%d,%d]", c, cm.ChunkMinI64[c], cm.ChunkMaxI64[c], wantMin, wantMax)
 		}
-		mn, mx, has := b.BoundsI64()
-		if !has {
-			t.Fatalf("fragment %d bounds missing", i)
-		}
-		wantMin, wantMax := int64(3*250*i), int64(3*(250*(i+1)-1))
-		if mn != wantMin || mx != wantMax {
-			t.Fatalf("fragment %d bounds [%d,%d], want [%d,%d]", i, mn, mx, wantMin, wantMax)
+		// Either end of a chunk's bounds selects exactly that chunk.
+		for _, v := range []int64{wantMin, wantMax} {
+			if lo, hi := z.Prune(colstore.Bound{Val: v}, colstore.Bound{Val: v}); lo != 250*c || hi != 250*(c+1) {
+				t.Fatalf("k = %d prunes to [%d,%d), want chunk %d", v, lo, hi, c)
+			}
 		}
 	}
-	p := got.Col("p")
-	if _, ok := p.Frag(0).(colstore.F64Bounded); !ok {
-		t.Fatal("float column has no float bounds")
+	if got.Col("p").ZoneMap() == nil || got.Col("s").ZoneMap() == nil || got.Col("d").ZoneMap() == nil {
+		t.Fatal("float, string or date column has no zone map")
 	}
 	// Enum codes must not advertise value bounds (code order is not value
-	// order).
-	e := got.Col("e")
-	if b, ok := e.Frag(0).(colstore.I64Bounded); ok {
-		if _, _, has := b.BoundsI64(); has {
-			t.Fatal("enum column advertises int bounds")
-		}
+	// order), and bools have none.
+	if got.Col("e").ZoneMap() != nil || got.Col("b").ZoneMap() != nil {
+		t.Fatal("enum or bool column has a zone map")
 	}
 }
 

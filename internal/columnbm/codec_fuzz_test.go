@@ -15,12 +15,9 @@ func codecRoundTrip(t *testing.T, vals []int64) {
 	t.Helper()
 	payload, codec := encodeInt64(vals)
 	hdr := chunkHeader{codec: codec, count: len(vals), rawSize: 8 * len(vals)}
-	got, err := decodeInt64(hdr, payload)
-	if err != nil {
+	got := make([]int64, len(vals))
+	if err := decodeIntInto(got, hdr, payload); err != nil {
 		t.Fatalf("codec %v: decode failed: %v", codec, err)
-	}
-	if len(got) != len(vals) {
-		t.Fatalf("codec %v: %d values decoded, want %d", codec, len(got), len(vals))
 	}
 	for i := range vals {
 		if got[i] != vals[i] {
@@ -37,8 +34,8 @@ func forceRoundTrip(t *testing.T, vals []int64, codec Codec, enc func([]int64) [
 		return // codec declined (unprofitable or out of range)
 	}
 	hdr := chunkHeader{codec: codec, count: len(vals), rawSize: 8 * len(vals)}
-	got, err := decodeInt64(hdr, payload)
-	if err != nil {
+	got := make([]int64, len(vals))
+	if err := decodeIntInto(got, hdr, payload); err != nil {
 		t.Fatalf("%v: decode failed: %v", codec, err)
 	}
 	for i := range vals {
@@ -166,7 +163,7 @@ func FuzzInt64CodecDecode(f *testing.F) {
 			return
 		}
 		hdr := chunkHeader{codec: Codec(codec), count: count, rawSize: 8 * count}
-		_, _ = decodeInt64(hdr, payload) // must not panic
+		_ = decodeIntInto(make([]int64, count), hdr, payload) // must not panic
 	})
 }
 

@@ -285,12 +285,6 @@ func (s *Store) chunkPath(column string, gen, idx int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%s.g%d.%06d.chunk", column, gen, idx))
 }
 
-// WriteInt64Column splits vals into chunks, compresses each with the best
-// of the available codecs, and writes them. It returns the number of chunks.
-func (s *Store) WriteInt64Column(column string, vals []int64) (int, error) {
-	return s.writeInt64Chunks(column, 0, 0, vals, nil)
-}
-
 // writeInt64Chunks writes vals as chunks [start, start+k) of a column at a
 // generation; it returns k. start > 0 is the checkpoint append path. When
 // crcs is non-nil the CRC32 of each written chunk file is appended to it
@@ -315,32 +309,8 @@ func (s *Store) writeInt64Chunks(column string, gen, start int, vals []int64, cr
 	return nchunks, nil
 }
 
-// ReadInt64Column reads all chunks of a column written by WriteInt64Column.
-func (s *Store) ReadInt64Column(column string, nchunks int) ([]int64, error) {
-	return s.readInt64Chunks(column, 0, nchunks)
-}
-
-func (s *Store) readInt64Chunks(column string, gen, nchunks int) ([]int64, error) {
-	var out []int64
-	for i := 0; i < nchunks; i++ {
-		hdr, payload, err := s.readChunk(column, gen, i)
-		if err != nil {
-			return nil, err
-		}
-		vals, err := decodeInt64(hdr, payload)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vals...)
-	}
-	return out, nil
-}
-
-// WriteFloat64Column writes a float column (raw codec: floats rarely RLE).
-func (s *Store) WriteFloat64Column(column string, vals []float64) (int, error) {
-	return s.writeFloat64Chunks(column, 0, 0, vals, nil)
-}
-
+// writeFloat64Chunks is the float counterpart of writeInt64Chunks (raw
+// codec: floats rarely compress with the integer codecs).
 func (s *Store) writeFloat64Chunks(column string, gen, start int, vals []float64, crcs *[]uint32) (int, error) {
 	nchunks := 0
 	for lo := 0; lo < len(vals) || (lo == 0 && len(vals) == 0); lo += s.chunkValues {
@@ -362,36 +332,6 @@ func (s *Store) writeFloat64Chunks(column string, gen, start int, vals []float64
 		}
 	}
 	return nchunks, nil
-}
-
-// ReadFloat64Column reads a float column.
-func (s *Store) ReadFloat64Column(column string, nchunks int) ([]float64, error) {
-	return s.readFloat64Chunks(column, 0, nchunks)
-}
-
-func (s *Store) readFloat64Chunks(column string, gen, nchunks int) ([]float64, error) {
-	var out []float64
-	for i := 0; i < nchunks; i++ {
-		hdr, payload, err := s.readChunk(column, gen, i)
-		if err != nil {
-			return nil, err
-		}
-		if hdr.codec != CodecRaw || len(payload) != 8*hdr.count {
-			return nil, fmt.Errorf("%w: column %s chunk %d", ErrCorrupt, column, i)
-		}
-		for j := 0; j < hdr.count; j++ {
-			out = append(out, floatFromBits(binary.LittleEndian.Uint64(payload[8*j:])))
-		}
-	}
-	return out, nil
-}
-
-// WriteStringColumn splits a string column into chunks, compresses each
-// with the best of the string codecs (raw, dict, prefix), and writes them.
-// It returns the number of chunks. writeStringChunks is the variant that
-// also reports per-chunk dictionary cardinality for the manifest.
-func (s *Store) WriteStringColumn(column string, vals []string) (int, error) {
-	return s.writeStringChunks(column, 0, 0, vals, nil, nil)
 }
 
 // writeStringChunks writes vals as chunks [start, start+k) of a column at a
@@ -421,27 +361,6 @@ func (s *Store) writeStringChunks(column string, gen, start int, vals []string, 
 		}
 	}
 	return nchunks, nil
-}
-
-// ReadStringColumn reads a string column written by WriteStringColumn.
-func (s *Store) ReadStringColumn(column string, nchunks int) ([]string, error) {
-	return s.readStringChunks(column, 0, nchunks)
-}
-
-func (s *Store) readStringChunks(column string, gen, nchunks int) ([]string, error) {
-	var out []string
-	for i := 0; i < nchunks; i++ {
-		hdr, payload, err := s.readChunk(column, gen, i)
-		if err != nil {
-			return nil, err
-		}
-		dst := make([]string, hdr.count)
-		if err := decodeStringInto(dst, hdr, payload); err != nil {
-			return nil, fmt.Errorf("column %s chunk %d: %w", column, i, err)
-		}
-		out = append(out, dst...)
-	}
-	return out, nil
 }
 
 type chunkHeader struct {
@@ -481,10 +400,6 @@ func (s *Store) writeChunk(column string, gen, idx int, codec Codec, count, rawS
 		return 0, err
 	}
 	return crc, s.fault("chunk")
-}
-
-func (s *Store) readChunk(column string, gen, idx int) (chunkHeader, []byte, error) {
-	return s.readChunkChecked(column, gen, idx, 0, false)
 }
 
 // readChunkChecked reads a chunk through the buffer pool and, when check is
@@ -564,20 +479,6 @@ func transientReadError(err error) bool {
 	return errors.Is(err, ErrTransient) ||
 		errors.Is(err, syscall.EINTR) ||
 		errors.Is(err, syscall.EAGAIN)
-}
-
-// CompressedSize returns the total on-disk size of a column's chunks
-// (generation 0; column-level experiments that bypass manifests).
-func (s *Store) CompressedSize(column string, nchunks int) (int64, error) {
-	var total int64
-	for i := 0; i < nchunks; i++ {
-		fi, err := os.Stat(s.chunkPath(column, 0, i))
-		if err != nil {
-			return 0, err
-		}
-		total += fi.Size()
-	}
-	return total, nil
 }
 
 // --- int64 codecs ---
@@ -711,14 +612,6 @@ func tryDelta(vals []int64) []byte {
 		}
 	}
 	return out
-}
-
-func decodeInt64(hdr chunkHeader, payload []byte) ([]int64, error) {
-	out := make([]int64, hdr.count)
-	if err := decodeIntInto(out, hdr, payload); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // intNative constrains the destination element types of narrow-native chunk
@@ -1206,37 +1099,31 @@ func decodeLocalDictCodes(hdr chunkHeader, payload []byte, codeBuf any) (dict []
 	return dict, dst, nil
 }
 
-// ChunkInfo describes one stored chunk (for storage introspection: the
-// shell's \storage command and dbgen's codec report). Only the fixed-size
-// header is read.
-type ChunkInfo struct {
+// chunkInfo describes one stored chunk, for TableStorage's report (the
+// shell's \storage command and dbgen's codec report).
+type chunkInfo struct {
 	Codec       Codec
 	Count       int
 	RawSize     int
 	PayloadSize int
 }
 
-// ChunkInfo reads the header of chunk idx of a column (generation 0)
-// without loading the payload (and without touching the buffer pool).
-// TableStorage resolves the committed generation from the manifest.
-func (s *Store) ChunkInfo(column string, idx int) (ChunkInfo, error) {
-	return s.chunkInfoGen(column, 0, idx)
-}
-
-func (s *Store) chunkInfoGen(column string, gen, idx int) (ChunkInfo, error) {
+// chunkInfoGen reads the fixed-size header of chunk idx of a column at a
+// generation, without loading the payload or touching the buffer pool.
+func (s *Store) chunkInfoGen(column string, gen, idx int) (chunkInfo, error) {
 	f, err := os.Open(s.chunkPath(column, gen, idx))
 	if err != nil {
-		return ChunkInfo{}, fmt.Errorf("columnbm: %w", err)
+		return chunkInfo{}, fmt.Errorf("columnbm: %w", err)
 	}
 	defer f.Close()
 	var hdr [17]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return ChunkInfo{}, fmt.Errorf("%w: %s", ErrCorrupt, s.chunkPath(column, gen, idx))
+		return chunkInfo{}, fmt.Errorf("%w: %s", ErrCorrupt, s.chunkPath(column, gen, idx))
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != chunkMagic {
-		return ChunkInfo{}, fmt.Errorf("%w: %s", ErrCorrupt, s.chunkPath(column, gen, idx))
+		return chunkInfo{}, fmt.Errorf("%w: %s", ErrCorrupt, s.chunkPath(column, gen, idx))
 	}
-	return ChunkInfo{
+	return chunkInfo{
 		Codec:       Codec(hdr[4]),
 		Count:       int(binary.LittleEndian.Uint32(hdr[5:])),
 		RawSize:     int(binary.LittleEndian.Uint32(hdr[9:])),

@@ -3,8 +3,12 @@ package columnbm
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"x100/internal/colstore"
+	"x100/internal/vector"
 )
 
 func newTestStore(t *testing.T, chunkValues int) *Store {
@@ -16,31 +20,58 @@ func newTestStore(t *testing.T, chunkValues int) *Store {
 	return s
 }
 
+// saveColumn persists vals as column "v" of a one-column table through
+// SaveTable and attaches it back, unread.
+func saveColumn(t *testing.T, s *Store, table string, typ vector.Type, vals any) *colstore.Column {
+	t.Helper()
+	tab := colstore.NewTable(table)
+	if err := tab.AddColumn("v", typ, vals); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveTable(tab); err != nil {
+		t.Fatal(err)
+	}
+	att, err := s.AttachTable(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return att.Col("v")
+}
+
+// readBack pins an attached column, which reads and checksums every chunk.
+func readBack(t *testing.T, c *colstore.Column, want any) {
+	t.Helper()
+	got, err := c.Pin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("read back %v, want %v", got, want)
+	}
+}
+
+// compressedBytes is the chunk payload size TableStorage reports for a
+// one-column table.
+func compressedBytes(t *testing.T, s *Store, table string) int64 {
+	t.Helper()
+	cols, err := s.TableStorage(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cols[0].CompressedBytes
+}
+
 func TestInt64RoundTrip(t *testing.T) {
 	s := newTestStore(t, 16)
 	vals := make([]int64, 100)
 	for i := range vals {
 		vals[i] = int64(i * 3)
 	}
-	n, err := s.WriteInt64Column("c", vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 7 { // ceil(100/16)
+	c := saveColumn(t, s, "c", vector.Int64, vals)
+	if n := c.NumFrags(); n != 7 { // ceil(100/16)
 		t.Fatalf("chunks: %d", n)
 	}
-	got, err := s.ReadInt64Column("c", n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(vals) {
-		t.Fatalf("len %d", len(got))
-	}
-	for i := range vals {
-		if got[i] != vals[i] {
-			t.Fatalf("at %d: %d vs %d", i, got[i], vals[i])
-		}
-	}
+	readBack(t, c, vals)
 }
 
 func TestRLEWinsOnRuns(t *testing.T) {
@@ -49,26 +80,11 @@ func TestRLEWinsOnRuns(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i / 512) // long runs
 	}
-	n, err := s.WriteInt64Column("runs", vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sz, err := s.CompressedSize("runs", n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sz >= int64(8*len(vals)) {
+	c := saveColumn(t, s, "runs", vector.Int64, vals)
+	if sz := compressedBytes(t, s, "runs"); sz >= int64(8*len(vals)) {
 		t.Fatalf("no compression: %d bytes", sz)
 	}
-	got, err := s.ReadInt64Column("runs", n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vals {
-		if got[i] != vals[i] {
-			t.Fatal("roundtrip")
-		}
-	}
+	readBack(t, c, vals)
 }
 
 func TestFoRWinsOnNarrowRange(t *testing.T) {
@@ -77,73 +93,24 @@ func TestFoRWinsOnNarrowRange(t *testing.T) {
 	for i := range vals {
 		vals[i] = 1_000_000_000 + int64(i%200) // narrow deltas, no runs
 	}
-	n, err := s.WriteInt64Column("narrow", vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sz, err := s.CompressedSize("narrow", n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sz >= int64(2*len(vals)) {
+	c := saveColumn(t, s, "narrow", vector.Int64, vals)
+	if sz := compressedBytes(t, s, "narrow"); sz >= int64(2*len(vals)) {
 		t.Fatalf("FoR should pack to ~1 byte/value, got %d bytes", sz)
 	}
-	got, err := s.ReadInt64Column("narrow", n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vals {
-		if got[i] != vals[i] {
-			t.Fatal("roundtrip")
-		}
-	}
+	readBack(t, c, vals)
 }
 
 func TestFloatAndStringRoundTrip(t *testing.T) {
 	s := newTestStore(t, 8)
 	fvals := []float64{1.5, -2.25, 0, 3.14159}
-	n, err := s.WriteFloat64Column("f", fvals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fgot, err := s.ReadFloat64Column("f", n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fvals {
-		if fgot[i] != fvals[i] {
-			t.Fatal("float roundtrip")
-		}
-	}
+	readBack(t, saveColumn(t, s, "f", vector.Float64, fvals), fvals)
 	svals := []string{"", "hello", "a\x00b", "UTF-8 ✓"}
-	n, err = s.WriteStringColumn("s", svals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sgot, err := s.ReadStringColumn("s", n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range svals {
-		if sgot[i] != svals[i] {
-			t.Fatal("string roundtrip")
-		}
-	}
+	readBack(t, saveColumn(t, s, "s", vector.String, svals), svals)
 }
 
 func TestEmptyColumn(t *testing.T) {
 	s := newTestStore(t, 8)
-	n, err := s.WriteInt64Column("empty", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.ReadInt64Column("empty", n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("got %v", got)
-	}
+	readBack(t, saveColumn(t, s, "empty", vector.Int64, []int64{}), []int64{})
 }
 
 func TestCorruptionDetected(t *testing.T) {
@@ -152,12 +119,9 @@ func TestCorruptionDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := s.WriteInt64Column("c", []int64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	saveColumn(t, s, "c", vector.Int64, []int64{1, 2, 3})
 	// Flip magic bytes of the first chunk.
-	path := filepath.Join(dir, "c.000000.chunk")
+	path := filepath.Join(dir, "c.v.000000.chunk")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +130,19 @@ func TestCorruptionDetected(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReadInt64Column("c", n); err == nil {
+	attachPin := func() error {
+		s, err := NewStore(dir, 8, 2) // fresh pool (no cached copy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		att, err := s.AttachTable("c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = att.Col("v").Pin()
+		return err
+	}
+	if attachPin() == nil {
 		t.Fatal("corrupt chunk must be detected")
 	}
 	// Truncated payload is detected too.
@@ -174,18 +150,22 @@ func TestCorruptionDetected(t *testing.T) {
 	if err := os.WriteFile(path, raw[:len(raw)-2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewStore(dir, 8, 2) // fresh pool (no cached copy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.ReadInt64Column("c", n); err == nil {
+	if attachPin() == nil {
 		t.Fatal("truncated chunk must be detected")
 	}
 }
 
 func TestMissingChunk(t *testing.T) {
-	s := newTestStore(t, 8)
-	if _, err := s.ReadInt64Column("missing", 1); err == nil {
+	dir := t.TempDir()
+	s, err := NewStore(dir, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := saveColumn(t, s, "missing", vector.Int64, []int64{1, 2, 3})
+	if err := os.Remove(filepath.Join(dir, "missing.v.000000.chunk")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Pin(); err == nil {
 		t.Fatal("missing chunk must error")
 	}
 }
@@ -216,11 +196,8 @@ func TestPoolLRUAndStats(t *testing.T) {
 func TestCodecRoundTripProperty(t *testing.T) {
 	f := func(vals []int64) bool {
 		payload, codec := encodeInt64(vals)
-		got, err := decodeInt64(chunkHeader{codec: codec, count: len(vals), rawSize: 8 * len(vals)}, payload)
-		if err != nil {
-			return false
-		}
-		if len(got) != len(vals) {
+		got := make([]int64, len(vals))
+		if err := decodeIntInto(got, chunkHeader{codec: codec, count: len(vals), rawSize: 8 * len(vals)}, payload); err != nil {
 			return false
 		}
 		for i := range vals {

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"x100/internal/vector"
 )
 
 // TestTransientReadRetry injects a transient fault into the first two
@@ -20,10 +22,8 @@ func TestTransientReadRetry(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i)
 	}
-	n, err := s.WriteInt64Column("c", vals)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := saveColumn(t, s, "c", vector.Int64, vals)
+	n := c.NumFrags()
 	var calls atomic.Int64
 	s.FaultHook = func(stage string) error {
 		if stage != "read-chunk" {
@@ -34,14 +34,14 @@ func TestTransientReadRetry(t *testing.T) {
 		}
 		return nil
 	}
-	got, err := s.ReadInt64Column("c", n)
+	got, err := c.Pin()
 	s.FaultHook = nil
 	if err != nil {
 		t.Fatalf("read with transient faults: %v", err)
 	}
-	for i := range vals {
-		if got[i] != vals[i] {
-			t.Fatalf("at %d: %d vs %d", i, got[i], vals[i])
+	for i, v := range got.([]int64) {
+		if v != vals[i] {
+			t.Fatalf("at %d: %d vs %d", i, v, vals[i])
 		}
 	}
 	if r := s.Stats().RetriedReads; r < int64(2*n) {
@@ -54,9 +54,7 @@ func TestTransientReadRetry(t *testing.T) {
 // transient, and the error must name the column and chunk.
 func TestTransientReadExhausted(t *testing.T) {
 	s := newTestStore(t, 16)
-	if _, err := s.WriteInt64Column("c", []int64{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
+	c := saveColumn(t, s, "c", vector.Int64, []int64{1, 2, 3})
 	var calls atomic.Int64
 	s.FaultHook = func(stage string) error {
 		if stage != "read-chunk" {
@@ -65,7 +63,7 @@ func TestTransientReadExhausted(t *testing.T) {
 		calls.Add(1)
 		return fmt.Errorf("injected: %w", ErrTransient)
 	}
-	_, err := s.ReadInt64Column("c", 1)
+	_, err := c.Pin()
 	s.FaultHook = nil
 	if !errors.Is(err, ErrTransient) {
 		t.Fatalf("want wrapped ErrTransient after exhausted retries, got %v", err)
@@ -73,7 +71,7 @@ func TestTransientReadExhausted(t *testing.T) {
 	if got := calls.Load(); got != maxReadAttempts {
 		t.Fatalf("attempts = %d, want %d", got, maxReadAttempts)
 	}
-	if !strings.Contains(err.Error(), "column c") || !strings.Contains(err.Error(), "chunk 0") {
+	if !strings.Contains(err.Error(), "column c.v") || !strings.Contains(err.Error(), "chunk 0") {
 		t.Fatalf("error lacks chunk identity: %v", err)
 	}
 }
@@ -82,9 +80,7 @@ func TestTransientReadExhausted(t *testing.T) {
 // immediately: one attempt, no backoff sleeps, no retry count.
 func TestPermanentReadErrorNoRetry(t *testing.T) {
 	s := newTestStore(t, 16)
-	if _, err := s.WriteInt64Column("c", []int64{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
+	c := saveColumn(t, s, "c", vector.Int64, []int64{1, 2, 3})
 	permanent := errors.New("disk on fire")
 	var calls atomic.Int64
 	s.FaultHook = func(stage string) error {
@@ -94,7 +90,7 @@ func TestPermanentReadErrorNoRetry(t *testing.T) {
 		calls.Add(1)
 		return permanent
 	}
-	_, err := s.ReadInt64Column("c", 1)
+	_, err := c.Pin()
 	s.FaultHook = nil
 	if !errors.Is(err, permanent) {
 		t.Fatalf("want the permanent error, got %v", err)

@@ -52,11 +52,6 @@ type chunkFragment struct {
 	// read is unverified — exactly the v2 behaviour.
 	crc    uint32
 	hasCRC bool
-
-	minI, maxI       int64
-	minF, maxF       float64
-	minS, maxS       string
-	hasI, hasF, hasS bool
 }
 
 func (f *chunkFragment) Rows() int { return f.rows }
@@ -69,16 +64,6 @@ func (f *chunkFragment) CloneFragment() colstore.Fragment {
 	cp := *f
 	return &cp
 }
-
-// BoundsI64 implements colstore.I64Bounded from the per-chunk min/max the
-// writer recorded in the manifest.
-func (f *chunkFragment) BoundsI64() (int64, int64, bool) { return f.minI, f.maxI, f.hasI }
-
-// BoundsF64 implements colstore.F64Bounded.
-func (f *chunkFragment) BoundsF64() (float64, float64, bool) { return f.minF, f.maxF, f.hasF }
-
-// BoundsStr implements colstore.StrBounded.
-func (f *chunkFragment) BoundsStr() (string, string, bool) { return f.minS, f.maxS, f.hasS }
 
 // u8Scratch pools the narrow intermediate buffer of the bool decode path:
 // bool chunks are stored as 0/1 integer chunks, decode narrow-native into
@@ -313,18 +298,11 @@ func attachDict(cm *ColumnManifest) *colstore.Dict {
 }
 
 // columnFragments builds the lazily decoded fragments [from, cm.Chunks) of
-// a persisted column, carrying per-chunk min/max bounds when the manifest
-// records them for every chunk. counts is the table's shared per-chunk row
-// grid. It is used by AttachTable (from 0) and by the checkpoint write-back
-// (from the pre-append chunk count, to re-attach just the new chunks).
+// a persisted column. counts is the table's shared per-chunk row grid. It
+// is used by AttachTable (from 0) and by the checkpoint write-back (from
+// the pre-append chunk count, to re-attach just the new chunks).
 func (s *Store) columnFragments(m *Manifest, cm *ColumnManifest, phys vector.Type, counts []int, from int) []colstore.Fragment {
 	key := m.Table + "." + cm.Name
-	useI := !cm.Enum && len(cm.ChunkMinI64) == cm.Chunks && len(cm.ChunkMaxI64) == cm.Chunks &&
-		(phys == vector.Int32 || phys == vector.Int64)
-	useF := !cm.Enum && len(cm.ChunkMinF64) == cm.Chunks && len(cm.ChunkMaxF64) == cm.Chunks &&
-		phys == vector.Float64
-	useS := !cm.Enum && len(cm.ChunkMinStr) == cm.Chunks && len(cm.ChunkMaxStr) == cm.Chunks &&
-		phys == vector.String
 	frags := make([]colstore.Fragment, 0, cm.Chunks-from)
 	for i := from; i < cm.Chunks; i++ {
 		cf := &chunkFragment{store: s, key: key, gen: m.Gen, idx: i, rows: counts[i], phys: phys, dictCard: -1}
@@ -334,18 +312,33 @@ func (s *Store) columnFragments(m *Manifest, cm *ColumnManifest, phys vector.Typ
 		if len(cm.ChunkCRC32) == cm.Chunks {
 			cf.crc, cf.hasCRC = cm.ChunkCRC32[i], true
 		}
-		if useI {
-			cf.minI, cf.maxI, cf.hasI = cm.ChunkMinI64[i], cm.ChunkMaxI64[i], true
-		}
-		if useF {
-			cf.minF, cf.maxF, cf.hasF = cm.ChunkMinF64[i], cm.ChunkMaxF64[i], true
-		}
-		if useS {
-			cf.minS, cf.maxS, cf.hasS = cm.ChunkMinStr[i], cm.ChunkMaxStr[i], true
-		}
 		frags = append(frags, cf)
 	}
 	return frags
+}
+
+// chunkZoneMap returns the disk zone map of a persisted column of logical
+// type typ: the per-chunk min/max its manifest records, one range per
+// chunk of the grid counts. It is nil for enum columns (code order is not
+// value order) and when the column's bounds arrays do not cover every
+// chunk.
+func chunkZoneMap(cm *ColumnManifest, typ vector.Type, counts []int) *colstore.ZoneMap {
+	covers := func(mins, maxs int) bool { return !cm.Enum && mins == cm.Chunks && maxs == cm.Chunks }
+	switch typ.Physical() {
+	case vector.Int32, vector.Int64:
+		if covers(len(cm.ChunkMinI64), len(cm.ChunkMaxI64)) {
+			return colstore.NewZoneMap(counts, cm.ChunkMinI64, cm.ChunkMaxI64)
+		}
+	case vector.Float64:
+		if covers(len(cm.ChunkMinF64), len(cm.ChunkMaxF64)) {
+			return colstore.NewZoneMap(counts, cm.ChunkMinF64, cm.ChunkMaxF64)
+		}
+	case vector.String:
+		if covers(len(cm.ChunkMinStr), len(cm.ChunkMaxStr)) {
+			return colstore.NewZoneMap(counts, cm.ChunkMinStr, cm.ChunkMaxStr)
+		}
+	}
+	return nil
 }
 
 // readChunkDict reads just the fixed header and dictionary section of a
@@ -606,8 +599,9 @@ func (s *Store) refreshMergedDict(m *Manifest, cm *ColumnManifest, counts []int,
 
 // AttachTable builds a fragment-backed colstore table over the chunks
 // written by SaveTable, without materializing any column: every chunk
-// becomes a lazily decoded fragment, and per-chunk min/max bounds from the
-// manifest feed chunk-granularity scan pruning. Enum dictionaries are
+// becomes a lazily decoded fragment, and the per-chunk min/max bounds of
+// the manifest become the column's zone map, which prunes scans at chunk
+// granularity. Enum dictionaries are
 // rebuilt from the manifest; fully dict-coded plain string columns
 // additionally get a table-level merged dictionary (attachMergedDict), so
 // scans, predicates, and keys over them can run in the code domain. The
@@ -647,6 +641,7 @@ func (s *Store) AttachTable(name string) (*colstore.Table, error) {
 		}
 		frags := s.columnFragments(m, cm, phys, counts, 0)
 		col := colstore.NewFragColumn(cm.Name, typ, dict, phys, frags)
+		col.SetZoneMap(chunkZoneMap(cm, typ, counts))
 		if dict == nil && phys == vector.String {
 			if merged, codeTyp := s.attachMergedDict(m, cm, counts, frags); merged != nil {
 				col.SetMergedDict(merged, codeTyp)

@@ -3,7 +3,6 @@ package columnbm
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -77,9 +76,11 @@ type Manifest struct {
 }
 
 // ColumnManifest describes one persisted column. The per-chunk min/max
-// arrays (when present, one entry per chunk) drive summary-index-style scan
-// pruning at chunk granularity; ChunkDictCard records, per chunk, the
-// dictionary cardinality of dict-coded string chunks (0 for other codecs).
+// arrays (when present, one entry per chunk) are the column's disk zone map
+// (colstore.ZoneMap), which prunes scans at chunk granularity; a float
+// column holding a NaN or reaching ±Inf records none. ChunkDictCard
+// records, per chunk, the dictionary cardinality of dict-coded string
+// chunks (0 for other codecs).
 type ColumnManifest struct {
 	Name          string    `json:"name"`
 	Type          string    `json:"type"`
@@ -248,26 +249,31 @@ func (s *Store) writeManifest(m *Manifest) error {
 }
 
 // SaveTable persists a colstore table through the chunk store and writes
-// its manifest (including per-chunk min/max for numeric columns). Enum
-// columns persist their codes plus the dictionary. When the directory
-// already holds a manifest for the table, the new chunk files are written
-// under the next generation and committed by the atomic manifest rename, so
-// a crash mid-save leaves the previous version intact; the superseded
-// generation's files are removed after the commit.
+// its manifest (including per-chunk min/max for integer, float and string
+// columns). Enum columns persist their codes plus the dictionary. When the
+// directory already holds a manifest for the table, the new chunk files
+// are written under the next generation and committed by the atomic
+// manifest rename, so a crash mid-save leaves the previous version intact;
+// the superseded generation's files are removed after the commit.
 func (s *Store) SaveTable(t *colstore.Table) error {
-	return s.saveTableNextGen(t, s.chunkValues)
-}
-
-// RewriteTable is SaveTable preserving the table's existing chunk grid: the
-// disk Reorganize path, which compacts deletions and re-encodes enums into
-// a fresh generation of chunk files without changing the chunk size the
-// directory was created with.
-func (s *Store) RewriteTable(t *colstore.Table) error {
-	chunkRows := s.chunkValues
-	if old, err := s.readManifest(t.Name); err == nil && old.ChunkRows > 0 {
-		chunkRows = old.ChunkRows
+	m := Manifest{Table: t.Name, Rows: t.N, ChunkRows: s.chunkValues}
+	// Without a readable manifest the table starts at generation 0.
+	old, _ := s.readManifest(t.Name)
+	if old != nil {
+		// Carry the WAL epoch forward; writeManifest bumps it, so any WAL
+		// written against the superseded manifest is invalidated.
+		m.Gen, m.WalEpoch = old.Gen+1, old.WalEpoch
 	}
-	return s.saveTableNextGen(t, chunkRows)
+	if err := s.writeColumns(&m, t); err != nil {
+		return fmt.Errorf("columnbm: save %w", err)
+	}
+	if err := s.writeManifest(&m); err != nil {
+		return err
+	}
+	if old != nil {
+		s.removeGeneration(old)
+	}
+	return nil
 }
 
 // withChunkValues returns a view of the store writing chunkRows-value
@@ -279,45 +285,27 @@ func (s *Store) withChunkValues(chunkRows int) *Store {
 	return &Store{dir: s.dir, chunkValues: chunkRows, pool: s.pool, dcache: s.dcache, counters: s.counters, FaultHook: s.FaultHook}
 }
 
-func (s *Store) saveTableNextGen(t *colstore.Table, chunkRows int) error {
-	gen := 0
-	var old *Manifest
-	if m, err := s.readManifest(t.Name); err == nil {
-		old = m
-		gen = m.Gen + 1
-	}
-	w := s.withChunkValues(chunkRows)
-	m := Manifest{Table: t.Name, Rows: t.N, ChunkRows: chunkRows, Gen: gen}
-	if old != nil {
-		// Carry the WAL epoch forward; writeManifest bumps it, so any WAL
-		// written against the superseded manifest is invalidated.
-		m.WalEpoch = old.WalEpoch
-	}
+// writeColumns writes every column of t as chunk files of generation m.Gen
+// (enum columns as codes, with their dictionaries) and records them in m.
+func (s *Store) writeColumns(m *Manifest, t *colstore.Table) error {
 	for _, col := range t.Cols {
 		cm := ColumnManifest{Name: col.Name, Type: col.Typ.String(), Enum: col.IsEnum()}
-		key := t.Name + "." + col.Name
-		var err error
-		switch {
-		case col.IsEnum():
-			cm.Chunks, err = w.writeCodes(key, gen, col, &cm)
+		if col.IsEnum() {
 			if col.Dict.Typ == vector.Float64 {
 				cm.DictF64 = col.Dict.Floats()
 			} else {
 				cm.DictStr = col.Dict.Strings()
 			}
-		default:
-			cm.Chunks, err = w.writePlain(key, gen, col, &cm)
+		}
+		key := t.Name + "." + col.Name
+		data, err := col.Pin()
+		if err == nil {
+			err = s.writePart(key, m.Gen, &cm, data)
 		}
 		if err != nil {
-			return fmt.Errorf("columnbm: save %s: %w", key, err)
+			return fmt.Errorf("%s: %w", key, err)
 		}
 		m.Columns = append(m.Columns, cm)
-	}
-	if err := s.writeManifest(&m); err != nil {
-		return err
-	}
-	if old != nil && old.Gen != gen {
-		s.removeGeneration(old)
 	}
 	return nil
 }
@@ -335,12 +323,12 @@ type PendingRewrite struct {
 	old *Manifest
 }
 
-// PrepareRewrite writes a fresh generation of chunk files for the table
-// (same semantics as RewriteTable: existing chunk grid preserved, enum
-// dictionaries re-persisted) WITHOUT committing the manifest. A crash or an
-// abandoned rewrite leaves unreferenced orphan files that the next rewrite
-// of the same generation simply overwrites. The table must already have a
-// committed manifest.
+// PrepareRewrite writes a fresh generation of chunk files for the table —
+// the disk Reorganize and compaction path: the existing chunk grid and
+// row-id epochs are preserved, enum dictionaries re-persisted — WITHOUT
+// committing the manifest. A crash or an abandoned rewrite leaves
+// unreferenced orphan files that the next rewrite of the same generation
+// simply overwrites. The table must already have a committed manifest.
 func (s *Store) PrepareRewrite(t *colstore.Table) (*PendingRewrite, error) {
 	old, err := s.readManifest(t.Name)
 	if err != nil {
@@ -350,29 +338,10 @@ func (s *Store) PrepareRewrite(t *colstore.Table) (*PendingRewrite, error) {
 	if chunkRows <= 0 {
 		chunkRows = s.chunkValues
 	}
-	gen := old.Gen + 1
-	w := s.withChunkValues(chunkRows)
-	m := Manifest{Table: t.Name, Rows: t.N, ChunkRows: chunkRows, Gen: gen, WalEpoch: old.WalEpoch,
+	m := Manifest{Table: t.Name, Rows: t.N, ChunkRows: chunkRows, Gen: old.Gen + 1, WalEpoch: old.WalEpoch,
 		RowIDEpoch: old.RowIDEpoch, JoinEpochs: old.JoinEpochs}
-	for _, col := range t.Cols {
-		cm := ColumnManifest{Name: col.Name, Type: col.Typ.String(), Enum: col.IsEnum()}
-		key := t.Name + "." + col.Name
-		var err error
-		switch {
-		case col.IsEnum():
-			cm.Chunks, err = w.writeCodes(key, gen, col, &cm)
-			if col.Dict.Typ == vector.Float64 {
-				cm.DictF64 = col.Dict.Floats()
-			} else {
-				cm.DictStr = col.Dict.Strings()
-			}
-		default:
-			cm.Chunks, err = w.writePlain(key, gen, col, &cm)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("columnbm: rewrite %s: %w", key, err)
-		}
-		m.Columns = append(m.Columns, cm)
+	if err := s.withChunkValues(chunkRows).writeColumns(&m, t); err != nil {
+		return nil, fmt.Errorf("columnbm: rewrite %w", err)
 	}
 	if err := s.fault("compact-prepare"); err != nil {
 		return nil, err
@@ -421,202 +390,5 @@ func (s *Store) removeGeneration(old *Manifest) {
 			s.pool.Invalidate(path)
 			os.Remove(path)
 		}
-	}
-}
-
-// LoadTable reads a table previously written with SaveTable, fully
-// materialized in memory. AttachTable is the streaming alternative.
-func (s *Store) LoadTable(name string) (*colstore.Table, error) {
-	m, err := s.readManifest(name)
-	if err != nil {
-		return nil, err
-	}
-	t := colstore.NewTable(m.Table)
-	for _, cm := range m.Columns {
-		typ, err := vector.ParseType(cm.Type)
-		if err != nil {
-			return nil, err
-		}
-		key := m.Table + "." + cm.Name
-		if cm.Enum {
-			codes, err := s.readInt64Chunks(key, m.Gen, cm.Chunks)
-			if err != nil {
-				return nil, err
-			}
-			if cm.DictF64 != nil {
-				vals := make([]float64, len(codes))
-				for i, c := range codes {
-					vals[i] = cm.DictF64[c]
-				}
-				if err := t.AddEnumF64Column(cm.Name, vals); err != nil {
-					return nil, err
-				}
-			} else {
-				vals := make([]string, len(codes))
-				for i, c := range codes {
-					vals[i] = cm.DictStr[c]
-				}
-				if err := t.AddEnumColumn(cm.Name, vals); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		if err := s.loadPlain(t, key, m.Gen, cm, typ); err != nil {
-			return nil, err
-		}
-	}
-	if t.N != m.Rows {
-		return nil, fmt.Errorf("columnbm: table %s loaded %d rows, manifest says %d", name, t.N, m.Rows)
-	}
-	return t, nil
-}
-
-// int64ChunkStats records per-chunk min/max into the column manifest.
-func (s *Store) int64ChunkStats(vals []int64, cm *ColumnManifest) {
-	for lo := 0; lo < len(vals); lo += s.chunkValues {
-		hi := min(lo+s.chunkValues, len(vals))
-		mn, mx := vals[lo], vals[lo]
-		for _, v := range vals[lo+1 : hi] {
-			mn, mx = min(mn, v), max(mx, v)
-		}
-		cm.ChunkMinI64 = append(cm.ChunkMinI64, mn)
-		cm.ChunkMaxI64 = append(cm.ChunkMaxI64, mx)
-	}
-}
-
-// f64ChunkStats records per-chunk min/max; columns containing NaN get no
-// bounds (NaN breaks ordering, so pruning would be unsound).
-func (s *Store) f64ChunkStats(vals []float64, cm *ColumnManifest) {
-	var mins, maxs []float64
-	for lo := 0; lo < len(vals); lo += s.chunkValues {
-		hi := min(lo+s.chunkValues, len(vals))
-		mn, mx := vals[lo], vals[lo]
-		for _, v := range vals[lo:hi] {
-			if math.IsNaN(v) {
-				return
-			}
-			mn, mx = min(mn, v), max(mx, v)
-		}
-		mins = append(mins, mn)
-		maxs = append(maxs, mx)
-	}
-	cm.ChunkMinF64, cm.ChunkMaxF64 = mins, maxs
-}
-
-// strChunkStats records per-chunk min/max of a string column (byte-wise
-// string ordering, matching the engine's string comparisons).
-func (s *Store) strChunkStats(vals []string, cm *ColumnManifest) {
-	for lo := 0; lo < len(vals); lo += s.chunkValues {
-		hi := min(lo+s.chunkValues, len(vals))
-		mn, mx := vals[lo], vals[lo]
-		for _, v := range vals[lo+1 : hi] {
-			mn, mx = min(mn, v), max(mx, v)
-		}
-		cm.ChunkMinStr = append(cm.ChunkMinStr, mn)
-		cm.ChunkMaxStr = append(cm.ChunkMaxStr, mx)
-	}
-}
-
-func (s *Store) writePlain(key string, gen int, col *colstore.Column, cm *ColumnManifest) (int, error) {
-	data, err := col.Pin()
-	if err != nil {
-		return 0, err
-	}
-	switch d := data.(type) {
-	case []int32:
-		vals := make([]int64, len(d))
-		for i, v := range d {
-			vals[i] = int64(v)
-		}
-		s.int64ChunkStats(vals, cm)
-		return s.writeInt64Chunks(key, gen, 0, vals, &cm.ChunkCRC32)
-	case []int64:
-		s.int64ChunkStats(d, cm)
-		return s.writeInt64Chunks(key, gen, 0, d, &cm.ChunkCRC32)
-	case []float64:
-		s.f64ChunkStats(d, cm)
-		return s.writeFloat64Chunks(key, gen, 0, d, &cm.ChunkCRC32)
-	case []string:
-		s.strChunkStats(d, cm)
-		return s.writeStringChunks(key, gen, 0, d, &cm.ChunkDictCard, &cm.ChunkCRC32)
-	case []bool:
-		vals := make([]int64, len(d))
-		for i, v := range d {
-			if v {
-				vals[i] = 1
-			}
-		}
-		return s.writeInt64Chunks(key, gen, 0, vals, &cm.ChunkCRC32)
-	default:
-		return 0, fmt.Errorf("unsupported column payload %T", d)
-	}
-}
-
-func (s *Store) writeCodes(key string, gen int, col *colstore.Column, cm *ColumnManifest) (int, error) {
-	data, err := col.Pin()
-	if err != nil {
-		return 0, err
-	}
-	switch codes := data.(type) {
-	case []uint8:
-		vals := make([]int64, len(codes))
-		for i, c := range codes {
-			vals[i] = int64(c)
-		}
-		return s.writeInt64Chunks(key, gen, 0, vals, &cm.ChunkCRC32)
-	case []uint16:
-		vals := make([]int64, len(codes))
-		for i, c := range codes {
-			vals[i] = int64(c)
-		}
-		return s.writeInt64Chunks(key, gen, 0, vals, &cm.ChunkCRC32)
-	default:
-		return 0, fmt.Errorf("unsupported code payload %T", codes)
-	}
-}
-
-func (s *Store) loadPlain(t *colstore.Table, key string, gen int, cm ColumnManifest, typ vector.Type) error {
-	switch typ.Physical() {
-	case vector.Int32:
-		raw, err := s.readInt64Chunks(key, gen, cm.Chunks)
-		if err != nil {
-			return err
-		}
-		vals := make([]int32, len(raw))
-		for i, v := range raw {
-			vals[i] = int32(v)
-		}
-		return t.AddColumn(cm.Name, typ, vals)
-	case vector.Int64:
-		raw, err := s.readInt64Chunks(key, gen, cm.Chunks)
-		if err != nil {
-			return err
-		}
-		return t.AddColumn(cm.Name, typ, raw)
-	case vector.Float64:
-		raw, err := s.readFloat64Chunks(key, gen, cm.Chunks)
-		if err != nil {
-			return err
-		}
-		return t.AddColumn(cm.Name, typ, raw)
-	case vector.String:
-		raw, err := s.readStringChunks(key, gen, cm.Chunks)
-		if err != nil {
-			return err
-		}
-		return t.AddColumn(cm.Name, typ, raw)
-	case vector.Bool:
-		raw, err := s.readInt64Chunks(key, gen, cm.Chunks)
-		if err != nil {
-			return err
-		}
-		vals := make([]bool, len(raw))
-		for i, v := range raw {
-			vals[i] = v != 0
-		}
-		return t.AddColumn(cm.Name, typ, vals)
-	default:
-		return fmt.Errorf("columnbm: cannot load %v column %s", typ, key)
 	}
 }

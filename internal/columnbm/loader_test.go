@@ -41,7 +41,7 @@ func TestTableRoundTrip(t *testing.T) {
 	if err := store.SaveTable(tab); err != nil {
 		t.Fatal(err)
 	}
-	got, err := store.LoadTable("mixed")
+	got, err := store.AttachTable("mixed")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestLoadMissingTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.LoadTable("ghost"); err == nil {
+	if _, err := store.AttachTable("ghost"); err == nil {
 		t.Fatal("missing manifest must error")
 	}
 }

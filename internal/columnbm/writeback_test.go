@@ -427,9 +427,11 @@ func TestCrashSafetyMidWriteBack(t *testing.T) {
 	}
 }
 
-// TestReorganizeDiskRewrite rewrites a directory through RewriteTable and
-// asserts the new generation attaches identically, the manifest generation
-// advanced, and the previous generation's files are gone.
+// TestReorganizeDiskRewrite rewrites a directory through PrepareRewrite
+// and Commit — the disk Reorganize path — and asserts the new generation
+// attaches identically with the directory's chunk grid, the manifest
+// generation advanced, and removing the superseded generation deletes its
+// files.
 func TestReorganizeDiskRewrite(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewStore(dir, wbChunkRows, 0)
@@ -442,16 +444,32 @@ func TestReorganizeDiskRewrite(t *testing.T) {
 	}
 	want := materialize(t, tab)
 
-	if err := s.RewriteTable(tab); err != nil {
-		t.Fatal(err)
-	}
-	m, err := s.ReadManifest("wb")
+	// A store configured with another chunk size keeps the directory's grid.
+	s2, err := NewStore(dir, 2*wbChunkRows, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Gen != 1 {
-		t.Fatalf("generation %d after rewrite, want 1", m.Gen)
+	rewrite := func(tab *colstore.Table) *Manifest {
+		t.Helper()
+		pr, err := s2.PrepareRewrite(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, err := pr.Commit(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2.RemoveGeneration(old)
+		m, err := s2.ReadManifest("wb")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Gen != old.Gen+1 || m.ChunkRows != wbChunkRows {
+			t.Fatalf("rewrite of generation %d committed generation %d with %d-row chunks, want %d and %d", old.Gen, m.Gen, m.ChunkRows, old.Gen+1, wbChunkRows)
+		}
+		return m
 	}
+	rewrite(tab)
 	// Old generation-0 chunk files are unreferenced and removed.
 	matches, err := filepath.Glob(filepath.Join(dir, "wb.k.0*.chunk"))
 	if err != nil {
@@ -460,13 +478,13 @@ func TestReorganizeDiskRewrite(t *testing.T) {
 	if len(matches) != 0 {
 		t.Fatalf("generation-0 files survive rewrite: %v", matches)
 	}
-	att, err := s.AttachTable("wb")
+	att, err := s2.AttachTable("wb")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameRows(t, "rewrite", want, materialize(t, att))
 	// Storage reports read the rewritten generation.
-	storage, err := s.TableStorage("wb")
+	storage, err := s2.TableStorage("wb")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,14 +493,7 @@ func TestReorganizeDiskRewrite(t *testing.T) {
 	}
 
 	// A second rewrite bumps the generation again.
-	if err := s.RewriteTable(att); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := s.ReadManifest("wb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Gen != 2 {
+	if m2 := rewrite(att); m2.Gen != 2 {
 		t.Fatalf("generation %d after second rewrite, want 2", m2.Gen)
 	}
 }

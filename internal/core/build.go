@@ -4,15 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 
 	"x100/internal/algebra"
 	"x100/internal/colstore"
 	"x100/internal/expr"
-	"x100/internal/primitives"
-	"x100/internal/sindex"
 	"x100/internal/trace"
-	"x100/internal/vector"
 )
 
 // Build compiles an algebra plan into an X100 operator tree. Every
@@ -293,11 +289,13 @@ func (c *compiler) join(n *algebra.Join, opts ExecOptions) (Operator, error) {
 	return newHashJoinOp(left, jb, n, opts)
 }
 
-// applySummaryBounds narrows a scan's base-row range using summary indices
-// for conjuncts of the form col <op> const over indexed columns. It works
-// entirely on the captured table view, so the bounds always describe the
-// same base the scan will read — a summary refreshed mid-query can never
-// prune rows the view still contains, nor miss rows it gained.
+// applySummaryBounds narrows a scan's base-row range by the zone maps of
+// the columns that conjuncts of the form col <op> const (or const <op>
+// col) compare: the column's registered summary index when it has one,
+// else its chunk zone map. It works entirely on the captured table view,
+// so the bounds always describe the same base the scan will read — a
+// summary refreshed mid-query can never prune rows the view still
+// contains, nor miss rows it gained.
 func applySummaryBounds(v *tableView, pred expr.Expr, op *scanOp) {
 	for _, cj := range conjuncts(pred, nil) {
 		cmp, ok := cj.(*expr.Cmp)
@@ -309,124 +307,43 @@ func applySummaryBounds(v *tableView, pred expr.Expr, op *scanOp) {
 		opKind := cmp.Op
 		if !cOk || !vOk {
 			// Try the flipped form const <op> col.
-			if col2, ok2 := cmp.R.(*expr.Col); ok2 {
-				if cst2, ok3 := cmp.L.(*expr.Const); ok3 {
-					col, cst = col2, cst2
-					opKind = flipCmpKind(cmp.Op)
-					cOk, vOk = true, true
-				}
-			}
+			col, cOk = cmp.R.(*expr.Col)
+			cst, vOk = cmp.L.(*expr.Const)
+			opKind = flipCmpKind(cmp.Op)
 			if !cOk || !vOk {
 				continue
 			}
 		}
-		switch cst.Typ.Physical() {
-		case vector.Int32:
-			cv := cst.Val.(int32)
-			if si := v.sumI32[col.Name]; si != nil {
-				lo, hi := boundsFor(opKind, cv, si.Bounds)
-				op.lo, op.hi = max(op.lo, lo), min(op.hi, hi)
+		// A summary that does not cover the view's base (refreshes swap
+		// both in one cutover, so none should) is not trusted.
+		z := v.summaries[col.Name]
+		if z == nil || z.Rows() != v.n {
+			c := v.col(col.Name)
+			if c == nil || c.ZoneMap() == nil {
+				continue
 			}
-			applyFragBoundsI64(v, col.Name, opKind, int64(cv), op)
-		case vector.Int64:
-			applyFragBoundsI64(v, col.Name, opKind, cst.Val.(int64), op)
-		case vector.Float64:
-			cv := cst.Val.(float64)
-			if si := v.sumF64[col.Name]; si != nil {
-				lo, hi := boundsFor(opKind, cv, si.Bounds)
-				op.lo, op.hi = max(op.lo, lo), min(op.hi, hi)
-			}
-			applyFragBoundsF64(v, col.Name, opKind, cv, op)
-		case vector.String:
-			if cv, ok := cst.Val.(string); ok {
-				applyFragBoundsStr(v, col.Name, opKind, cv, op)
-			}
+			z = c.ZoneMap()
 		}
+		lo, hi := z.Prune(rangeFor(opKind, cst.Val))
+		op.lo, op.hi = max(op.lo, lo), min(op.hi, hi)
 	}
 	if op.lo > op.hi {
 		op.lo = op.hi
 	}
 }
 
-// rangeFor converts a comparison against a constant into the conservative
-// value interval [loVal, hiVal] a matching row must fall into.
-func rangeFor[T any](op expr.CmpKind, v T) (loVal T, hasLo bool, hiVal T, hasHi bool) {
+// rangeFor converts a comparison against a constant into the value
+// interval a matching row must fall into.
+func rangeFor(op expr.CmpKind, v any) (lo, hi colstore.Bound) {
 	switch op {
 	case expr.LT, expr.LE:
-		return v, false, v, true
+		return colstore.Bound{}, colstore.Bound{Val: v, Strict: op == expr.LT}
 	case expr.GT, expr.GE:
-		return v, true, v, false
+		return colstore.Bound{Val: v, Strict: op == expr.GT}, colstore.Bound{}
 	case expr.EQ:
-		return v, true, v, true
-	default:
-		return v, false, v, false
+		return colstore.Bound{Val: v}, colstore.Bound{Val: v}
 	}
-}
-
-func boundsFor[T any](op expr.CmpKind, v T, bounds func(lo T, hasLo bool, hi T, hasHi bool) (int, int)) (int, int) {
-	loVal, hasLo, hiVal, hasHi := rangeFor(op, v)
-	return bounds(loVal, hasLo, hiVal, hasHi)
-}
-
-// applyFragBoundsI64 narrows a scan using per-fragment (ColumnBM chunk)
-// min/max bounds — summary-index-style pruning at chunk granularity,
-// available on disk-attached tables without building any in-memory index.
-func applyFragBoundsI64(tv *tableView, colName string, opKind expr.CmpKind, v int64, op *scanOp) {
-	applyFragBounds(tv, colName, opKind, v, op, func(f colstore.Fragment) (int64, int64, bool) {
-		if b, ok := f.(colstore.I64Bounded); ok {
-			return b.BoundsI64()
-		}
-		return 0, 0, false
-	}, vector.Int32, vector.Int64)
-}
-
-// applyFragBoundsF64 is the float counterpart of applyFragBoundsI64.
-func applyFragBoundsF64(tv *tableView, colName string, opKind expr.CmpKind, v float64, op *scanOp) {
-	applyFragBounds(tv, colName, opKind, v, op, func(f colstore.Fragment) (float64, float64, bool) {
-		if b, ok := f.(colstore.F64Bounded); ok {
-			return b.BoundsF64()
-		}
-		return 0, 0, false
-	}, vector.Float64)
-}
-
-// applyFragBoundsStr is the string counterpart of applyFragBoundsI64: plain
-// (non-enum) string columns persisted through ColumnBM carry per-chunk
-// min/max strings in the manifest, so range and equality predicates on
-// near-sorted string columns prune chunks exactly like numeric ones.
-func applyFragBoundsStr(tv *tableView, colName string, opKind expr.CmpKind, v string, op *scanOp) {
-	applyFragBounds(tv, colName, opKind, v, op, func(f colstore.Fragment) (string, string, bool) {
-		if b, ok := f.(colstore.StrBounded); ok {
-			return b.BoundsStr()
-		}
-		return "", "", false
-	}, vector.String)
-}
-
-func applyFragBounds[T primitives.Ordered](tv *tableView, colName string, opKind expr.CmpKind, v T,
-	op *scanOp, bounds func(colstore.Fragment) (T, T, bool), physTypes ...vector.Type) {
-	c := tv.col(colName)
-	if c == nil || c.IsEnum() || c.NumFrags() <= 1 || !slices.Contains(physTypes, c.PhysType()) {
-		return
-	}
-	nf := c.NumFrags()
-	starts := make([]int, nf+1)
-	mins := make([]T, nf)
-	maxs := make([]T, nf)
-	ok := make([]bool, nf)
-	bounded := false
-	for i := 0; i < nf; i++ {
-		starts[i] = c.FragStart(i)
-		mins[i], maxs[i], ok[i] = bounds(c.Frag(i))
-		bounded = bounded || ok[i]
-	}
-	if !bounded {
-		return
-	}
-	starts[nf] = c.Len()
-	loVal, hasLo, hiVal, hasHi := rangeFor(opKind, v)
-	lo, hi := sindex.PruneFragments(starts, mins, maxs, ok, loVal, hasLo, hiVal, hasHi)
-	op.lo, op.hi = max(op.lo, lo), min(op.hi, hi)
+	return colstore.Bound{}, colstore.Bound{}
 }
 
 func conjuncts(e expr.Expr, dst []expr.Expr) []expr.Expr {

@@ -19,7 +19,6 @@ import (
 	"x100/internal/delta"
 	"x100/internal/expr"
 	"x100/internal/sched"
-	"x100/internal/sindex"
 	"x100/internal/vector"
 )
 
@@ -64,10 +63,10 @@ type Database struct {
 	// both are held.
 	mu     sync.RWMutex
 	deltas map[string]*delta.Store
-	// summaries: table -> column -> typed summary index. The per-table maps
-	// are immutable once published; refreshes swap whole maps.
-	sumI32 map[string]map[string]*sindex.Summary[int32]
-	sumF64 map[string]map[string]*sindex.Summary[float64]
+	// summaries: table -> column -> the zone map BuildSummaryIndex built.
+	// The per-table maps are immutable once published; refreshes swap
+	// whole maps.
+	summaries map[string]map[string]*colstore.ZoneMap
 	// joinRefs: fetched-table -> referenced-table -> the positional
 	// reference registered by RegisterJoinIndex. Copy-on-write like the
 	// summary maps.
@@ -125,12 +124,11 @@ type diskAttachment struct {
 // NewDatabase creates a database over an empty catalog.
 func NewDatabase() *Database {
 	return &Database{
-		Catalog:  colstore.NewCatalog(),
-		deltas:   make(map[string]*delta.Store),
-		sumI32:   make(map[string]map[string]*sindex.Summary[int32]),
-		sumF64:   make(map[string]map[string]*sindex.Summary[float64]),
-		joinRefs: make(map[string]map[string]joinRef),
-		disk:     make(map[string]*diskAttachment),
+		Catalog:   colstore.NewCatalog(),
+		deltas:    make(map[string]*delta.Store),
+		summaries: make(map[string]map[string]*colstore.ZoneMap),
+		joinRefs:  make(map[string]map[string]joinRef),
+		disk:      make(map[string]*diskAttachment),
 	}
 }
 
@@ -653,48 +651,25 @@ func (db *Database) CheckpointAll(pool *sched.Pool) error {
 }
 
 // refreshSummaries rebuilds the summary indices registered over a table
-// (after its base fragments changed). The per-table maps are replaced
-// wholesale — captured views keep their frozen maps.
+// (after its base fragments changed), each at its granule. The per-table
+// map is replaced wholesale — captured views keep their frozen maps.
 func (db *Database) refreshSummaries(table string) error {
-	type job struct {
-		col     string
-		granule int
-	}
 	db.mu.RLock()
-	var i32jobs, f64jobs []job
-	for col, si := range db.sumI32[table] {
-		i32jobs = append(i32jobs, job{col, si.Granule})
-	}
-	for col, si := range db.sumF64[table] {
-		f64jobs = append(f64jobs, job{col, si.Granule})
-	}
+	old := db.summaries[table]
 	db.mu.RUnlock()
-	if len(i32jobs) == 0 && len(f64jobs) == 0 {
+	if len(old) == 0 {
 		return nil
 	}
-	newI32 := make(map[string]*sindex.Summary[int32], len(i32jobs))
-	newF64 := make(map[string]*sindex.Summary[float64], len(f64jobs))
-	for _, j := range i32jobs {
-		s32, _, err := db.buildSummary(table, j.col, j.granule)
+	fresh := make(map[string]*colstore.ZoneMap, len(old))
+	for col, z := range old {
+		nz, err := db.buildSummary(table, col, z.Granule())
 		if err != nil {
 			return err
 		}
-		newI32[j.col] = s32
-	}
-	for _, j := range f64jobs {
-		_, s64, err := db.buildSummary(table, j.col, j.granule)
-		if err != nil {
-			return err
-		}
-		newF64[j.col] = s64
+		fresh[col] = nz
 	}
 	db.mu.Lock()
-	if len(i32jobs) > 0 {
-		db.sumI32[table] = newI32
-	}
-	if len(f64jobs) > 0 {
-		db.sumF64[table] = newF64
-	}
+	db.summaries[table] = fresh
 	db.mu.Unlock()
 	return nil
 }
@@ -729,30 +704,21 @@ func (db *Database) CodeColumnType(table, column string) (vector.Type, error) {
 	return vector.Unknown, fmt.Errorf("core: %s.%s is not an enum or dict-compressed column", table, column)
 }
 
-// buildSummary builds a summary over a column's current base; exactly one
-// of the returned summaries is non-nil, by physical type.
-func (db *Database) buildSummary(table, column string, granule int) (*sindex.Summary[int32], *sindex.Summary[float64], error) {
+// buildSummary builds the zone map of a column's current base.
+func (db *Database) buildSummary(table, column string, granule int) (*colstore.ZoneMap, error) {
 	t, err := db.Catalog.Table(table)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	c := t.Col(column)
 	if c == nil {
-		return nil, nil, fmt.Errorf("core: table %s has no column %q", table, column)
+		return nil, fmt.Errorf("core: table %s has no column %q", table, column)
 	}
-	// Materialize with a returned error first: the column may be backed by
-	// disk fragments, and a corrupt chunk must not panic out of Data().
-	if _, err := c.Pin(); err != nil {
-		return nil, nil, fmt.Errorf("core: summary index %s.%s: %w", table, column, err)
+	z, err := colstore.BuildZoneMap(c, granule)
+	if err != nil {
+		return nil, fmt.Errorf("core: summary index %s.%s: %w", table, column, err)
 	}
-	switch c.PhysType() {
-	case vector.Int32:
-		return sindex.BuildSummary(c.Data().([]int32), granule), nil, nil
-	case vector.Float64:
-		return nil, sindex.BuildSummary(c.Data().([]float64), granule), nil
-	default:
-		return nil, nil, fmt.Errorf("core: summary index over %v column %s.%s unsupported", c.Typ, table, column)
-	}
+	return z, nil
 }
 
 // cloneWith returns a copy of m with k set to v (copy-on-write map update).
@@ -765,35 +731,22 @@ func cloneWith[V any](m map[string]V, k string, v V) map[string]V {
 	return out
 }
 
-// BuildSummaryIndex builds a summary index over a clustered column of a
-// table (paper Section 4.3). Supported column types: Date/Int32, Float64.
+// BuildSummaryIndex builds a summary index — a zone map of granule rows
+// per range (granule <= 0 selects 1024) — over a clustered column of a
+// table (paper Section 4.3). Supported column types: int32, date, int64,
+// float64 and string, enum-compressed ones over their decoded values. The
+// column is streamed one fragment at a time, never pinned. A Select over a
+// Scan of the table prunes through the index; checkpoints, Reorganize and
+// compaction rebuild it at the same granule.
 func (db *Database) BuildSummaryIndex(table, column string, granule int) error {
-	s32, s64, err := db.buildSummary(table, column, granule)
+	z, err := db.buildSummary(table, column, granule)
 	if err != nil {
 		return err
 	}
 	db.mu.Lock()
-	if s32 != nil {
-		db.sumI32[table] = cloneWith(db.sumI32[table], column, s32)
-	} else {
-		db.sumF64[table] = cloneWith(db.sumF64[table], column, s64)
-	}
+	db.summaries[table] = cloneWith(db.summaries[table], column, z)
 	db.mu.Unlock()
 	return nil
-}
-
-// SummaryI32 returns the int32/date summary index of table.column, if any.
-func (db *Database) SummaryI32(table, column string) *sindex.Summary[int32] {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.sumI32[table][column]
-}
-
-// SummaryF64 returns the float summary index of table.column, if any.
-func (db *Database) SummaryF64(table, column string) *sindex.Summary[float64] {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.sumF64[table][column]
 }
 
 // joinRef is a positional reference: an int32 column of the fetched table

@@ -36,7 +36,8 @@ type ExecOptions struct {
 	Fuse bool
 	// Tracer collects per-primitive statistics (nil disables).
 	Tracer *trace.Collector
-	// NoSummaryIndex disables summary-index range pruning (ablation).
+	// NoSummaryIndex disables all zone map range pruning — registered
+	// summary indices and disk chunk zone maps alike (ablation).
 	NoSummaryIndex bool
 	// NoCodeDomain disables code-domain execution: pushing a Select into
 	// its scan with selection pushdown, string-predicate translation onto

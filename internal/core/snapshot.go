@@ -6,7 +6,6 @@ import (
 
 	"x100/internal/colstore"
 	"x100/internal/delta"
-	"x100/internal/sindex"
 )
 
 // This file implements the per-query snapshot layer that makes checkpoints
@@ -37,10 +36,10 @@ type tableView struct {
 	// delta is the captured insert/delete delta; its buffers are immune to
 	// concurrent appends and ClearInsertsN/Rebase by construction.
 	delta *delta.Snapshot
-	// Captured secondary-index maps (nil when none registered). Cutovers
-	// swap whole maps, never mutate them, so reads here are race-free.
-	sumI32 map[string]*sindex.Summary[int32]
-	sumF64 map[string]*sindex.Summary[float64]
+	// summaries is the captured summary-index map (nil when none is
+	// registered). Cutovers swap whole maps, never mutate them, so reads
+	// here are race-free.
+	summaries map[string]*colstore.ZoneMap
 }
 
 // col returns the captured column by name, nil when absent.
@@ -141,8 +140,7 @@ func (ss *snapSet) captureLocked(name string) (*tableView, error) {
 		n:         t.N,
 		chunkRows: t.ChunkRows,
 		delta:     ds.Snapshot(),
-		sumI32:    db.sumI32[name],
-		sumF64:    db.sumF64[name],
+		summaries: db.summaries[name],
 	}
 	att := db.disk[name]
 	db.mu.RUnlock()

@@ -12,8 +12,8 @@ import (
 )
 
 // stringPruneDB persists a table with a sorted dates-as-strings column in
-// 1000-row chunks and attaches it disk-backed, so each chunk carries string
-// min/max bounds from the manifest.
+// 1000-row chunks and attaches it disk-backed, so the column's chunk zone
+// map holds each chunk's string min/max from the manifest.
 func stringPruneDB(t *testing.T) (*Database, int) {
 	t.Helper()
 	const n = 10000
@@ -45,9 +45,10 @@ func stringPruneDB(t *testing.T) (*Database, int) {
 	return db, n
 }
 
-// TestStringChunkPruning asserts per-chunk string min/max bounds narrow a
-// scan below a string range predicate, and that the pruned scan still
-// returns exactly the matching rows.
+// TestStringChunkPruning asserts the chunk zone map of a string column
+// narrows a scan below a string range predicate to exactly the chunks
+// holding matches, and that the pruned scan still returns exactly the
+// matching rows.
 func TestStringChunkPruning(t *testing.T) {
 	db, n := stringPruneDB(t)
 	pred := expr.GEE(expr.C("day"), expr.Str("2024-03-01"))
@@ -58,9 +59,13 @@ func TestStringChunkPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if op.view.col("day").ZoneMap() == nil {
+		t.Fatal("string column has no chunk zone map")
+	}
 	applySummaryBounds(op.view, pred, op)
-	if op.lo == 0 {
-		t.Errorf("scan lower bound not pruned: lo=%d", op.lo)
+	// The first match is row 5600, in the chunk starting at row 5000.
+	if op.lo != 5000 {
+		t.Errorf("scan lower bound pruned to %d, want 5000", op.lo)
 	}
 	if op.hi != n {
 		t.Errorf("scan upper bound moved: hi=%d, want %d", op.hi, n)
@@ -72,8 +77,9 @@ func TestStringChunkPruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	applySummaryBounds(opLE.view, expr.LTE(expr.C("day"), expr.Str("2024-02-01")), opLE)
-	if opLE.hi == n {
-		t.Errorf("scan upper bound not pruned: hi=%d", opLE.hi)
+	// The last match is row 2899, in the chunk ending at row 3000.
+	if opLE.hi != 3000 {
+		t.Errorf("scan upper bound pruned to %d, want 3000", opLE.hi)
 	}
 
 	// The pruned plan still returns exactly the matching rows.

@@ -3,6 +3,7 @@ package tpch
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -307,11 +308,10 @@ func TestStringHeavyDiskDifferential(t *testing.T) {
 	}
 }
 
-// TestDiskQ1Pruning asserts chunk-granularity pruning from per-chunk
-// min/max narrows the Q1 scan on the disk table (l_shipdate is nearly
-// sorted, so trailing chunks past the predicate date are skipped) without
-// changing results — the summary-index behavior of Section 4.3 with no
-// in-memory index.
+// TestDiskQ1Pruning asserts the disk table's l_shipdate carries a chunk
+// zone map (the manifest's per-chunk min/max) that skips the chunks lying
+// wholly outside a range bound — the summary-index behavior of Section 4.3
+// with no in-memory index.
 func TestDiskQ1Pruning(t *testing.T) {
 	disk := getDiskDB(t)
 	lt, err := disk.Table("lineitem")
@@ -322,18 +322,25 @@ func TestDiskQ1Pruning(t *testing.T) {
 	if sd.NumFrags() < 2 {
 		t.Skipf("only %d fragments", sd.NumFrags())
 	}
-	// All fragments must expose bounds for the pruning path to engage.
-	bounded := 0
-	for i := 0; i < sd.NumFrags(); i++ {
-		if b, ok := sd.Frag(i).(interface {
-			BoundsI64() (int64, int64, bool)
-		}); ok {
-			if _, _, has := b.BoundsI64(); has {
-				bounded++
-			}
-		}
+	// The chunk zone map covers the column, and a strict bound at the first
+	// chunk's maximum (the last chunk's minimum) skips that chunk.
+	z := sd.ZoneMap()
+	if z == nil || z.Rows() != sd.Len() {
+		t.Fatal("l_shipdate has no chunk zone map covering the column")
 	}
-	if bounded != sd.NumFrags() {
-		t.Fatalf("%d of %d fragments have bounds", bounded, sd.NumFrags())
+	r := sd.Reader()
+	first, err := r.Vector(0, sd.FragStart(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, err := r.Vector(sd.FragStart(sd.NumFrags()-1), sd.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := z.Prune(colstore.Bound{Val: slices.Max(first.Int32s()), Strict: true}, colstore.Bound{}); lo < sd.FragStart(1) || hi != sd.Len() {
+		t.Fatalf("lower bound past chunk 0 prunes to [%d,%d), want chunk 0 skipped", lo, hi)
+	}
+	if lo, hi := z.Prune(colstore.Bound{}, colstore.Bound{Val: slices.Min(last.Int32s()), Strict: true}); lo != 0 || hi > sd.FragStart(sd.NumFrags()-1) {
+		t.Fatalf("upper bound before the last chunk prunes to [%d,%d), want it skipped", lo, hi)
 	}
 }

@@ -7,7 +7,8 @@
 // returnflag×linestatus grouping yields 4 combinations; l_quantity,
 // l_discount and l_tax have small domains and are stored as enumeration
 // types (Section 4.3); orders is sorted on date with lineitem clustered
-// along (Section 5), enabling summary indices on the date columns. Join
+// along (Section 5), so summary indices (zone maps) on the date columns
+// prune date-range scans. Join
 // indices over all foreign-key paths are materialized as int32 row-id
 // columns (l_orderrow, o_custrow, ...), mirroring MonetDB's positional join
 // columns.
@@ -138,8 +139,9 @@ var (
 
 // Generate builds a complete TPC-H database at the given scale factor:
 // tables, enum dictionaries (with their mapping tables), join-index row-id
-// columns, registered as join indices, and summary indices on the date
-// columns.
+// columns, registered as join indices, and summary indices on the
+// clustered date columns o_orderdate and l_shipdate: zone maps of 1024-row
+// ranges that prune the scans of date-range selections.
 func Generate(cfg Config) (*core.Database, error) {
 	if cfg.SF <= 0 {
 		cfg.SF = 0.01
@@ -444,7 +446,8 @@ func Generate(cfg Config) (*core.Database, error) {
 	registerDictTables(db, customer, part, orders, lineitem)
 
 	// Summary indices on the clustered date columns (Section 5: "summary
-	// indices on all date columns of both tables").
+	// indices on all date columns of both tables"): zone maps of the
+	// default 1024-row granule, streamed from the columns without pinning.
 	must(db.BuildSummaryIndex("orders", "o_orderdate", 0))
 	must(db.BuildSummaryIndex("lineitem", "l_shipdate", 0))
 

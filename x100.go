@@ -32,9 +32,12 @@
 // through a per-worker reader that decodes at most one chunk per column at
 // a time, straight into buffers of the column's physical type, via an LRU
 // buffer pool of compressed chunks, so datasets larger than RAM execute in
-// bounded memory; per-chunk min/max recorded at write time (integer, float
-// and string bounds alike) prunes scans at chunk granularity
-// (summary-index-style, Section 4.3) with no in-memory index. See
+// bounded memory. Every column has one kind of min/max summary, a zone map
+// (the summary index of Section 4.3), and a Select over a Scan prunes the
+// scan's row range through it: the per-chunk min/max recorded at write
+// time (integer, float and string bounds alike) is a disk column's zone
+// map, at chunk granularity and with no in-memory index, and
+// BuildSummaryIndex builds a finer one over any column. See
 // docs/ARCHITECTURE.md for the end-to-end tour and docs/STORAGE_FORMAT.md
 // for the on-disk format.
 // The positional join (Fetch1Join) gathers through per-column
@@ -77,7 +80,7 @@
 // dynamically, so an uneven selectivity distribution rebalances
 // automatically. Each worker owns a full copy of its pipeline (vectors,
 // selection buffers, compiled expression programs), so workers share only
-// read-only state: column fragments, dictionaries, summary indices, and
+// read-only state: column fragments, dictionaries, zone maps, and
 // hash-join builds, which are materialized once and probed concurrently.
 // The consumer of a fragment takes all n pipelines: an exchange fans their
 // results in, aggregation merges one partial group table per worker
@@ -588,8 +591,16 @@ func (db *DB) Reorganize(table string) error {
 // Delta exposes a table's delta store.
 func (db *DB) Delta(table string) (*delta.Store, error) { return db.inner.Delta(table) }
 
-// BuildSummaryIndex builds a sparse min/max index over a clustered column
-// (granule <= 0 selects the default of 1024 rows).
+// BuildSummaryIndex builds a summary index over a clustered column: a zone
+// map recording the min and max of every granule rows (granule <= 0
+// selects the default of 1024; a range never spans two disk chunks).
+// Supported column types are int32, date, int64, float64 and string;
+// enum-compressed columns are summarized over their decoded values, and a
+// float column holding a NaN gets an index that prunes nothing. The build
+// streams the column one chunk at a time and never pins a disk column.
+// A Select over a Scan of the column then prunes through this index
+// instead of the column's chunk zone map; checkpoints and Reorganize
+// rebuild it at the same granule.
 func (db *DB) BuildSummaryIndex(table, column string, granule int) error {
 	return db.inner.BuildSummaryIndex(table, column, granule)
 }
