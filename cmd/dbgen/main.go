@@ -31,6 +31,11 @@ func main() {
 }
 
 func run(sf float64, seed uint64, out string, chunkValues int, verify bool) error {
+	// Saving over saved tables moves their row-id epochs on, and the join
+	// indices of the fresh lineitem, orders, ... would attach stale.
+	if old, _ := filepath.Glob(filepath.Join(out, "*.manifest.json")); out != "" && len(old) > 0 {
+		return fmt.Errorf("%s already holds saved tables; choose an empty directory", out)
+	}
 	db, err := tpch.Generate(tpch.Config{SF: sf, Seed: seed})
 	if err != nil {
 		return err

@@ -212,7 +212,7 @@ func TestDiskTableDurableUpdates(t *testing.T) {
 // through AttachDisk gets the join-index guard of a generated database:
 // the fetch plans answer as on the generated database until an Update or
 // a Reorganize moves orders row ids, and then the plans fetching orders
-// through l_orderrow fail with ErrStaleRangeIndex, while a plan fetching
+// through l_orderrow fail with ErrStaleJoinIndex, while a plan fetching
 // only part still answers. The mark survives closing the database and
 // attaching the directory again: from the replayed log of an Update, from
 // the row-id epoch a checkpoint of the Update commits, and from the one a
@@ -274,8 +274,8 @@ func TestAttachDiskJoinIndicesGoStale(t *testing.T) {
 	stale := func(t *testing.T, label string, db *x100.DB) {
 		t.Helper()
 		for _, q := range []int{3, 12} {
-			if res, err := db.Exec(query(q)); !errors.Is(err, x100.ErrStaleRangeIndex) || res != nil {
-				t.Fatalf("%s: Q%d = %v, %v; want ErrStaleRangeIndex and no rows", label, q, res, err)
+			if res, err := db.Exec(query(q)); !errors.Is(err, x100.ErrStaleJoinIndex) || res != nil {
+				t.Fatalf("%s: Q%d = %v, %v; want ErrStaleJoinIndex and no rows", label, q, res, err)
 			}
 		}
 		got, err := db.Exec(query(14))

@@ -62,7 +62,8 @@ type Manifest struct {
 	// RowIDEpoch counts the commits that moved this table's row ids: a
 	// compaction that dropped deleted rows, and a checkpoint that absorbed
 	// an Update (a delete plus an insert under a new row id). SaveTable
-	// writes 0.
+	// writes 0 for a new table and bumps the old manifest's epoch when it
+	// saves over one.
 	RowIDEpoch int64 `json:"rowid_epoch,omitempty"`
 	// JoinEpochs records, per join-index column of this table (an int32
 	// column holding row ids of a referenced table), the referenced
@@ -261,8 +262,11 @@ func (s *Store) SaveTable(t *colstore.Table) error {
 	old, _ := s.readManifest(t.Name)
 	if old != nil {
 		// Carry the WAL epoch forward; writeManifest bumps it, so any WAL
-		// written against the superseded manifest is invalidated.
-		m.Gen, m.WalEpoch = old.Gen+1, old.WalEpoch
+		// written against the superseded manifest is invalidated. The saved
+		// rows replace the old ones under the same row ids, so the row-id
+		// epoch moves on too: a join index another table recorded against
+		// the old rows must not match the new ones.
+		m.Gen, m.WalEpoch, m.RowIDEpoch = old.Gen+1, old.WalEpoch, old.RowIDEpoch+1
 	}
 	if err := s.writeColumns(&m, t); err != nil {
 		return fmt.Errorf("columnbm: save %w", err)

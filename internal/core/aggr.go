@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"x100/internal/algebra"
 	"x100/internal/expr"
@@ -12,8 +13,8 @@ import (
 )
 
 // aggrOp implements the three physical aggregation flavors of Section
-// 4.1.2: hash aggregation (general case), direct aggregation (small
-// bit-domain keys indexed straight into accumulator arrays, as in the
+// 4.1.2: hash aggregation (general case), direct aggregation (keys of a
+// small dense domain indexed straight into accumulator arrays, as in the
 // hard-coded Query 1 UDF), and ordered aggregation (group members arrive
 // consecutively). With no group-by expressions it degrades to scalar
 // aggregation over a single group.
@@ -34,7 +35,8 @@ type aggrOp struct {
 	aggProgs   []*expr.Prog
 	mode       algebra.AggMode
 
-	// group key storage (hash/ordered mode).
+	// group key storage (hash/ordered mode, and direct mode's keys outside
+	// its domain).
 	groups []*colBuilder
 	// hash table: open addressing with linear probing; buckets hold group
 	// id + 1 (0 = empty). groupHash keeps the low 32 bits of every group's
@@ -57,10 +59,7 @@ type aggrOp struct {
 	accs     []*accumulator
 	rowCount []int64
 
-	// direct mode.
-	directCols  [2]int // group column indices in the input schema
-	directWidth int    // domain size
-	occupied    []int32
+	direct directDomain
 
 	done    bool
 	emitPos int
@@ -350,11 +349,12 @@ func aggResultType(a algebra.AggExpr, in vector.Schema) (argT, outT vector.Type,
 
 // newAggrOp compiles an aggregation over in: one partial aggregation per
 // pipeline, compiled under its worker's options.
-func newAggrOp(in *fragment, node *algebra.Aggr) (*aggrOp, error) {
+func newAggrOp(db *Database, in *fragment, node *algebra.Aggr) (*aggrOp, error) {
+	dom := findDirectDomain(db, node, in.parts[0].Schema(), in.opts)
 	parts := make([]*aggrOp, len(in.parts))
 	for i, p := range in.parts {
 		var err error
-		if parts[i], err = newAggrPart(p, node, in.workers[i]); err != nil {
+		if parts[i], err = newAggrPart(p, node, in.workers[i], dom); err != nil {
 			return nil, err
 		}
 	}
@@ -363,9 +363,9 @@ func newAggrOp(in *fragment, node *algebra.Aggr) (*aggrOp, error) {
 	return op, nil
 }
 
-func newAggrPart(input Operator, node *algebra.Aggr, opts ExecOptions) (*aggrOp, error) {
+func newAggrPart(input Operator, node *algebra.Aggr, opts ExecOptions, dom directDomain) (*aggrOp, error) {
 	in := input.Schema()
-	op := &aggrOp{input: input, node: node, opts: opts, mode: node.Mode}
+	op := &aggrOp{input: input, node: node, opts: opts, mode: node.Mode, direct: dom}
 	for _, g := range node.GroupBy {
 		t, err := g.E.Type(in)
 		if err != nil {
@@ -402,18 +402,20 @@ func newAggrPart(input Operator, node *algebra.Aggr, opts ExecOptions) (*aggrOp,
 		op.accs = append(op.accs, newAccumulator(a.Fn, argT, outT))
 	}
 	if op.mode == algebra.ModeAuto {
-		op.mode = op.pickMode(in)
 		// Ordered aggregation is chosen when group members are known to
 		// arrive consecutively (paper Section 4.1.2): the input is sorted
 		// with the group-by expressions as a prefix of its sort keys.
-		if op.mode == algebra.ModeHash && len(node.GroupBy) > 0 && inputSortedByGroups(node) {
+		switch {
+		case dom.width > 0:
+			op.mode = algebra.ModeDirect
+		case len(node.GroupBy) > 0 && inputSortedByGroups(node):
 			op.mode = algebra.ModeOrdered
+		default:
+			op.mode = algebra.ModeHash
 		}
 	}
-	if op.mode == algebra.ModeDirect {
-		if err := op.prepareDirect(in); err != nil {
-			return nil, err
-		}
+	if op.mode == algebra.ModeDirect && dom.width == 0 {
+		return nil, fmt.Errorf("core: direct aggregation needs one or two enum-code group columns or one join-index column")
 	}
 	op.name = fmt.Sprintf("Aggr(%s)", op.mode)
 	for _, a := range op.accs {
@@ -443,45 +445,94 @@ func inputSortedByGroups(node *algebra.Aggr) bool {
 	return true
 }
 
-// pickMode chooses direct aggregation when all group-bys are small-domain
-// code columns (at most two uint8 columns), else hash aggregation.
-func (op *aggrOp) pickMode(in vector.Schema) algebra.AggMode {
-	if len(op.node.GroupBy) == 0 {
-		return algebra.ModeHash // scalar path shares the hash machinery
+// directDomain is the dense domain [0, width) whose keys a direct
+// aggregation uses as group ids; width 0 means the group keys have none.
+// Group ids from width on number the groups of keys outside the domain.
+type directDomain struct {
+	width  int
+	cols   [2]int // the group key columns in the input schema
+	rowIDs bool   // one join-index key (else one or two enum-code keys)
+}
+
+// findDirectDomain returns the direct domain of an aggregation's group
+// keys, which must all be plain input columns:
+//   - one or two uint8 enum-code columns: 256 or 65536 slots, the code
+//     (or the two codes' concatenation) is the group id;
+//   - one int32 column read from a join index (RegisterJoinIndex) by a Scan
+//     or Fetch1Join: the referenced table's row count in the query's
+//     snapshot, the row id is the group id. It is taken only when that
+//     count is at most the row count of the key's own table, so the arrays
+//     never outgrow the input.
+//
+// The domain only sizes the arrays: a key outside it — -1, no reference, or
+// any value a writer inserted — still forms a group of its own, so the
+// aggregation is correct whatever the column holds, stale or not.
+func findDirectDomain(db *Database, node *algebra.Aggr, in vector.Schema, opts ExecOptions) directDomain {
+	var dom directDomain
+	ng := len(node.GroupBy)
+	if ng == 0 || ng > 2 {
+		return dom
 	}
-	if len(op.node.GroupBy) <= 2 {
-		ok := true
-		for i := range op.node.GroupBy {
-			pi := op.groupPass[i]
-			if pi < 0 || in[pi].Type.Physical() != vector.UInt8 {
-				ok = false
+	for i, g := range node.GroupBy {
+		c, ok := g.E.(*expr.Col)
+		if !ok {
+			return directDomain{}
+		}
+		if dom.cols[i] = in.ColIndex(c.Name); dom.cols[i] < 0 {
+			return directDomain{}
+		}
+	}
+	switch t := in[dom.cols[0]].Type.Physical(); {
+	case t == vector.UInt8 && (ng == 1 || in[dom.cols[1]].Type.Physical() == vector.UInt8):
+		dom.width = 1 << (8 * ng)
+	case t == vector.Int32 && ng == 1:
+		table, col := columnSource(node.Input, node.GroupBy[0].E.(*expr.Col).Name)
+		if ref := db.referencedTable(table, col); ref != "" {
+			rv, rErr := opts.snaps.view(ref)
+			ov, oErr := opts.snaps.view(table)
+			if rErr == nil && oErr == nil && rv.total() <= ov.total() {
+				dom.width, dom.rowIDs = rv.total(), true
+			}
+		}
+	}
+	return dom
+}
+
+// columnSource resolves the output column name of plan to the Scan or
+// Fetch1Join that reads it: that table and its stored column name, or ""
+// and "". Selects pass their input's columns through, and Projects plain
+// columns under new names. A computed column has no source, nor has a
+// column that only shares a table column's name.
+func columnSource(plan algebra.Node, name string) (table, col string) {
+	switch n := plan.(type) {
+	case *algebra.Scan:
+		if slices.Contains(n.Cols, name) {
+			return n.Table, name
+		}
+	case *algebra.Fetch1Join:
+		for i, c := range n.Cols {
+			out := c
+			if i < len(n.As) && n.As[i] != "" {
+				out = n.As[i]
+			}
+			if out == name {
+				return n.Table, c
+			}
+		}
+		return columnSource(n.Input, name)
+	case *algebra.Select:
+		return columnSource(n.Input, name)
+	case *algebra.Project:
+		for _, e := range n.Exprs {
+			if e.Alias == name {
+				if c, isCol := e.E.(*expr.Col); isCol {
+					return columnSource(n.Input, c.Name)
+				}
 				break
 			}
 		}
-		if ok {
-			return algebra.ModeDirect
-		}
 	}
-	return algebra.ModeHash
-}
-
-func (op *aggrOp) prepareDirect(in vector.Schema) error {
-	n := len(op.node.GroupBy)
-	if n == 0 || n > 2 {
-		return fmt.Errorf("core: direct aggregation needs 1 or 2 group columns, got %d", n)
-	}
-	for i := 0; i < n; i++ {
-		pi := op.groupPass[i]
-		if pi < 0 || in[pi].Type.Physical() != vector.UInt8 {
-			return fmt.Errorf("core: direct aggregation group %q must be a uint8 code column", op.node.GroupBy[i].Alias)
-		}
-		op.directCols[i] = pi
-	}
-	op.directWidth = 256
-	if n == 2 {
-		op.directWidth = 65536
-	}
-	return nil
+	return "", ""
 }
 
 func (op *aggrOp) Schema() vector.Schema { return op.schema }
@@ -504,7 +555,6 @@ func (op *aggrOp) open() error {
 	op.done = false
 	op.emitPos = 0
 	op.nGroups = 0
-	op.occupied = nil
 	op.groups = nil
 	op.scratch.gvecs = nil
 	op.rowCount = nil
@@ -517,25 +567,22 @@ func (op *aggrOp) open() error {
 	op.gidBuf = nil
 	op.tableFrom = 0
 	op.sealing = op.mode == algebra.ModeHash && len(op.node.GroupBy) > 0 && orderable(op.schema[0].Type)
-	switch op.mode {
-	case algebra.ModeDirect:
-		// Open with one single-code plane (256 slots) and grow lazily from
-		// the codes actually seen: the nominal two-column domain is 64K
-		// slots, but real enum domains are tiny (Q1 groups 3x2), and eagerly
-		// zeroing 64K slots per accumulator per worker dominated the profile
-		// under concurrent serving.
-		op.growGroups(min(op.directWidth, 256))
-	default:
-		// The hash table is sized by the first batch (reserveSlots).
-		for i := range op.node.GroupBy {
-			t := op.schema[i].Type
-			op.groups = append(op.groups, newColBuilder(t))
-		}
-		if len(op.node.GroupBy) == 0 {
-			// Scalar aggregation: one pre-existing group.
-			op.nGroups = 1
-			op.growGroups(1)
-		}
+	// The hash table is sized by the first batch (reserveSlots).
+	for i := range op.node.GroupBy {
+		op.groups = append(op.groups, newColBuilder(op.schema[i].Type))
+	}
+	switch {
+	case op.mode == algebra.ModeDirect:
+		// Open with one single-code plane (256 slots) and grow lazily to the
+		// largest key seen: the nominal two-column domain is 64K slots and a
+		// row-id domain is a whole table, but real enum domains are tiny (Q1
+		// groups 3x2), and eagerly zeroing 64K slots per accumulator per
+		// worker dominated the profile under concurrent serving.
+		op.growGroups(min(op.direct.width, 256))
+	case len(op.node.GroupBy) == 0:
+		// Scalar aggregation: one pre-existing group.
+		op.nGroups = 1
+		op.growGroups(1)
 	}
 	return nil
 }
@@ -613,7 +660,9 @@ func (op *aggrOp) consume() error {
 		// 1. compute group ids for all live rows.
 		switch op.mode {
 		case algebra.ModeDirect:
-			op.assignDirect(b)
+			if err := op.assignDirect(b); err != nil {
+				return err
+			}
 		case algebra.ModeOrdered:
 			op.assignOrdered(b)
 		default:
@@ -663,39 +712,81 @@ func zeroGids(gids []int32, sel []int32) {
 	}
 }
 
-// assignDirect computes group ids straight from enum code columns
-// (map_directgrp in Table 5).
-func (op *aggrOp) assignDirect(b *vector.Batch) {
+// assignDirect computes group ids straight from the keys (map_directgrp in
+// Table 5): from one or two enum code columns, or a row id itself. The
+// accumulators grow to the largest group id present rather than to the
+// whole domain. Keys outside the domain take hash groups (assignOutside).
+func (op *aggrOp) assignDirect(b *vector.Batch) error {
 	gids := op.gidBuf[:b.N]
-	var c2 []uint8
-	c1 := b.Vecs[op.directCols[0]].UInt8s()
-	if len(op.node.GroupBy) == 2 {
-		c2 = b.Vecs[op.directCols[1]].UInt8s()
-	}
+	d := &op.direct
+	maxGid, outside := int32(-1), 0
 	t0 := op.opts.Tracer.Now()
-	primitives.DirectGroupU8(gids, c1, c2, b.Sel)
-	op.opts.Tracer.RecordPrimitiveSince("map_directgrp_uidx_col_uchr_col", t0, b.Rows(), 6*b.Rows())
-	if c2 != nil {
-		// The two-column group id is c1 | c2<<8; grow the accumulators to
-		// the highest id actually present instead of the full 64K domain.
-		maxGid := int32(-1)
-		if b.Sel != nil {
-			for _, i := range b.Sel {
-				if gids[i] > maxGid {
-					maxGid = gids[i]
-				}
-			}
-		} else {
-			for _, g := range gids {
-				if g > maxGid {
-					maxGid = g
-				}
-			}
+	if d.rowIDs {
+		maxGid, outside = primitives.DirectGroupI32(gids, b.Vecs[d.cols[0]].Int32s(), b.Sel, int32(d.width))
+		op.opts.Tracer.RecordPrimitiveSince("map_directgrp_uidx_col_sint_col", t0, b.Rows(), 8*b.Rows())
+	} else {
+		var c2 []uint8
+		c1 := b.Vecs[d.cols[0]].UInt8s()
+		if len(op.node.GroupBy) == 2 {
+			c2 = b.Vecs[d.cols[1]].UInt8s()
 		}
-		if need := int(maxGid) + 1; need > len(op.rowCount) {
-			op.growGroups(need)
+		primitives.DirectGroupU8(gids, c1, c2, b.Sel)
+		op.opts.Tracer.RecordPrimitiveSince("map_directgrp_uidx_col_uchr_col", t0, b.Rows(), 6*b.Rows())
+		if c2 != nil {
+			// The two-column domain has 64K slots: find the highest id.
+			if b.Sel != nil {
+				for _, i := range b.Sel {
+					maxGid = max(maxGid, gids[i])
+				}
+			} else {
+				for _, g := range gids {
+					maxGid = max(maxGid, g)
+				}
+			}
 		}
 	}
+	if need := int(maxGid) + 1; need > len(op.rowCount) {
+		// Double at least: keys that ascend batch by batch, as a clustered
+		// row-id column's do, would otherwise reallocate every array often.
+		op.growGroups(min(max(need, 2*len(op.rowCount)), d.width))
+	}
+	if outside > 0 {
+		return op.assignOutside(b, gids)
+	}
+	return nil
+}
+
+// assignOutside gives the live rows of b whose row-id key lies outside the
+// direct domain — -1, no reference, or any value a writer inserted — the
+// groups of their keys in the hash table, numbered from the domain's end.
+func (op *aggrOp) assignOutside(b *vector.Batch, gids []int32) error {
+	k := b.Vecs[op.direct.cols[0]]
+	keys, w := k.Int32s(), op.direct.width
+	s := &op.scratch
+	live := b.Sel
+	if live == nil {
+		s.livePos = allPairs(s.livePos, b.N)
+		live = s.livePos
+	}
+	rows := s.heads[:0]
+	for _, i := range live {
+		if uint32(keys[i]) >= uint32(w) {
+			rows = append(rows, i)
+		}
+	}
+	s.heads = rows
+	t0 := op.opts.Tracer.Now()
+	hashes := op.hashBuf[:b.N]
+	if err := hashVector(hashes, k, rows, true); err != nil {
+		return err
+	}
+	op.findOrInsert([]*vector.Vector{k}, hashes, rows, gids)
+	for _, i := range rows {
+		gids[i] += int32(w)
+	}
+	op.growGroups(w + op.nGroups)
+	op.opts.Tracer.RecordPrimitiveSince("aggr_hashprobe_uidx_col", t0, len(rows), 12*len(rows))
+	return nil
 }
 
 // groupKeyVectors evaluates the group-by expressions for a batch.
@@ -1068,51 +1159,16 @@ func (op *aggrOp) assignOrdered(b *vector.Batch) {
 
 // emit produces output batches from the accumulated groups.
 func (op *aggrOp) emit() (*vector.Batch, error) {
-	if op.mode == algebra.ModeDirect && op.occupied == nil {
-		op.occupied = make([]int32, 0, 64)
-		for g := 0; g < op.directWidth && g < len(op.rowCount); g++ {
-			if op.rowCount[g] > 0 {
-				op.occupied = append(op.occupied, int32(g))
-			}
-		}
-	}
-	total := op.nGroups
-	if op.mode == algebra.ModeDirect {
-		total = len(op.occupied)
-	}
-	if op.emitPos >= total {
+	idx := op.nextGroups(op.opts.batchSize())
+	k := len(idx)
+	if k == 0 {
 		return nil, nil
-	}
-	k := min(op.opts.batchSize(), total-op.emitPos)
-	lo, hi := op.emitPos, op.emitPos+k
-	op.emitPos = hi
-
-	idx := make([]int32, k)
-	if op.mode == algebra.ModeDirect {
-		copy(idx, op.occupied[lo:hi])
-	} else {
-		for j := range idx {
-			idx[j] = int32(lo + j)
-		}
 	}
 	out := &vector.Batch{Schema: op.schema, Vecs: make([]*vector.Vector, len(op.schema)), N: k}
 	ng := len(op.node.GroupBy)
 	for c := 0; c < ng; c++ {
 		if op.mode == algebra.ModeDirect {
-			// Decode group key codes from the direct slot index.
-			codes := make([]uint8, k)
-			if ng == 2 && c == 0 {
-				for j, g := range idx {
-					codes[j] = uint8(g >> 8)
-				}
-			} else {
-				for j, g := range idx {
-					codes[j] = uint8(g & 0xff)
-				}
-			}
-			v := vector.FromUint8s(codes)
-			v.Typ = op.schema[c].Type
-			out.Vecs[c] = v
+			out.Vecs[c] = op.directKeys(c, idx)
 		} else {
 			out.Vecs[c] = op.groups[c].gather(idx)
 		}
@@ -1125,6 +1181,55 @@ func (op *aggrOp) emit() (*vector.Batch, error) {
 	return out, nil
 }
 
+// nextGroups returns the ids of the next at most k groups to emit, from
+// emitPos on. In direct mode these are the occupied slots in key order,
+// then the groups of the keys outside the domain (all occupied); a scalar
+// aggregation emits its group even over no rows.
+func (op *aggrOp) nextGroups(k int) []int32 {
+	direct := op.mode == algebra.ModeDirect
+	n := op.nGroups
+	if direct {
+		n = len(op.rowCount)
+	}
+	idx := make([]int32, 0, min(k, n-op.emitPos))
+	for ; op.emitPos < n && len(idx) < k; op.emitPos++ {
+		if !direct || op.rowCount[op.emitPos] > 0 {
+			idx = append(idx, int32(op.emitPos))
+		}
+	}
+	return idx
+}
+
+// directKeys decodes group key c of the direct group ids idx: a code from
+// its byte of the id, a row id as the id itself, and a key outside the
+// domain from the hash groups.
+func (op *aggrOp) directKeys(c int, idx []int32) *vector.Vector {
+	var v *vector.Vector
+	if op.direct.rowIDs {
+		keys := make([]int32, len(idx))
+		w := int32(op.direct.width)
+		for j, g := range idx {
+			keys[j] = g
+			if g >= w {
+				keys[j] = op.groups[0].i32[g-w]
+			}
+		}
+		v = vector.FromInt32s(keys)
+	} else {
+		shift := 0
+		if len(op.node.GroupBy) == 2 && c == 0 {
+			shift = 8
+		}
+		codes := make([]uint8, len(idx))
+		for j, g := range idx {
+			codes[j] = uint8(g >> shift)
+		}
+		v = vector.FromUint8s(codes)
+	}
+	v.Typ = op.schema[c].Type
+	return v
+}
+
 // mergeFrom folds the partial aggregation state of src — a worker's
 // aggregation over one partition of the input — into op. The group sets are
 // unioned and the accumulators combine order-insensitively: sums and counts
@@ -1133,11 +1238,22 @@ func (op *aggrOp) emit() (*vector.Batch, error) {
 // aggregation up to floating-point summation order. op and src must be
 // built from the same Aggr node and run in the same mode.
 func (op *aggrOp) mergeFrom(src *aggrOp) error {
-	switch op.mode {
-	case algebra.ModeDirect:
-		// Group id is the code slot itself: merge slot-wise.
-		op.growGroups(len(src.rowCount))
-		for g, rc := range src.rowCount {
+	if len(op.node.GroupBy) == 0 {
+		// Scalar aggregation: the single pre-existing group 0.
+		op.rowCount[0] += src.rowCount[0]
+		for i, a := range op.accs {
+			a.merge(src.accs[i], 0, 0)
+		}
+		return nil
+	}
+	// off is where the hash groups' ids start: after a direct domain.
+	off := 0
+	if op.mode == algebra.ModeDirect {
+		// An in-domain group id is the key itself: merge slot-wise.
+		off = op.direct.width
+		n := min(len(src.rowCount), off)
+		op.growGroups(n)
+		for g, rc := range src.rowCount[:n] {
 			if rc == 0 {
 				continue
 			}
@@ -1146,43 +1262,36 @@ func (op *aggrOp) mergeFrom(src *aggrOp) error {
 				a.merge(src.accs[i], g, g)
 			}
 		}
-		return nil
-	default:
-		if len(op.node.GroupBy) == 0 {
-			// Scalar aggregation: the single pre-existing group 0.
-			op.rowCount[0] += src.rowCount[0]
-			for i, a := range op.accs {
-				a.merge(src.accs[i], 0, 0)
-			}
+		if src.nGroups == 0 {
 			return nil
 		}
-		op.unseal()
-		for _, p := range []*aggrOp{op, src} {
-			if err := p.hashGroups(); err != nil {
-				return err
-			}
-		}
-		// src's groups are one batch of rows whose hashes are known; the
-		// new ones join op's groups in src's group order.
-		keys := make([]*vector.Vector, len(src.groups))
-		for c, cb := range src.groups {
-			keys[c] = cb.vec()
-		}
-		hashes := make([]uint64, src.nGroups)
-		for g, h := range src.groupHash {
-			hashes[g] = uint64(h)
-		}
-		gids := make([]int32, src.nGroups)
-		op.findOrInsert(keys, hashes, allPairs(nil, src.nGroups), gids)
-		op.growGroups(op.nGroups)
-		for g, dg := range gids {
-			op.rowCount[dg] += src.rowCount[g]
-			for i, a := range op.accs {
-				a.merge(src.accs[i], g, int(dg))
-			}
-		}
-		return nil
 	}
+	op.unseal()
+	for _, p := range []*aggrOp{op, src} {
+		if err := p.hashGroups(); err != nil {
+			return err
+		}
+	}
+	// src's groups are one batch of rows whose hashes are known; the
+	// new ones join op's groups in src's group order.
+	keys := make([]*vector.Vector, len(src.groups))
+	for c, cb := range src.groups {
+		keys[c] = cb.vec()
+	}
+	hashes := make([]uint64, src.nGroups)
+	for g, h := range src.groupHash {
+		hashes[g] = uint64(h)
+	}
+	gids := make([]int32, src.nGroups)
+	op.findOrInsert(keys, hashes, allPairs(nil, src.nGroups), gids)
+	op.growGroups(off + op.nGroups)
+	for g, dg := range gids {
+		op.rowCount[off+int(dg)] += src.rowCount[off+g]
+		for i, a := range op.accs {
+			a.merge(src.accs[i], off+g, off+int(dg))
+		}
+	}
+	return nil
 }
 
 // hashGroups hashes the keys of groups formed without the hash table — an

@@ -191,7 +191,7 @@ func (c *compiler) pipeline(plan algebra.Node, opts ExecOptions) (Operator, erro
 		if err != nil {
 			return nil, err
 		}
-		return newAggrOp(in, n)
+		return newAggrOp(c.db, in, n)
 	case *algebra.Join:
 		return c.join(n, opts)
 	case *algebra.Fetch1Join:

@@ -210,7 +210,7 @@ func (db *Database) Delete(table string, rowID int32) error {
 // neither. The row moves to a new row id while the join indices of other
 // tables still hold the old one, so every join index onto table is marked
 // stale before the update applies: a Fetch1Join through it then fails with
-// ErrStaleRangeIndex instead of dropping the rows that referenced the old
+// ErrStaleJoinIndex instead of dropping the rows that referenced the old
 // id. On a disk-attached table the next checkpoint or compaction also bumps
 // the table's row-id epoch, so the mark survives a re-attach.
 func (db *Database) Update(table string, rowID int32, row []any) (int32, error) {
@@ -480,7 +480,7 @@ func tailRecords(ds *delta.Store, snap *delta.Snapshot) []columnbm.WALRecord {
 // and enum dictionary mapping tables are rebuilt at the cutover. Join-index
 // columns are NOT adjusted: when dropping deleted rows moves the row ids of
 // a table that join indices reference, every one of them is marked stale,
-// and Fetch1Joins through it fail to build with ErrStaleRangeIndex. On disk
+// and Fetch1Joins through it fail to build with ErrStaleJoinIndex. On disk
 // the same manifest commit bumps the table's row-id epoch, so the mark
 // survives a re-attach. Reorganize returns an error only when it fails.
 func (db *Database) Reorganize(table string) error {
@@ -759,7 +759,7 @@ type joinRef struct {
 	// were computed — a Reorganize, compaction or Update, in this process
 	// or, on disk, before the tables were attached — so col may hold ids of
 	// rows that moved. A Fetch1Join through col fails to build with
-	// ErrStaleRangeIndex.
+	// ErrStaleJoinIndex.
 	stale bool
 }
 
@@ -767,7 +767,7 @@ type joinRef struct {
 // a positional reference to refTable's row ids. When a Reorganize,
 // compaction or Update of refTable moves its row ids, the reference is
 // marked stale and Fetch1Joins through the column fail to build with
-// ErrStaleRangeIndex instead of fetching the wrong rows. A reorganize of
+// ErrStaleJoinIndex instead of fetching the wrong rows. A reorganize of
 // fetchedTable moves the column's values with their rows and leaves the
 // reference valid. Registering (again) marks the column valid for the
 // referenced table's current row ids, except when both tables are
@@ -805,12 +805,13 @@ func (db *Database) persistedStale(fetched, ref, col string) bool {
 	return fatt.joinEpochs[col] != ratt.rowEpoch.Load() || ratt.moved.Load()
 }
 
-// ErrStaleRangeIndex is wrapped by the build error of a Fetch1Join through
+// ErrStaleJoinIndex is wrapped by the build error of a Fetch1Join through
 // a registered join-index column whose referenced table's row ids moved
 // after the column's values were computed (joinRef.stale). Plans through
-// the column fail instead of fetching the wrong rows. The name is kept for
-// callers that test for it.
-var ErrStaleRangeIndex = errors.New("core: join index references moved row ids")
+// the column fail instead of fetching the wrong rows. An aggregation that
+// groups by the column needs no check: its answer does not depend on the
+// values being current row ids.
+var ErrStaleJoinIndex = errors.New("core: join index references moved row ids")
 
 // staleRefsOnto marks every join index onto ref (but not ref's own) stale.
 func (db *Database) staleRefsOnto(ref string) {
@@ -832,7 +833,20 @@ func (db *Database) JoinIndex(fetchedTable, refTable string) string {
 	return db.joinRefs[fetchedTable][refTable].col
 }
 
-// CheckJoinIndex returns an error wrapping ErrStaleRangeIndex when rowID,
+// referencedTable returns the table whose row ids the column col of table
+// holds as a registered join index, or "" when col is none.
+func (db *Database) referencedTable(table, col string) string {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	for ref, r := range db.joinRefs[table] {
+		if r.col == col {
+			return ref
+		}
+	}
+	return ""
+}
+
+// CheckJoinIndex returns an error wrapping ErrStaleJoinIndex when rowID,
 // the row-id expression of a Fetch1Join into target, is a column
 // registered as a join index onto target that has gone stale. Every engine
 // calls it when it builds a Fetch1Join.
@@ -845,7 +859,7 @@ func (db *Database) CheckJoinIndex(target string, rowID expr.Expr) error {
 	defer db.mu.RUnlock()
 	for fetched, m := range db.joinRefs {
 		if r, ok := m[target]; ok && r.stale && r.col == c.Name {
-			return fmt.Errorf("%w: %s.%s onto %s", ErrStaleRangeIndex, fetched, r.col, target)
+			return fmt.Errorf("%w: %s.%s onto %s", ErrStaleJoinIndex, fetched, r.col, target)
 		}
 	}
 	return nil

@@ -60,7 +60,7 @@ func newFetch1JoinOp(db *Database, input Operator, node *algebra.Fetch1Join, opt
 	op := &fetch1JoinOp{view: v, input: input, node: node, opts: opts, rowPass: -1,
 		name: "Fetch1Join(" + node.Table + ")"}
 	if del := v.delta.SortedDeleted(); len(del) > 0 {
-		op.deleted = make([]uint64, (op.total()+63)/64)
+		op.deleted = make([]uint64, (op.view.total()+63)/64)
 		for _, id := range del {
 			op.deleted[id>>6] |= 1 << (id & 63)
 		}
@@ -203,9 +203,6 @@ func (op *fetch1JoinOp) dropDead(ids, sel []int32, n int) []int32 {
 	return live
 }
 
-// total is the number of row ids the view addresses: base and insert tail.
-func (op *fetch1JoinOp) total() int { return op.view.n + op.view.delta.NumDeltaRows() }
-
 // split sorts the live positions of ids (sel, else [0,n)) into base and
 // tail positions for the gathers of one batch. An id past the tail's end
 // is an error.
@@ -213,7 +210,7 @@ func (op *fetch1JoinOp) split(ids, sel []int32, n int) error {
 	if op.tails == nil {
 		return nil
 	}
-	baseN, end := int32(op.view.n), int32(op.total())
+	baseN, end := int32(op.view.n), int32(op.view.total())
 	if len(op.tailIDs) < n {
 		op.tailIDs = make([]int32, n)
 	}

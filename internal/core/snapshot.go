@@ -42,6 +42,10 @@ type tableView struct {
 	summaries map[string]*colstore.ZoneMap
 }
 
+// total is the number of row ids of the view: its base rows and its
+// insert tail.
+func (v *tableView) total() int { return v.n + v.delta.NumDeltaRows() }
+
 // col returns the captured column by name, nil when absent.
 func (v *tableView) col(name string) *colstore.Column {
 	if i := v.colIndex(name); i >= 0 {

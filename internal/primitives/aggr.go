@@ -163,6 +163,37 @@ func MaxCol[T Ordered](vals []T, sel []int32) (m T, ok bool) {
 	return m, ok
 }
 
+// DirectGroupI32 is map_directgrp over one int32 key whose dense domain is
+// [0, n) — a join index's row ids: the group index of an in-domain key is
+// the key itself. It returns the largest in-domain key of the live rows
+// (-1 when there is none) and the number of live rows whose key lies
+// outside the domain; their group indexes are left for the caller to set.
+func DirectGroupI32(groups, keys []int32, sel []int32, n int32) (maxKey int32, outside int) {
+	maxKey = -1
+	if sel != nil {
+		for _, i := range sel {
+			k := keys[i]
+			groups[i] = k
+			if uint32(k) < uint32(n) {
+				maxKey = max(maxKey, k)
+			} else {
+				outside++
+			}
+		}
+		return maxKey, outside
+	}
+	keys = keys[:len(groups)]
+	for i, k := range keys {
+		groups[i] = k
+		if uint32(k) < uint32(n) {
+			maxKey = max(maxKey, k)
+		} else {
+			outside++
+		}
+	}
+	return maxKey, outside
+}
+
 // DirectGroupU8 computes the direct-aggregation group index for one or two
 // single-byte key columns: (a<<8)+b, mirroring the hard-coded Query 1 UDF
 // (Figure 4) and the map_directgrp primitive of Table 5. With b nil the

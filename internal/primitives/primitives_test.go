@@ -290,6 +290,23 @@ func TestDirectGroupU8(t *testing.T) {
 	}
 }
 
+func TestDirectGroupI32(t *testing.T) {
+	keys := []int32{3, -1, 0, 5, 4, 1 << 30}
+	g := make([]int32, len(keys))
+	if m, out := DirectGroupI32(g, keys, nil, 5); m != 4 || out != 3 {
+		t.Fatalf("dense: max %d outside %d", m, out)
+	}
+	if g[0] != 3 || g[2] != 0 || g[4] != 4 {
+		t.Fatalf("dense groups: %v", g)
+	}
+	if m, out := DirectGroupI32(g, keys, []int32{1, 2}, 5); m != 0 || out != 1 {
+		t.Fatalf("sel: max %d outside %d", m, out)
+	}
+	if m, out := DirectGroupI32(g, keys, []int32{}, 5); m != -1 || out != 0 {
+		t.Fatalf("empty: max %d outside %d", m, out)
+	}
+}
+
 func TestHashConsistency(t *testing.T) {
 	// Scalar fold starting from 0 must equal the vectorized path.
 	vals := []int64{0, 1, -5, 1 << 40}

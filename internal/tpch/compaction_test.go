@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"x100/internal/algebra"
+	"x100/internal/columnbm"
 	"x100/internal/core"
 	"x100/internal/expr"
 )
@@ -189,8 +190,8 @@ func hashJoinPlan() algebra.Node {
 // reorganizeReferenced deletes n orders rows and reorganizes orders, the
 // table l_orderrow references. That moves the orders row ids while
 // lineitem's l_orderrow keeps the old ones, so the join index goes stale:
-// Reorganize succeeds, and plans through l_orderrow — Q12 among them —
-// fail to build with ErrStaleRangeIndex and return no rows instead of
+// Reorganize succeeds, and plans through l_orderrow — Q4, Q12, Q18 and
+// Q21 among them — fail to build with ErrStaleJoinIndex and return no rows instead of
 // answering wrongly, also after a cold re-attach. The hash join agrees
 // with the plan through l_orderrow before, and across memory and disk
 // after. The cutover is complete: the old chunk generation is removed, and
@@ -221,9 +222,12 @@ func reorganizeReferenced(t *testing.T, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q12, err := Query(12, 0.005)
-	if err != nil {
-		t.Fatal(err)
+	// Q12 fetches through l_orderrow; Q4, Q18 and Q21 also group by it.
+	stalePlans := map[string]algebra.Node{"fetch": fetchPlan}
+	for _, q := range []int{4, 12, 18, 21} {
+		if stalePlans[fmt.Sprintf("Q%d", q)], err = Query(q, 0.005); err != nil {
+			t.Fatal(err)
+		}
 	}
 	check := func(label string, db *core.Database, valid bool) {
 		t.Helper()
@@ -242,9 +246,9 @@ func reorganizeReferenced(t *testing.T, n int) {
 			if valid {
 				continue
 			}
-			for name, plan := range map[string]algebra.Node{"fetch": fetchPlan, "Q12": q12} {
-				if res, err := run(db, plan, p); !errors.Is(err, core.ErrStaleRangeIndex) || res != nil {
-					t.Fatalf("%s p=%d: %s through stale l_orderrow = %v, %v; want ErrStaleRangeIndex and no rows", label, p, name, res, err)
+			for name, plan := range stalePlans {
+				if res, err := run(db, plan, p); !errors.Is(err, core.ErrStaleJoinIndex) || res != nil {
+					t.Fatalf("%s p=%d: %s through stale l_orderrow = %v, %v; want ErrStaleJoinIndex and no rows", label, p, name, res, err)
 				}
 			}
 		}
@@ -305,11 +309,65 @@ func reorganizeReferenced(t *testing.T, n int) {
 	sameRowMultisets(t, "restart after writes orders", wantOrders, gotOrders)
 }
 
+// TestResaveKeepsRowIDEpoch saves orders again over its own directory after
+// a reorganize on disk moved its row ids. The re-saved rows keep the moved
+// ids, so lineitem's l_orderrow, saved before the reorganize, must stay
+// stale: SaveTable carries the row-id epoch forward and bumps it instead of
+// starting again at 0, which lineitem's join_epochs would match. After the
+// re-attach a Fetch1Join through l_orderrow fails.
+func TestResaveKeepsRowIDEpoch(t *testing.T) {
+	mem, err := Generate(Config{SF: 0.005})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	saveAll(t, mem, dir)
+	disk, store := attachAll(t, dir, 8)
+	for id := int32(0); id < 20; id++ {
+		if err := disk.Delete("orders", id*7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := disk.Reorganize("orders"); err != nil {
+		t.Fatal(err)
+	}
+	before, err := store.ReadManifest("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	orders, err := disk.Table("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wstore, err := columnbm.NewStore(dir, diskChunkRows, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wstore.SaveTable(orders); err != nil {
+		t.Fatal(err)
+	}
+	after, err := wstore.ReadManifest("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.RowIDEpoch == 0 || after.RowIDEpoch <= before.RowIDEpoch {
+		t.Fatalf("orders row-id epoch %d after the reorganize, %d after the re-save; want it to grow", before.RowIDEpoch, after.RowIDEpoch)
+	}
+	restarted, _ := attachAll(t, dir, 8)
+	for _, p := range []int{1, 2} {
+		opts := core.DefaultOptions()
+		opts.Parallelism = p
+		if res, err := core.Run(restarted, fetchJoinPlan(t), opts); !errors.Is(err, core.ErrStaleJoinIndex) || res != nil {
+			t.Fatalf("p=%d: fetch through l_orderrow after the re-save = %v, %v; want ErrStaleJoinIndex and no rows", p, res, err)
+		}
+	}
+}
+
 // TestCompactorCountsStaleIndexDrop runs the background compactor over an
 // orders table past its delete threshold. The compaction moves the orders
 // row ids under lineitem's l_orderrow; the compactor counts it as a
 // completed compaction, not a failure, and Q12 through the stale join index
-// then fails with ErrStaleRangeIndex.
+// then fails with ErrStaleJoinIndex.
 func TestCompactorCountsStaleIndexDrop(t *testing.T) {
 	mem, err := Generate(Config{SF: 0.005})
 	if err != nil {
@@ -334,8 +392,8 @@ func TestCompactorCountsStaleIndexDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := core.Run(disk, q12, core.DefaultOptions()); !errors.Is(err, core.ErrStaleRangeIndex) || res != nil {
-		t.Fatalf("Q12 through stale l_orderrow = %v, %v; want ErrStaleRangeIndex and no rows", res, err)
+	if res, err := core.Run(disk, q12, core.DefaultOptions()); !errors.Is(err, core.ErrStaleJoinIndex) || res != nil {
+		t.Fatalf("Q12 through stale l_orderrow = %v, %v; want ErrStaleJoinIndex and no rows", res, err)
 	}
 }
 

@@ -193,7 +193,7 @@ func TestFetchJoinDeletedTargets(t *testing.T) {
 		hash algebra.Node
 	}{{3, hashQ3()}, {7, hashQ7()}, {12, hashQ12()}, {14, hashQ14()}}
 	// After an update of a referenced row, a fetch plan may also fail with
-	// ErrStaleRangeIndex and no result; it must never answer differently.
+	// ErrStaleJoinIndex and no result; it must never answer differently.
 	var staleOK bool
 	check := func(label string, dbs map[string]*core.Database) {
 		t.Helper()
@@ -212,7 +212,7 @@ func TestFetchJoinDeletedTargets(t *testing.T) {
 					opts.Parallelism = p
 					for form, pl := range map[string]algebra.Node{"fetch": plan, "hash": qc.hash} {
 						got, err := core.Run(db, pl, opts)
-						if staleOK && form == "fetch" && errors.Is(err, core.ErrStaleRangeIndex) && got == nil {
+						if staleOK && form == "fetch" && errors.Is(err, core.ErrStaleJoinIndex) && got == nil {
 							continue
 						}
 						if err != nil {
@@ -306,8 +306,8 @@ func TestFetchJoinDeletedTargets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := core.Run(db, plan, core.DefaultOptions()); !errors.Is(err, core.ErrStaleRangeIndex) {
-			t.Fatalf("Q12 after an orders update: err = %v, want ErrStaleRangeIndex", err)
+		if _, err := core.Run(db, plan, core.DefaultOptions()); !errors.Is(err, core.ErrStaleJoinIndex) {
+			t.Fatalf("Q12 after an orders update: err = %v, want ErrStaleJoinIndex", err)
 		}
 	}
 }

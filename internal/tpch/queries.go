@@ -197,20 +197,22 @@ func Q3() algebra.Node {
 	return algebra.NewTopN(aggr, 10, algebra.Desc(c("revenue")), algebra.Asc(c("o_orderdate")))
 }
 
-// Q4 — Order Priority Checking (EXISTS -> semi join).
+// Q4 — Order Priority Checking. The EXISTS marks orders rows: a distinct
+// over the late lineitems' l_orderrow, which is direct aggregation into an
+// array over the orders rows (no aggregates, no hash table). Each marked
+// order is then fetched once for its date and priority, so no semi join
+// builds over the late lineitems.
 func Q4() algebra.Node {
-	ord := algebra.NewSelect(
-		algebra.NewScan("orders", "o_orderkey", "o_orderdate", "o_orderpriority"),
+	late := algebra.NewSelect(
+		algebra.NewScan("lineitem", "l_orderrow", "l_commitdate", "l_receiptdate"),
+		expr.LTE(c("l_commitdate"), c("l_receiptdate")))
+	marked := algebra.NewAggr(late, []algebra.NamedExpr{ne("l_orderrow", c("l_orderrow"))}, nil)
+	ord := algebra.NewSelect(fetch(marked, "orders", "l_orderrow", "o_orderdate", "o_orderpriority"),
 		expr.AndE(
 			expr.GEE(c("o_orderdate"), d("1993-07-01")),
 			expr.LTE(c("o_orderdate"), d("1993-10-01")),
 		))
-	late := algebra.NewSelect(
-		algebra.NewScan("lineitem", "l_orderkey", "l_commitdate", "l_receiptdate"),
-		expr.LTE(c("l_commitdate"), c("l_receiptdate")))
-	semi := algebra.NewJoinKind(algebra.Semi, ord, late,
-		algebra.EquiCond{L: "o_orderkey", R: "l_orderkey"})
-	aggr := algebra.NewAggr(semi,
+	aggr := algebra.NewAggr(ord,
 		[]algebra.NamedExpr{ne("o_orderpriority", c("o_orderpriority"))},
 		[]algebra.AggExpr{algebra.Count("order_count")})
 	return algebra.NewOrder(aggr, algebra.Asc(c("o_orderpriority")))
@@ -540,25 +542,25 @@ func Q17() algebra.Node {
 		ne("avg_yearly", expr.DivE(c("sum_ext"), f(7))))
 }
 
-// Q18 — Large Volume Customer.
+// Q18 — Large Volume Customer. The per-order quantity sums group by
+// l_orderrow: direct aggregation into an array over the orders rows. The
+// few orders past 300 then fetch their orders and customer columns by the
+// group key, so neither orders nor a hash join on o_orderkey is touched.
+// Each order forms one group, so the outer GROUP BY of the SQL text is a
+// projection.
 func Q18() algebra.Node {
 	bigOrders := algebra.NewSelect(
 		algebra.NewAggr(
-			algebra.NewScan("lineitem", "l_orderkey", "l_quantity"),
-			[]algebra.NamedExpr{ne("bo_key", c("l_orderkey"))},
+			algebra.NewScan("lineitem", "l_orderrow", "l_quantity"),
+			[]algebra.NamedExpr{ne("l_orderrow", c("l_orderrow"))},
 			[]algebra.AggExpr{algebra.Sum("sum_l_qty", c("l_quantity"))}),
 		expr.GTE(c("sum_l_qty"), f(300)))
-	oj := algebra.NewJoin(
-		algebra.NewScan("orders", "o_orderkey", "o_custrow", "o_orderdate", "o_totalprice"),
-		bigOrders, algebra.EquiCond{L: "o_orderkey", R: "bo_key"})
-	aggr := algebra.NewAggr(fetch(oj, "customer", "o_custrow", "c_custkey", "c_name"),
-		[]algebra.NamedExpr{
-			ne("c_name", c("c_name")), ne("c_custkey", c("c_custkey")),
-			ne("o_orderkey", c("o_orderkey")), ne("o_orderdate", c("o_orderdate")),
-			ne("o_totalprice", c("o_totalprice")),
-		},
-		[]algebra.AggExpr{algebra.Sum("sum_qty", c("sum_l_qty"))})
-	return algebra.NewTopN(aggr, 100,
+	ord := fetch(bigOrders, "orders", "l_orderrow", "o_orderkey", "o_custrow", "o_orderdate", "o_totalprice")
+	proj := algebra.NewProject(fetch(ord, "customer", "o_custrow", "c_custkey", "c_name"),
+		ne("c_name", c("c_name")), ne("c_custkey", c("c_custkey")),
+		ne("o_orderkey", c("o_orderkey")), ne("o_orderdate", c("o_orderdate")),
+		ne("o_totalprice", c("o_totalprice")), ne("sum_qty", c("sum_l_qty")))
+	return algebra.NewTopN(proj, 100,
 		algebra.Desc(c("o_totalprice")), algebra.Asc(c("o_orderdate")))
 }
 
@@ -630,41 +632,44 @@ func Q20() algebra.Node {
 	return algebra.NewOrder(proj, algebra.Asc(c("s_name")))
 }
 
-// Q21 — Suppliers Who Kept Orders Waiting (EXISTS/NOT EXISTS decorrelated
-// through per-order distinct-supplier counts).
+// Q21 — Suppliers Who Kept Orders Waiting. The EXISTS and NOT EXISTS over
+// the other lineitems of l1's order are decorrelated through two direct
+// aggregations by l_orderrow, into arrays over the orders rows: the least
+// and greatest l_suppkey of each order's lineitems, and of its late ones.
+// An order has a supplier other than l1's exactly when its least and
+// greatest supplier differ. l1 is late itself, so no other supplier of the
+// order is late exactly when the least and greatest late supplier agree.
+// Counting distinct suppliers would need a hash aggregation of the
+// (order, supplier) pairs first. The per-order ranges, filtered by these
+// two tests, probe hash tables built on the few l1 rows (late, a Saudi
+// supplier, order status F) rather than the other way round.
 func Q21() algebra.Node {
-	// Distinct (order, supplier) pairs over all lineitems.
-	allPairs := algebra.NewAggr(
-		algebra.NewScan("lineitem", "l_orderkey", "l_suppkey"),
-		[]algebra.NamedExpr{ne("ao_key", c("l_orderkey")), ne("ao_supp", c("l_suppkey"))}, nil)
-	nSupp := algebra.NewAggr(allPairs,
-		[]algebra.NamedExpr{ne("ns_key", c("ao_key"))},
-		[]algebra.AggExpr{algebra.Count("nsupp")})
-	// Distinct (order, supplier) pairs over late lineitems.
-	late := algebra.NewSelect(
-		algebra.NewScan("lineitem", "l_orderkey", "l_suppkey", "l_receiptdate", "l_commitdate"),
-		expr.GTE(c("l_receiptdate"), c("l_commitdate")))
-	latePairs := algebra.NewAggr(late,
-		[]algebra.NamedExpr{ne("lo_key", c("l_orderkey")), ne("lo_supp", c("l_suppkey"))}, nil)
-	nLate := algebra.NewAggr(latePairs,
-		[]algebra.NamedExpr{ne("nl_key", c("lo_key"))},
-		[]algebra.AggExpr{algebra.Count("nlate")})
+	late := func(cols ...string) algebra.Node {
+		return algebra.NewSelect(algebra.NewScan("lineitem", cols...),
+			expr.GTE(c("l_receiptdate"), c("l_commitdate")))
+	}
+	suppRange := func(in algebra.Node, prefix string) algebra.Node {
+		return algebra.NewAggr(in,
+			[]algebra.NamedExpr{ne(prefix+"_row", c("l_orderrow"))},
+			[]algebra.AggExpr{
+				algebra.Min(prefix+"_min", c("l_suppkey")),
+				algebra.Max(prefix+"_max", c("l_suppkey")),
+			})
+	}
+	nSupp := suppRange(algebra.NewScan("lineitem", "l_orderrow", "l_suppkey"), "ns")
+	nLate := suppRange(late("l_orderrow", "l_suppkey", "l_receiptdate", "l_commitdate"), "nl")
 
-	l1 := algebra.NewSelect(
-		algebra.NewScan("lineitem", "l_orderkey", "l_orderrow", "l_supprow", "l_receiptdate", "l_commitdate"),
-		expr.GTE(c("l_receiptdate"), c("l_commitdate")))
+	l1 := late("l_orderrow", "l_supprow", "l_receiptdate", "l_commitdate")
 	sn := fetch(fetch(l1, "supplier", "l_supprow", "s_nationrow"), "nation", "s_nationrow", "n_name")
 	saudi := algebra.NewSelect(sn, expr.EQE(c("n_name"), str("SAUDI ARABIA")))
 	oj := algebra.NewSelect(fetch(saudi, "orders", "l_orderrow", "o_orderstatus"),
 		expr.EQE(c("o_orderstatus"), str("F")))
 	sj := fetch(oj, "supplier", "l_supprow", "s_name")
-	withAll := algebra.NewJoin(sj, nSupp, algebra.EquiCond{L: "l_orderkey", R: "ns_key"})
-	withLate := algebra.NewJoin(withAll, nLate, algebra.EquiCond{L: "l_orderkey", R: "nl_key"})
-	filt := algebra.NewSelect(withLate, expr.AndE(
-		expr.GTE(c("nsupp"), expr.Int(1)),
-		expr.EQE(c("nlate"), expr.Int(1)),
-	))
-	aggr := algebra.NewAggr(filt,
+	onlyLate := algebra.NewJoin(algebra.NewSelect(nLate, expr.EQE(c("nl_min"), c("nl_max"))),
+		sj, algebra.EquiCond{L: "nl_row", R: "l_orderrow"})
+	others := algebra.NewJoin(algebra.NewSelect(nSupp, expr.NEE(c("ns_min"), c("ns_max"))),
+		onlyLate, algebra.EquiCond{L: "ns_row", R: "l_orderrow"})
+	aggr := algebra.NewAggr(others,
 		[]algebra.NamedExpr{ne("s_name", c("s_name"))},
 		[]algebra.AggExpr{algebra.Count("numwait")})
 	return algebra.NewTopN(aggr, 100, algebra.Desc(c("numwait")), algebra.Asc(c("s_name")))

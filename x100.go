@@ -230,14 +230,14 @@ var ErrCorrupt = columnbm.ErrCorrupt
 // persisted across retries escape with this mark.
 var ErrTransient = columnbm.ErrTransient
 
-// ErrStaleRangeIndex is wrapped by the error of a Fetch1Join through a
+// ErrStaleJoinIndex is wrapped by the error of a Fetch1Join through a
 // join-index column whose referenced table's row ids a Reorganize,
 // compaction or Update moved, such as lineitem's l_orderrow after orders
 // rows were deleted and orders reorganized. The column still holds the old
 // row ids, so plans through it fail instead of answering wrongly. On
 // attached directories the mark survives a re-attach. Test with
-// errors.Is(err, ErrStaleRangeIndex).
-var ErrStaleRangeIndex = core.ErrStaleRangeIndex
+// errors.Is(err, ErrStaleJoinIndex).
+var ErrStaleJoinIndex = core.ErrStaleJoinIndex
 
 // DB is a columnar database instance.
 type DB struct {
@@ -410,7 +410,7 @@ func (db *DB) store(dir string) (*columnbm.Store, error) {
 // join-index columns (such as l_orderrow) once both of their tables are
 // attached: a Reorganize, compaction or Update that moves the referenced
 // table's row ids makes Fetch1Joins through them fail with
-// ErrStaleRangeIndex. The mark survives a re-attach: the manifests record
+// ErrStaleJoinIndex. The mark survives a re-attach: the manifests record
 // row-id epochs, and a column whose referenced table moved on since the
 // column was saved registers stale.
 func (db *DB) AttachDisk(dir string, tables ...string) error {
@@ -546,7 +546,7 @@ func (db *DB) Delete(table string, rowID int32) error {
 // Update replaces a row (a delete plus an insert, per the paper), logged
 // as one atomic write-ahead record. The row gets a new row id, so the join
 // indices of other tables onto table go stale: Fetch1Joins through them
-// fail with ErrStaleRangeIndex.
+// fail with ErrStaleJoinIndex.
 func (db *DB) Update(table string, rowID int32, row ...any) error {
 	_, err := db.inner.Update(table, rowID, row)
 	return err
@@ -582,7 +582,7 @@ func (db *DB) DeltaFraction(table string) (float64, error) {
 // manifest rename, compacting checkpointed deletions away — and re-attached
 // fragment-backed, so it keeps scanning off disk chunks in bounded memory.
 // Moving the row ids of a table join indices reference makes Fetch1Joins
-// through them fail with ErrStaleRangeIndex. Reorganize returns an error
+// through them fail with ErrStaleJoinIndex. Reorganize returns an error
 // only when it fails.
 func (db *DB) Reorganize(table string) error {
 	return db.inner.Reorganize(table)
